@@ -114,7 +114,7 @@ def measure_workload(name, scale, n_sources, kernels=("arcs",)):
     arcs_seconds = None
     for kern in kernels:
         if not get_kernel(kern).available():
-            continue  # e.g. numba on hosts without it: clean miss
+            continue  # e.g. spmm on hosts without scipy: clean miss
         counter = WorkCounter()
         run_per_source(
             graph, sources=sources, mode="arcs",
@@ -233,7 +233,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--kernel",
-        choices=("auto", "arcs", "spmm", "pull", "numba"),
+        choices=("auto", "arcs", "spmm", "pull"),
         default=None,
         help="restrict to one compute kernel's workloads",
     )

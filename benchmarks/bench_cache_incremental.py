@@ -93,7 +93,7 @@ def measure_workload(name, scale):
     """Cold/warm/delta measurement row for one suite graph."""
     graph = get_graph(name, scale=scale)
     store = ContributionStore()
-    config = APGREConfig(parallel="serial", cache=store)
+    config = APGREConfig(cache=store)
 
     t0 = time.perf_counter()
     cold = apgre_bc_detailed(graph, config)
@@ -119,7 +119,7 @@ def measure_workload(name, scale):
     delta = apgre_bc_delta(graph, edges_added=added, cache=store, config=config)
     t_delta = time.perf_counter() - t0
     scratch = apgre_bc_detailed(
-        delta.graph, APGREConfig(parallel="serial", cache=ContributionStore())
+        delta.graph, APGREConfig(cache=ContributionStore())
     )
     np.testing.assert_allclose(
         delta.scores, scratch.scores, rtol=1e-9, atol=1e-9

@@ -1,6 +1,7 @@
 """Figure 9 — parallel scaling of the algorithms on the dblp analogue.
 
-Benchmarks APGRE at several worker counts (process pool) and emits the
+Benchmarks APGRE at several worker counts (the ``processes`` engine;
+one worker runs the same batched kernel inline) and emits the
 measured-speedup table with the LPT work-model column (this host has a
 single core, so measured curves are flat; the model column carries the
 paper's shape — see EXPERIMENTS.md).
@@ -20,9 +21,7 @@ from conftest import one_shot
 def test_apgre_workers(benchmark, workers):
     name, graph = scaling_graph()
     partition = get_partition(name)
-    config = APGREConfig(
-        parallel="processes" if workers > 1 else "serial", workers=workers
-    )
+    config = APGREConfig(backend="processes", workers=workers)
     result = one_shot(
         benchmark, apgre_bc_detailed, graph, config, partition=partition
     )

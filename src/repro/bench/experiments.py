@@ -295,9 +295,7 @@ def _scaling_rows(
             if algo == "APGRE":
                 apgre_bc_detailed(
                     graph,
-                    APGREConfig(
-                        parallel="processes" if k > 1 else "serial", workers=k
-                    ),
+                    APGREConfig(backend="processes", workers=k),
                     partition=get_partition(name),
                 )
             else:
@@ -366,7 +364,7 @@ def cache_incremental() -> ExperimentResult:
             continue
         graph = get_graph(name)
         store = ContributionStore()
-        config = APGREConfig(parallel="serial", cache=store)
+        config = APGREConfig(cache=store)
         t0 = time.perf_counter()
         cold = apgre_bc_detailed(graph, config)
         t_cold = time.perf_counter() - t0

@@ -168,8 +168,8 @@ def apgre_bc_delta(
     clean ones replay their stored local vectors (and report the work
     as ``edges_replayed``, never as traversed).  Cache misses run
     through the ordinary APGRE BC phase of ``config``, so
-    ``parallel="processes"``/``workers=``/``steal=``/``batch_size=``
-    fan the dirty components out exactly like any other run.
+    ``backend=``/``workers=``/``steal=``/``batch_size=`` fan the dirty
+    components out exactly like any other run.
 
     The cache must have been warmed on the pre-delta graph with the
     *same* store and an equivalent config (threshold,

@@ -97,9 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes (APGRE sub-graph pool, or the "
-        "parallel-batched pool for serial/preds/batched with "
-        "--batch-size)",
+        help="workers for the execution engine --backend names "
+        "(APGRE sub-graph units, or source batches for "
+        "serial/preds/batched); > 1 without --backend uses the host "
+        "default engine",
     )
     p_compute.add_argument(
         "--timeout",
@@ -142,21 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument(
         "--kernel",
-        choices=("auto", "arcs", "spmm", "pull", "numba"),
+        choices=("auto", "arcs", "spmm", "pull"),
         default=None,
         help="compute kernel for the batched traversals: pure-numpy "
         "scatters, scipy sparse-matmul levels, direction-optimizing "
-        "push/pull, the optional compiled numba kernel, or 'auto' "
+        "push/pull, or 'auto' "
         "(per-sub-graph structural selection, honours REPRO_KERNEL); "
         "implies --batch-size auto unless one is given; an "
         "unavailable kernel degrades to the default with a warning",
-    )
-    p_compute.add_argument(
-        "--parallel-batched",
-        action="store_true",
-        help="run source batches on the persistent shared-memory "
-        "worker pool (needs --workers > 1; implies --batch-size auto "
-        "unless one is given)",
     )
     p_compute.add_argument(
         "--steal",
@@ -337,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--kernel",
-        choices=("auto", "arcs", "spmm", "pull", "numba"),
+        choices=("auto", "arcs", "spmm", "pull"),
         default=None,
         help="default compute kernel (requests may override via "
         "?kernel=)",
@@ -497,38 +491,13 @@ def _cmd_compute(args) -> int:
     graph = load_graph(args.graph, directed=args.directed)
     fn = get_algorithm(args.algorithm)
     batched_algos = ("APGRE", "serial", "preds", "batched")
-    if args.backend is not None:
-        if args.parallel_batched:
-            print(
-                "repro-bc: error: --backend and --parallel-batched are "
-                "mutually exclusive (--parallel-batched is the legacy "
-                "spelling of --backend processes)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.algorithm not in batched_algos:
-            print(
-                f"repro-bc: error: --backend is not supported by "
-                f"{args.algorithm!r} (use APGRE, serial, preds or "
-                f"batched)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.parallel_batched:
-        if args.workers <= 1:
-            print(
-                "repro-bc: error: --parallel-batched needs --workers > 1",
-                file=sys.stderr,
-            )
-            return 2
-        if args.algorithm not in batched_algos:
-            print(
-                f"repro-bc: error: --parallel-batched is not supported "
-                f"by {args.algorithm!r} (use APGRE, serial, preds or "
-                f"batched)",
-                file=sys.stderr,
-            )
-            return 2
+    if args.backend is not None and args.algorithm not in batched_algos:
+        print(
+            f"repro-bc: error: --backend is not supported by "
+            f"{args.algorithm!r} (use APGRE, serial, preds or batched)",
+            file=sys.stderr,
+        )
+        return 2
     kwargs = {}
     if args.algorithm == "APGRE" and (
         args.workers > 1 or args.backend is not None
@@ -538,23 +507,15 @@ def _cmd_compute(args) -> int:
             "timeout": args.timeout,
             "max_retries": args.max_retries,
             "fallback": not args.no_fallback,
+            "backend": args.backend,
+            "steal": args.steal,
         }
-        if args.backend is not None:
-            kwargs["backend"] = args.backend
-            kwargs["steal"] = args.steal
-        else:
-            kwargs["parallel"] = "processes"
-        if args.parallel_batched:
-            kwargs["parallel_batched"] = True
-            kwargs["steal"] = args.steal
     elif args.algorithm in ("serial", "preds", "batched") and (
         args.workers > 1 or args.backend is not None
     ):
         kwargs = {"workers": args.workers, "steal": args.steal}
         if args.backend is not None:
             kwargs["backend"] = args.backend
-        if args.parallel_batched and args.batch_size is None:
-            kwargs["batch_size"] = "auto"
     if args.batch_size is not None:
         if args.algorithm not in batched_algos:
             print(

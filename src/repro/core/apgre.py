@@ -13,39 +13,40 @@ Three steps:
 
 Step 3 carries the coarse-grained parallelism: sub-graphs are
 independent ("coarse-grained asynchronous parallelism among
-sub-graphs"), dispatched largest-first over a supervised fork-based
-process pool (``parallel="processes"`` —
-:func:`repro.parallel.supervisor.supervised_map`, with per-task
-timeouts, crash detection, bounded retry and serial degradation) or a
-thread pool (``parallel="threads"``).  A processes run attaches its
-supervision report to ``BCResult.health``; the degradation ladder
-bottoms out in full-serial APGRE and, past that, the plain Brandes
-baseline (docs/ROBUSTNESS.md).
+sub-graphs").  The driver expands them into work units (whole
+sub-graphs, or shard tasks — :func:`_expand_units`) and runs the units
+through one BC-phase path, :func:`_compute_units`.  With ``workers >
+1`` their root slices go largest-first to the execution engine
+``backend`` resolves to (:mod:`repro.parallel.backends`: worker
+threads, the supervised shared-memory process pool, or an inline
+loop) and the run attaches its supervision report to
+``BCResult.health``; otherwise an inline loop runs the units in the
+same LPT order.  One degradation ladder covers both: engine → serial
+→ the plain Brandes baseline (docs/ROBUSTNESS.md).  The contribution
+cache and the run journal are filters in front of that one pass: they
+drop the units they can replay and commit every recomputed unit
+through a sink.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.common import WorkCounter
 from repro.core.bc_subgraph import bc_subgraph
 from repro.core.config import APGREConfig
-from repro.core.result import APGREStats, BCResult, PhaseTimings
+from repro.core.result import APGREStats, BCResult
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import Partition, graph_partition
 from repro.errors import ExecutionError, ReproError
 from repro.graph.csr import CSRGraph
 from repro.parallel.batched_pool import merge_examined
-from repro.parallel.pool import get_worker_state, thread_map
 from repro.parallel.scheduler import lpt_order, task_cost
-from repro.parallel.supervisor import (
-    RunHealth,
-    SupervisorConfig,
-    supervised_map,
-)
+from repro.parallel.supervisor import RunHealth, SupervisorConfig
 from repro.types import SCORE_DTYPE
 
 __all__ = ["apgre_bc", "apgre_bc_detailed"]
@@ -109,12 +110,19 @@ def _unit_num_roots(sg, shard: int, config: APGREConfig) -> int:
 
 
 def _unit_scores(
-    sg, shard: int, config: APGREConfig, counter=None, lo=None, hi=None
+    sg,
+    shard: int,
+    config: APGREConfig,
+    counter=None,
+    lo=None,
+    hi=None,
+    workers: int = 1,
 ) -> np.ndarray:
     """One unit's full-length local score vector (optionally root-sliced).
 
     Whole units route through :func:`bc_subgraph` (honouring
-    ``batch_size``/``compress``); shard units run the shard kernel —
+    ``batch_size``/``compress``; ``workers`` concurrent callers share
+    the auto batch's RAM budget); shard units run the shard kernel —
     never root-sliced and never compressed (the two reductions do not
     compose; docs/SHARDING.md).
     """
@@ -134,6 +142,7 @@ def _unit_scores(
             batch_size=config.batch_size,
             compress=config.compress,
             kernel=config.kernel,
+            workers=workers,
         )
     from repro.shard import shard_task_scores
 
@@ -175,37 +184,6 @@ def _unit_key(sg, shard: int, config: APGREConfig) -> str:
     )
 
 
-def _subgraph_task(task: Tuple[int, int, int]) -> Tuple[int, np.ndarray]:
-    """Worker body: one (unit, root-slice) chunk's local scores."""
-    upos, lo, hi = task
-    state = get_worker_state()
-    partition: Partition = state["partition"]
-    eliminate: bool = state["eliminate_pendants"]
-    index, shard = state["units"][upos]
-    sg = partition.subgraphs[index]
-    if shard >= 0:
-        from repro.shard import shard_plan, shard_task_scores
-
-        # plans are memoized on the Subgraph — fork/thread workers
-        # reuse the ones the parent built for the stats pass
-        plan = shard_plan(sg, max_size=state["shard_max_size"])
-        return index, shard_task_scores(
-            sg, plan, shard, eliminate_pendants=eliminate
-        )
-    if eliminate:
-        all_roots = sg.roots
-    else:
-        all_roots = np.arange(sg.num_vertices, dtype=sg.roots.dtype)
-    return index, bc_subgraph(
-        sg,
-        eliminate_pendants=eliminate,
-        roots=all_roots[lo:hi],
-        batch_size=state.get("batch_size"),
-        compress=state.get("compress", False),
-        kernel=state.get("kernel"),
-    )
-
-
 def _make_tasks(
     subgraphs,
     units: List[Tuple[int, int]],
@@ -224,7 +202,6 @@ def _make_tasks(
     of it so workers run full batches (``"auto"`` resolves per
     sub-graph inside the worker and is left unaligned).
     """
-    eliminate = config.eliminate_pendants
     batch_size = config.batch_size
     tasks: List[Tuple[int, int, int]] = []
     weights: List[float] = []
@@ -256,6 +233,23 @@ def _make_tasks(
             weights.append(task_cost(sg.num_arcs, hi - lo))
     order = lpt_order(weights)
     return [tasks[i] for i in order], [weights[i] for i in order]
+
+
+@dataclass
+class _Run:
+    """One run's BC-phase state, shared by the pass and its filters."""
+
+    graph: CSRGraph
+    config: APGREConfig
+    subgraphs: list
+    units: List[Tuple[int, int]]
+    bc: np.ndarray
+    counter: WorkCounter
+    stats: APGREStats
+
+
+#: ``sink(unit_pos, local, edges)``: commits one recomputed unit
+_Sink = Callable[[int, np.ndarray, int], None]
 
 
 def apgre_bc_detailed(
@@ -344,77 +338,30 @@ def apgre_bc_detailed(
         )
 
     bc = np.zeros(graph.n, dtype=SCORE_DTYPE)
-    health: Optional[RunHealth] = None
-
+    run = _Run(
+        graph=graph,
+        config=config,
+        subgraphs=subgraphs,
+        units=_expand_units(subgraphs, config),
+        bc=bc,
+        counter=counter,
+        stats=stats,
+    )
     store = None
     if config.cache is not None or config.cache_dir is not None:
         from repro.cache.store import resolve_store
 
         store = resolve_store(config.cache, config.cache_dir)
+    t0 = time.perf_counter()
     if config.journal_dir is not None:
-        t0 = time.perf_counter()
-        health = _journaled_pass(
-            graph, bc, partition, config, store, counter, stats
-        )
-        timings.rest_bc = time.perf_counter() - t0
+        health = _journaled_pass(run, store)
     elif store is not None:
-        t0 = time.perf_counter()
-        health = _cached_pass(
-            graph, bc, partition, config, store, counter, stats
-        )
-        timings.rest_bc = time.perf_counter() - t0
-    elif (
-        config.parallel == "serial" and config.backend is None
-    ) or config.workers <= 1:
-        _serial_pass(bc, subgraphs, config, counter, timings)
+        health = _cached_pass(run, store)
     else:
-        t0 = time.perf_counter()
-        units = _expand_units(subgraphs, config)
-        tasks, weights = _make_tasks(subgraphs, units, config)
-        state = {
-            "partition": partition,
-            "units": units,
-            "shard_max_size": config.shard_max_size,
-            "eliminate_pendants": config.eliminate_pendants,
-            "batch_size": config.batch_size,
-            "compress": config.compress,
-            "kernel": config.kernel,
-        }
-        if config.backend is not None:
-            from repro.parallel.backends import resolve_backend
-
-            health = RunHealth()
-            _batched_pool_pass(
-                graph, bc, tasks, weights, subgraphs, units, config,
-                counter, timings, health,
-                contributions=resolve_backend(config.backend)
-                .contributions,
-            )
-        elif config.parallel == "processes" and config.parallel_batched:
-            health = RunHealth()
-            _batched_pool_pass(
-                graph, bc, tasks, weights, subgraphs, units, config,
-                counter, timings, health
-            )
-        elif config.parallel == "processes":
-            health = RunHealth()
-            results = _supervised_pass(
-                graph, bc, tasks, subgraphs, state, config, counter,
-                timings, health
-            )
-        else:  # threads
-            from repro.parallel import pool as _pool
-
-            _pool._install_state(state)
-            try:
-                results = thread_map(
-                    _subgraph_task, tasks, workers=config.workers
-                )
-            finally:
-                _pool._STATE.clear()
-            for idx, local in results:
-                bc[subgraphs[idx].vertices] += local
-        timings.rest_bc = time.perf_counter() - t0
+        health = _compute_units(run, list(range(len(run.units))))
+    # the serial loop times the top sub-graph's units itself; the rest
+    # of the phase (other units, replays, engine runs) is rest_bc
+    timings.rest_bc = time.perf_counter() - t0 - timings.top_bc
 
     stats.edges_traversed = counter.edges
     stats.edges_pulled = counter.pulled
@@ -422,447 +369,227 @@ def apgre_bc_detailed(
     return BCResult(scores=bc, stats=stats, health=health)
 
 
-def _serial_pass(
-    bc: np.ndarray, subgraphs, config: APGREConfig, counter, timings
-) -> None:
-    """The serial BC phase (also the full-serial fallback rung)."""
-    units = _expand_units(subgraphs, config)
-    order = lpt_order(
-        [_unit_weight(subgraphs[i], s, config) for i, s in units]
-    )
-    for pos in order:
-        index, shard = units[pos]
-        sg = subgraphs[index]
-        t0 = time.perf_counter()
-        local = _unit_scores(sg, shard, config, counter)
-        elapsed = time.perf_counter() - t0
-        if index == 0:
-            timings.top_bc += elapsed
-        else:
-            timings.rest_bc += elapsed
-        bc[sg.vertices] += local
-
-
-def _supervised_pass(
-    graph: CSRGraph,
-    bc: np.ndarray,
-    tasks,
-    subgraphs,
-    state: dict,
-    config: APGREConfig,
-    counter,
-    timings,
-    health: RunHealth,
-) -> list:
-    """Process-parallel BC phase behind the full degradation ladder.
-
-    Rungs: supervised pool (with its internal per-task retry and
-    serial re-run rungs) → full-serial APGRE → plain Brandes.  The
-    lower rungs only engage when ``config.fallback`` is set; otherwise
-    the supervisor's :class:`~repro.errors.ExecutionError` propagates.
-    """
-    supervisor = SupervisorConfig(
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        fallback=config.fallback,
-    )
-    try:
-        results = supervised_map(
-            _subgraph_task,
-            tasks,
-            workers=config.workers,
-            state=state,
-            config=supervisor,
-            health=health,
-        )
-    except ExecutionError:
-        if not config.fallback:
-            raise
-        health.fallback_path = "serial"
-        try:
-            bc[:] = 0.0
-            _serial_pass(bc, subgraphs, config, counter, timings)
-            return []
-        except ReproError:
-            # last rung: the plain Brandes baseline needs nothing from
-            # the decomposition machinery that just failed
-            from repro.baselines.brandes import brandes_bc
-
-            health.fallback_path = "brandes"
-            bc[:] = brandes_bc(graph)
-            return []
-    for idx, local in results:
-        bc[subgraphs[idx].vertices] += local
-    return results
-
-
-def _batched_pool_pass(
-    graph: CSRGraph,
-    bc: np.ndarray,
-    tasks,
-    weights,
-    subgraphs,
-    units,
-    config: APGREConfig,
-    counter,
-    timings,
-    health: RunHealth,
-    contributions=None,
-) -> None:
-    """Batched-engine BC phase behind the degradation ladder.
-
-    Same degradation ladder as :func:`_supervised_pass`, but root-slice
-    tasks run on a batched execution engine — the persistent
-    shared-memory process pool by default, or whatever engine
-    ``contributions`` names (the ``backend=`` dispatch passes
-    :attr:`~repro.parallel.backends.ExecutionBackend.contributions`
-    here, e.g. the in-process worker threads of
-    :mod:`repro.parallel.threaded`).  Either way workers accumulate
-    batched deltas into score rows instead of pickling an ``(n,)``
-    vector per task — and, unlike the pickling pool, the per-task edge
-    tallies come back exactly, so ``stats.edges_traversed`` aggregates
-    across workers just as a serial run would count it.
-    """
-    from repro.core.batched_subgraph import bc_subgraph_batched
-
-    if contributions is None:
-        from repro.parallel.batched_pool import _pooled_contributions
-
-        contributions = _pooled_contributions
-
-    supervisor = SupervisorConfig(
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        fallback=config.fallback,
-    )
-
-    def compute(task_id: int):
-        upos, lo, hi = tasks[task_id]
-        index, shard = units[upos]
-        sg = subgraphs[index]
-        local_counter = WorkCounter()
-        if shard >= 0:
-            local = _unit_scores(sg, shard, config, local_counter)
-            return sg.vertices, local, _counter_triple(local_counter)
-        if config.eliminate_pendants:
-            all_roots = sg.roots
-        else:
-            all_roots = np.arange(sg.num_vertices, dtype=sg.roots.dtype)
-        local = bc_subgraph_batched(
-            sg,
-            eliminate_pendants=config.eliminate_pendants,
-            counter=local_counter,
-            roots=all_roots[lo:hi],
-            batch_size=config.batch_size or "auto",
-            workers=config.workers,
-            compress=config.compress,
-            kernel=config.kernel,
-        )
-        return sg.vertices, local, _counter_triple(local_counter)
-
-    try:
-        total, edge_total, _ = contributions(
-            compute,
-            weights,
-            n=graph.n,
-            workers=config.workers,
-            steal=config.steal,
-            config=supervisor,
-            health=health,
-        )
-    except ExecutionError:
-        if not config.fallback:
-            raise
-        health.fallback_path = "serial"
-        try:
-            bc[:] = 0.0
-            _serial_pass(bc, subgraphs, config, counter, timings)
-            return
-        except ReproError:
-            from repro.baselines.brandes import brandes_bc
-
-            health.fallback_path = "brandes"
-            bc[:] = brandes_bc(graph)
-            return
-    bc += total
-    merge_examined(counter, edge_total)
-
-
-def _cached_pass(
-    graph: CSRGraph,
-    bc: np.ndarray,
-    partition: Partition,
-    config: APGREConfig,
-    store,
-    counter,
-    stats: APGREStats,
-) -> Optional[RunHealth]:
-    """Cache-aware BC phase: replay hits, recompute and store misses.
-
-    Every work unit — a whole sub-graph, or one shard task of a
-    sharded sub-graph — is keyed by its content fingerprint (local
-    edges + incoming α/β/γ summaries —
-    :mod:`repro.cache.fingerprint`; shard units add the shard id and
-    threshold under their own domain —
-    :mod:`repro.shard.fingerprint`).  Hits merge their stored local
-    vectors and report their stored tallies as
-    ``stats.edges_replayed``; misses are recomputed — fanned out over
-    the execution backend named by ``config.backend`` when one is set,
-    else the shared-memory batched pool for ``parallel="processes"``,
-    a thread pool for ``"threads"``, serially otherwise — and their
-    freshly computed vectors and *exact* tallies are stored.  Store
-    writes happen only in the parent, after the pool's poisoned-row
-    recovery (or the thread run's tree reduction), so a worker killed
-    mid-recompute can never commit a poisoned cache entry.
-    """
-    subgraphs = partition.subgraphs
-    units = _expand_units(subgraphs, config)
-    keys = [_unit_key(subgraphs[i], s, config) for i, s in units]
-    misses: List[int] = []
-    for upos, (index, shard) in enumerate(units):
-        sg = subgraphs[index]
-        entry = store.get(keys[upos])
-        if entry is not None and entry.scores.size == sg.num_vertices:
-            bc[sg.vertices] += entry.scores
-            stats.edges_replayed += entry.edges
-            stats.subgraphs_replayed += 1
-        else:
-            misses.append(upos)
-    stats.subgraphs_recomputed = len(misses)
-    if not misses:
-        return None
-
-    def commit(upos: int, local: np.ndarray, edges: int) -> None:
-        store.put(keys[upos], local, edges)
-
-    return _ladder_recompute(
-        graph, bc, subgraphs, units, misses, config, counter, stats,
-        commit,
-    )
-
-
-def _ladder_recompute(
-    graph: CSRGraph,
-    bc: np.ndarray,
-    subgraphs,
-    units,
-    misses,
-    config: APGREConfig,
-    counter,
-    stats: APGREStats,
-    commit,
+def _compute_units(
+    run: _Run,
+    todo: List[int],
+    sink: Optional[_Sink] = None,
     health: Optional[RunHealth] = None,
 ) -> Optional[RunHealth]:
-    """Recompute missed units whole-unit-at-a-time, behind the ladder.
+    """Compute the ``todo`` units into the scores — the one BC phase.
 
-    Shared by the cached and journaled passes: each completed unit's
-    full local vector and exact edge tally reach the
-    ``commit(unit_pos, local, edges)`` callback *parent-side only*
-    (for the engine paths, after the pool's poisoned-slot recovery or
-    the thread run's tree reduction), which persists them to the store
-    and/or the run journal — a worker thread never touches the store
-    or the journal.  ``misses`` indexes ``units``.  Rungs mirror
-    :func:`_supervised_pass`: engine → serial → Brandes (the Brandes
-    rung wipes the replay/resume bookkeeping, since the scores no
-    longer decompose per unit).
+    ``todo`` indexes ``run.units``.  With ``workers > 1`` the units
+    run on the engine ``config.backend`` resolves to; otherwise, and
+    as the engine's fallback rung, an inline loop runs them.  ``sink``
+    receives each unit's complete local vector and its exact
+    direction-blind examined-edge tally, parent-side only (after the
+    engine's poisoned-row recovery or tree reduction), so a worker
+    never touches the store or the journal.  Rungs: engine → serial →
+    Brandes; the lower two engage only with ``config.fallback``, and
+    the Brandes rung clears the replay/resume bookkeeping, since the
+    scores no longer decompose per unit.  Returns ``health``, created
+    for an engine run.
     """
-    contributions = None
-    if config.backend is not None and config.workers > 1:
-        from repro.parallel.backends import resolve_backend
-
-        contributions = resolve_backend(config.backend).contributions
-    if contributions is not None or (
-        config.parallel == "processes" and config.workers > 1
-    ):
-        if health is None:
-            health = RunHealth()
-        try:
-            _pool_recompute(
-                bc, subgraphs, units, misses, config, counter, health,
-                commit, contributions=contributions,
-            )
-            return health
-        except ExecutionError:
-            if not config.fallback:
-                raise
-            health.fallback_path = "serial"
-            try:
-                _serial_recompute(
-                    bc, subgraphs, units, misses, config, counter, commit
-                )
-            except ReproError:
-                from repro.baselines.brandes import brandes_bc
-
-                health.fallback_path = "brandes"
-                bc[:] = brandes_bc(graph)
-                # replay bookkeeping no longer describes the scores
-                stats.edges_replayed = 0
-                stats.subgraphs_replayed = 0
-                stats.edges_resumed = 0
-                stats.subgraphs_resumed = 0
-            return health
-    if config.parallel == "threads" and config.workers > 1:
-        _thread_recompute(
-            bc, subgraphs, units, misses, config, counter, commit
-        )
+    config = run.config
+    if config.workers <= 1:
+        _serial_units(run, todo, sink)
         return health
-    _serial_recompute(bc, subgraphs, units, misses, config, counter, commit)
+    from repro.parallel.backends import resolve_backend
+
+    engine = resolve_backend(config.backend)
+    health = health if health is not None else RunHealth()
+    try:
+        _engine_units(run, todo, sink, engine.contributions, health)
+        return health
+    except ExecutionError:
+        if not config.fallback:
+            raise
+    health.fallback_path = "serial"
+    try:
+        _serial_units(run, todo, sink)
+    except ReproError:
+        from repro.baselines.brandes import brandes_bc
+
+        health.fallback_path = "brandes"
+        run.bc[:] = brandes_bc(run.graph)
+        stats = run.stats
+        stats.edges_replayed = stats.subgraphs_replayed = 0
+        stats.edges_resumed = stats.subgraphs_resumed = 0
     return health
 
 
-def _serial_recompute(
-    bc, subgraphs, units, misses, config: APGREConfig, counter, commit
-) -> None:
-    """Serial miss loop (also the cached/journaled fallback rung)."""
+def _serial_units(run: _Run, todo: List[int], sink: Optional[_Sink]) -> None:
+    """The inline loop: one unit at a time, largest first (LPT)."""
+    subgraphs, units, config = run.subgraphs, run.units, run.config
     costs = [
         _unit_weight(subgraphs[units[u][0]], units[u][1], config)
-        for u in misses
+        for u in todo
     ]
     for idx in lpt_order(costs):
-        upos = misses[idx]
+        upos = todo[idx]
         index, shard = units[upos]
         sg = subgraphs[index]
         tally = WorkCounter()
+        t0 = time.perf_counter()
         local = _unit_scores(sg, shard, config, tally)
-        # committed replay tallies are direction-blind totals, so a
-        # later replay reports the same examined count whatever kernel
-        # recomputed the entry
-        commit(upos, local, tally.examined)
-        bc[sg.vertices] += local
-        _fold_tally(counter, tally)
+        if index == 0:
+            run.stats.timings.top_bc += time.perf_counter() - t0
+        if sink is not None:
+            # committed replay tallies are direction-blind totals, so a
+            # later replay reports the same examined count whatever
+            # kernel recomputed the entry
+            sink(upos, local, tally.examined)
+        run.bc[sg.vertices] += local
+        _fold_tally(run.counter, tally)
 
 
-def _thread_recompute(
-    bc, subgraphs, units, misses, config: APGREConfig, counter, commit
-) -> None:
-    """Thread-pool miss recomputation (one whole unit per task).
-
-    Commits happen on the caller's thread as results stream back in
-    completion order, so the store/journal writers never race.
-    """
-    costs = [
-        _unit_weight(subgraphs[units[u][0]], units[u][1], config)
-        for u in misses
-    ]
-    miss_order = [misses[i] for i in lpt_order(costs)]
-
-    def run_one(upos: int):
-        index, shard = units[upos]
-        sg = subgraphs[index]
-        tally = WorkCounter()
-        local = _unit_scores(sg, shard, config, tally)
-        return upos, local, tally
-
-    for upos, local, tally in thread_map(
-        run_one, miss_order, workers=config.workers
-    ):
-        sg = subgraphs[units[upos][0]]
-        commit(upos, local, tally.examined)
-        bc[sg.vertices] += local
-        _fold_tally(counter, tally)
-
-
-def _pool_recompute(
-    bc,
-    subgraphs,
-    units,
-    misses,
-    config: APGREConfig,
-    counter,
+def _engine_units(
+    run: _Run,
+    todo: List[int],
+    sink: Optional[_Sink],
+    contributions,
     health: RunHealth,
-    commit,
-    contributions=None,
 ) -> None:
-    """Fan missed units out over a batched execution engine.
+    """Fan the ``todo`` units' root slices out over an engine.
 
-    Missed whole-sub-graph units are chunked into root slices exactly
-    like a cache-less ``parallel="processes"`` run (LPT order,
-    ``workers``/``steal`` compose unchanged) and shard units run one
-    task each, but the engine — the shared-memory pool by default, or
-    the one ``contributions`` names (the ``backend=`` dispatch) —
-    accumulates into a *concatenated local coordinate space*: each
-    missed unit owns a contiguous slice of the score rows, so the
-    parent gets every unit's complete local vector back and can commit
-    it, which the global-sum layout of :func:`_batched_pool_pass`
-    cannot provide.  Per-batch edge tallies come back exactly and are
-    summed per unit, so committed entries replay the same tally a
-    serial run would count.
+    Whole units are cut into root slices and shard units run one task
+    each (:func:`_make_tasks`).  Without a sink every slice folds
+    straight into global coordinates, so each engine row costs one
+    ``(n,)`` vector.  A sink needs every unit's complete local vector
+    back, so each unit then owns a contiguous slice of a concatenated
+    local space instead.  Per-batch edge tallies come back exactly and
+    are summed per unit, so committed entries replay the tally a
+    serial run counts.  Nothing touches the scores or the counter
+    until the engine returns, so a failed attempt leaves them clean
+    for the serial rung.
     """
-    if contributions is None:
-        from repro.parallel.batched_pool import _pooled_contributions
-
-        contributions = _pooled_contributions
-
-    miss_units = [units[u] for u in misses]
-    miss_sgs = [subgraphs[i] for i, _s in miss_units]
-    offsets = np.zeros(len(miss_units) + 1, dtype=np.int64)
-    np.cumsum([sg.num_vertices for sg in miss_sgs], out=offsets[1:])
-    tasks, weights = _make_tasks(subgraphs, miss_units, config)
+    config = run.config
+    units = [run.units[u] for u in todo]
+    sgs = [run.subgraphs[i] for i, _s in units]
+    tasks, weights = _make_tasks(run.subgraphs, units, config)
+    offsets = None
+    n = run.graph.n
+    if sink is not None:
+        offsets = np.zeros(len(units) + 1, dtype=np.int64)
+        np.cumsum([sg.num_vertices for sg in sgs], out=offsets[1:])
+        n = int(offsets[-1])
 
     def compute(task_id: int):
-        mi, lo, hi = tasks[task_id]
-        _index, shard = miss_units[mi]
-        sg = miss_sgs[mi]
+        k, lo, hi = tasks[task_id]
         tally = WorkCounter()
-        if shard >= 0:
-            local = _unit_scores(sg, shard, config, tally)
+        local = _unit_scores(
+            sgs[k], units[k][1], config, tally, lo, hi,
+            workers=config.workers,
+        )
+        if offsets is None:
+            verts = sgs[k].vertices
         else:
-            local = _unit_scores(sg, shard, config, tally, lo, hi)
-        verts = np.arange(offsets[mi], offsets[mi] + sg.num_vertices)
+            verts = np.arange(offsets[k], offsets[k + 1])
         return verts, local, _counter_triple(tally)
 
-    supervisor = SupervisorConfig(
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        fallback=config.fallback,
-    )
-    concat, edge_total, batch_edges = contributions(
+    total, edge_total, batch_edges = contributions(
         compute,
         weights,
-        n=int(offsets[-1]),
+        n=n,
         workers=config.workers,
         steal=config.steal,
-        config=supervisor,
+        config=SupervisorConfig(
+            timeout=config.timeout,
+            max_retries=config.max_retries,
+            fallback=config.fallback,
+        ),
         health=health,
     )
-    merge_examined(counter, edge_total)
+    merge_examined(run.counter, edge_total)
+    if offsets is None:
+        run.bc += total
+        return
     # batch_edges carries per-batch examined TOTALS (push + pull), so
     # the committed per-unit replay tallies are direction-blind
-    per_unit_edges = np.zeros(len(miss_units), dtype=np.int64)
-    for task_id, (mi, _lo, _hi) in enumerate(tasks):
-        per_unit_edges[mi] += batch_edges[task_id]
-    for mi, sg in enumerate(miss_sgs):
-        local = concat[offsets[mi] : offsets[mi + 1]]
-        commit(misses[mi], local, int(per_unit_edges[mi]))
-        bc[sg.vertices] += local
+    per_unit = np.zeros(len(units), dtype=np.int64)
+    for task_id, (k, _lo, _hi) in enumerate(tasks):
+        per_unit[k] += batch_edges[task_id]
+    for k, sg in enumerate(sgs):
+        local = total[offsets[k] : offsets[k + 1]]
+        sink(todo[k], local, int(per_unit[k]))
+        run.bc[sg.vertices] += local
 
 
-def _journaled_pass(
-    graph: CSRGraph,
-    bc: np.ndarray,
-    partition: Partition,
-    config: APGREConfig,
-    store,
-    counter,
-    stats: APGREStats,
-) -> RunHealth:
-    """Journal-aware BC phase: replay the journal, recompute the rest.
+def _replay(run: _Run, index: int, entry) -> bool:
+    """Merge a stored unit vector of sub-graph ``index`` into the scores.
 
-    Mirrors :func:`_cached_pass`, with the run journal
-    (:mod:`repro.journal`) as the durability layer underneath:
+    ``False`` (nothing merged) when there is no entry or its length
+    does not match the sub-graph.
+    """
+    sg = run.subgraphs[index]
+    if entry is None or entry.scores.size != sg.num_vertices:
+        return False
+    run.bc[sg.vertices] += entry.scores
+    return True
+
+
+def _cache_filter(
+    run: _Run, store, todo: List[int], on_hit=None
+) -> Tuple[List[int], List[str]]:
+    """Replay the store hits among ``todo``; return the misses and keys.
+
+    Every work unit — a whole sub-graph, or one shard task of a
+    sharded sub-graph — is keyed by its content fingerprint (local
+    edges + incoming α/β/γ summaries — :mod:`repro.cache.fingerprint`;
+    shard units add the shard id and threshold under their own domain
+    — :mod:`repro.shard.fingerprint`).  Hits merge their stored local
+    vectors and report their stored tallies as
+    ``stats.edges_replayed``; ``on_hit(unit_pos, entry)`` sees each
+    one.
+    """
+    keys = [_unit_key(run.subgraphs[i], s, run.config) for i, s in run.units]
+    misses: List[int] = []
+    for upos in todo:
+        entry = store.get(keys[upos])
+        if _replay(run, run.units[upos][0], entry):
+            run.stats.edges_replayed += entry.edges
+            run.stats.subgraphs_replayed += 1
+            if on_hit is not None:
+                on_hit(upos, entry)
+        else:
+            misses.append(upos)
+    return misses, keys
+
+
+def _cached_pass(run: _Run, store) -> Optional[RunHealth]:
+    """Cache filter in front of :func:`_compute_units`.
+
+    Hits replay (:func:`_cache_filter`); misses recompute through the
+    one BC-phase path, and the sink stores their freshly computed
+    vectors and *exact* tallies — parent-side, so a worker killed
+    mid-recompute can never commit a poisoned cache entry.
+    """
+    misses, keys = _cache_filter(run, store, list(range(len(run.units))))
+    run.stats.subgraphs_recomputed = len(misses)
+    if not misses:
+        return None
+
+    def sink(upos: int, local: np.ndarray, edges: int) -> None:
+        store.put(keys[upos], local, edges)
+
+    return _compute_units(run, misses, sink)
+
+
+def _journaled_pass(run: _Run, store) -> RunHealth:
+    """Journal filter (and optional cache filter) in front of the pass.
+
+    The run journal (:mod:`repro.journal`) is the durability layer:
 
     1. ``begin`` opens (or, with ``resume=True``, verifies and
        replays) the journal in ``config.journal_dir``; a fingerprint
        mismatch raises :class:`~repro.errors.JournalError` before any
        BC work starts.
-    2. Journal-replayed sub-graphs merge their durable local vectors
+    2. Journal-replayed units merge their durable local vectors
        (``stats.subgraphs_resumed`` / ``edges_resumed``).
-    3. With a cache configured, remaining sub-graphs consult the store
+    3. With a cache configured, remaining units consult the store
        next; hits are journaled too, so the resume contract never
        depends on cache warmth.
-    4. The rest recompute through :func:`_ladder_recompute`; every
-       completed contribution is committed to the journal (and store)
-       parent-side, after the pool's poisoned-slot recovery.
+    4. The rest recompute through :func:`_compute_units`, whose sink
+       commits every contribution to the journal (and store).
 
     A :class:`KeyboardInterrupt` (SIGINT, or the CLI's SIGTERM
     translation) or an :class:`~repro.errors.ExecutionError` with
@@ -873,60 +600,44 @@ def _journaled_pass(
     """
     from repro.journal import RunJournal, run_fingerprint
 
-    subgraphs = partition.subgraphs
+    config, stats = run.config, run.stats
     journal = RunJournal(config.journal_dir)
     resumed = journal.begin(
-        run_fingerprint(graph, config), resume=config.resume
+        run_fingerprint(run.graph, config), resume=config.resume
     )
     health = RunHealth()
     health.journal_resumable = bool(resumed)
 
-    units = _expand_units(subgraphs, config)
     slots = [
         index if shard < 0 else (index + 1) * _SLOT_BASE + shard
-        for index, shard in units
+        for index, shard in run.units
     ]
     todo: List[int] = []
-    for upos, (index, shard) in enumerate(units):
-        sg = subgraphs[index]
+    for upos, (index, _shard) in enumerate(run.units):
         entry = resumed.get(slots[upos])
-        if entry is not None and entry.scores.size == sg.num_vertices:
-            bc[sg.vertices] += entry.scores
+        if _replay(run, index, entry):
             stats.edges_resumed += entry.edges
             stats.subgraphs_resumed += 1
         else:
             todo.append(upos)
-
     keys = None
     if store is not None:
-        keys = [_unit_key(subgraphs[i], s, config) for i, s in units]
-        misses: List[int] = []
-        for upos in todo:
-            sg = subgraphs[units[upos][0]]
-            entry = store.get(keys[upos])
-            if entry is not None and entry.scores.size == sg.num_vertices:
-                bc[sg.vertices] += entry.scores
-                stats.edges_replayed += entry.edges
-                stats.subgraphs_replayed += 1
-                journal.record_contribution(
-                    slots[upos], entry.scores, entry.edges
-                )
-            else:
-                misses.append(upos)
-        todo = misses
+        todo, keys = _cache_filter(
+            run, store, todo,
+            on_hit=lambda upos, entry: journal.record_contribution(
+                slots[upos], entry.scores, entry.edges
+            ),
+        )
     stats.subgraphs_recomputed = len(todo)
 
-    def commit(upos: int, local: np.ndarray, edges: int) -> None:
-        if store is not None:
+    def sink(upos: int, local: np.ndarray, edges: int) -> None:
+        if keys is not None:
             store.put(keys[upos], local, edges)
         journal.record_contribution(slots[upos], local, edges)
 
     try:
         if todo:
-            _ladder_recompute(
-                graph, bc, subgraphs, units, todo, config, counter,
-                stats, commit, health,
-            )
+            _compute_units(run, todo, sink, health)
     except KeyboardInterrupt:
         journal.finalize("interrupted")
         health.interrupted = True
@@ -954,79 +665,13 @@ def _journaled_pass(
     return health
 
 
-def apgre_bc(
-    graph: CSRGraph,
-    *,
-    threshold: Optional[int] = None,
-    parallel: str = "serial",
-    backend: Optional[str] = None,
-    workers: int = 1,
-    eliminate_pendants: bool = True,
-    alpha_beta_method: str = "auto",
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    fallback: bool = True,
-    batch_size=None,
-    parallel_batched: bool = False,
-    steal: bool = True,
-    cache=None,
-    cache_dir=None,
-    compress: bool = False,
-    journal_dir=None,
-    resume: bool = False,
-    shard: bool = False,
-    shard_max_size: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
+def apgre_bc(graph: CSRGraph, **options) -> np.ndarray:
     """Exact BC via APGRE — the convenience entry point.
 
-    Equivalent to ``apgre_bc_detailed(graph, APGREConfig(...)).scores``;
-    see :class:`repro.core.config.APGREConfig` for the options
-    (``timeout``/``max_retries``/``fallback`` set the supervision
-    policy of the parallel engines; ``batch_size`` routes each
-    sub-graph's roots through the multi-source batched kernel;
-    ``backend`` picks the batched execution engine —
-    ``"threads"``/``"processes"``/``"serial"``/``"auto"``, see
-    :mod:`repro.parallel.backends` and docs/PERFORMANCE.md;
-    ``parallel_batched`` is the legacy spelling of
-    ``backend="processes"`` on the persistent shared-memory pool,
-    with ``steal`` toggling work stealing;
-    ``cache``/``cache_dir`` enable the decomposition-aware
-    contribution cache — see :mod:`repro.cache` and docs/CACHING.md;
-    ``compress`` runs each sub-graph through the structural
-    compression ladder first — see :mod:`repro.compress` and
-    docs/COMPRESSION.md; ``journal_dir``/``resume`` enable the
-    crash-safe run journal and checkpoint/resume — see
-    :mod:`repro.journal` and docs/ROBUSTNESS.md; ``shard``/
-    ``shard_max_size`` split over-threshold sub-graphs along vertex
-    separators into independently scheduled shard tasks with exact
-    boundary correction — see :mod:`repro.shard` and
-    docs/SHARDING.md; ``kernel`` names the compute kernel for the
-    batched traversals and implies ``batch_size="auto"`` — see
-    :mod:`repro.graph.kernels` and docs/KERNELS.md).
+    ``apgre_bc(graph, **options)`` is
+    ``apgre_bc_detailed(graph, APGREConfig(**options)).scores``: every
+    option is an :class:`~repro.core.config.APGREConfig` field, with
+    the same defaults and validation (an unknown option is a
+    ``TypeError``).
     """
-    kwargs = dict(
-        parallel=parallel,
-        backend=backend,
-        workers=workers,
-        eliminate_pendants=eliminate_pendants,
-        alpha_beta_method=alpha_beta_method,
-        timeout=timeout,
-        max_retries=max_retries,
-        fallback=fallback,
-        batch_size=batch_size,
-        parallel_batched=parallel_batched,
-        steal=steal,
-        cache=cache,
-        cache_dir=cache_dir,
-        compress=compress,
-        journal_dir=journal_dir,
-        resume=resume,
-        shard=shard,
-        kernel=kernel,
-    )
-    if threshold is not None:
-        kwargs["threshold"] = threshold
-    if shard_max_size is not None:
-        kwargs["shard_max_size"] = shard_max_size
-    return apgre_bc_detailed(graph, APGREConfig(**kwargs)).scores
+    return apgre_bc_detailed(graph, APGREConfig(**options)).scores

@@ -169,7 +169,7 @@ def bc_subgraph_batched(
     whose recorded per-level DAG arcs are identical to the push
     kernel's, so the fused four-dependency backward sweep replays them
     unchanged.  The other names keep the push forward — the sweep
-    needs recorded arcs, which the spmm/numba score kernels do not
+    needs recorded arcs, which the spmm score kernel does not
     produce (see docs/KERNELS.md).
     """
     if compress:
@@ -207,7 +207,7 @@ def bc_subgraph_batched(
         if kernel != "pull":
             # only the direction-optimizing kernel changes the forward
             # sweep here; the four-dependency replay needs recorded
-            # DAG arcs, which spmm/numba do not produce
+            # DAG arcs, which spmm does not produce
             kernel = None
     batch = resolve_batch_size(
         batch_size, n, g.num_arcs, workers=workers, kernel=kernel

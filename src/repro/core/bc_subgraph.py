@@ -54,6 +54,7 @@ def bc_subgraph(
     batch_size: Union[int, str, None] = None,
     compress: bool = False,
     kernel: Optional[str] = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """Local BC scores of one sub-graph (``BC_SGi`` of equation 7).
 
@@ -90,6 +91,9 @@ def bc_subgraph(
         :func:`~repro.core.batched_subgraph.bc_subgraph_batched`; see
         docs/KERNELS.md).  Only meaningful with ``batch_size``; the
         per-source loop ignores it.
+    workers:
+        Concurrent callers sharing the ``batch_size="auto"`` RAM
+        budget (an engine passes its worker count); ignored otherwise.
 
     Returns
     -------
@@ -120,6 +124,7 @@ def bc_subgraph(
             counter=counter,
             roots=roots,
             batch_size=batch_size,
+            workers=workers,
             kernel=kernel,
         )
     g = sg.graph

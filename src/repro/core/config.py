@@ -10,10 +10,9 @@ from repro.errors import AlgorithmError
 
 __all__ = ["APGREConfig"]
 
-_PARALLEL_MODES = ("serial", "processes", "threads")
 _AB_METHODS = ("auto", "bfs", "tree")
 _BACKENDS = ("auto", "serial", "threads", "processes")
-_KERNELS = ("auto", "arcs", "spmm", "pull", "numba")
+_KERNELS = ("auto", "arcs", "spmm", "pull")
 
 
 @dataclass(frozen=True)
@@ -33,27 +32,22 @@ class APGREConfig:
         Enable the total-redundancy elimination (R/γ). Disabling it
         runs every vertex as a source — the partial-redundancy-only
         ablation.
-    parallel:
-        ``"serial"``, ``"processes"`` (coarse-grained sub-graph
-        parallelism over a fork pool — the paper's ``cilk_for`` level)
-        or ``"threads"`` (same tasks on a thread pool; GIL-bound, kept
-        for the scaling study).  Superseded for batched execution by
-        ``backend``, which dispatches root batches through the
-        execution-backend registry.
     backend:
-        Execution engine for the batched BC phase
+        Execution engine for the BC phase when ``workers > 1``
         (:mod:`repro.parallel.backends`): ``"threads"`` (worker
         threads over the shared in-process CSR — true multicore via
         the GIL-releasing SpMM kernel, zero fork/pickle overhead),
-        ``"processes"`` (the persistent shared-memory fork pool),
+        ``"processes"`` (the supervised shared-memory fork pool),
         ``"serial"`` (inline chunk loop), or ``"auto"`` (best engine
-        for this host, honouring ``REPRO_PARALLEL_BACKEND``).  ``None``
-        (default) keeps the legacy ``parallel``/``parallel_batched``
-        dispatch.  Setting a backend implies ``batch_size="auto"``
-        when no batch size is set; the engine fans each sub-graph's
-        root batches out over ``workers``.
+        for this host).  ``None`` (default) defers to the
+        ``REPRO_PARALLEL_BACKEND`` environment variable and then the
+        host default.  The engine fans each sub-graph's root slices
+        out over ``workers``, largest first.
     workers:
-        Worker count for the parallel modes.
+        Worker count.  ``1`` (default) runs the BC phase as an inline
+        serial loop; ``> 1`` runs it on the engine ``backend`` names.
+        Setting a backend or ``workers > 1`` implies
+        ``batch_size="auto"`` when no batch size is set.
     timeout:
         Per-task wall-clock budget in seconds for supervised process
         execution (``None`` disables timeouts). Stuck workers are
@@ -73,25 +67,18 @@ class APGREConfig:
         sources at a time. ``None`` (default) keeps the per-source
         kernel; ``"auto"`` sizes batches from the graph and available
         memory; a positive int fixes the batch width.
-    parallel_batched:
-        Run the process-parallel BC phase on the persistent
-        shared-memory pool (:mod:`repro.parallel.batched_pool`):
-        workers accumulate batched root-slice deltas into shared score
-        rows instead of pickling a score vector per task, with
-        LPT-planned placement and work stealing.  Requires
-        ``parallel="processes"``; implies ``batch_size="auto"`` when
-        no batch size is set.
     steal:
         Allow idle pool workers to steal the heaviest remaining batch
-        of the most-loaded peer (``parallel_batched`` runs only).
+        of the most-loaded peer (engine runs only).
         ``False`` keeps the static LPT placement — kept as the
         measurable baseline the steal scheduler is compared against.
     cache:
         Enable the decomposition-aware contribution cache
         (:mod:`repro.cache`): sub-graphs whose content fingerprint
         (local edges + incoming α/β/γ summaries) is already stored
-        replay their scores instead of recomputing; misses fan out
-        through the configured parallel machinery and are stored.
+        replay their scores instead of recomputing; misses run
+        through the same BC-phase path as an uncached run and are
+        stored.
         ``True`` uses the process-global default store (shared across
         runs), a :class:`~repro.cache.store.ContributionStore` is used
         as-is, ``None``/``False`` disables caching (unless
@@ -149,8 +136,7 @@ class APGREConfig:
         Compute kernel for the batched traversals
         (:mod:`repro.graph.kernels`): ``"arcs"`` (pure numpy,
         bit-identical to serial), ``"spmm"`` (scipy sparse-matmul
-        levels), ``"pull"`` (direction-optimizing push/pull),
-        ``"numba"`` (optional compiled per-source Brandes), or
+        levels), ``"pull"`` (direction-optimizing push/pull), or
         ``"auto"`` (per-sub-graph selection from structural features).
         ``None`` (default) defers to the ``REPRO_KERNEL`` environment
         variable and then automatic selection.  Kernels run inside the
@@ -162,14 +148,12 @@ class APGREConfig:
     threshold: int = DEFAULT_THRESHOLD
     alpha_beta_method: str = "auto"
     eliminate_pendants: bool = True
-    parallel: str = "serial"
     backend: Optional[str] = None
     workers: int = 1
     timeout: Optional[float] = None
     max_retries: int = 2
     fallback: bool = True
     batch_size: Optional[Union[int, str]] = None
-    parallel_batched: bool = False
     steal: bool = True
     cache: object = None
     cache_dir: Optional[str] = None
@@ -191,37 +175,17 @@ class APGREConfig:
                 # kernels run inside the batched paths; auto is the
                 # only safe unattended batch width
                 object.__setattr__(self, "batch_size", "auto")
-        if self.parallel not in _PARALLEL_MODES:
+        if self.backend is not None and self.backend not in _BACKENDS:
             raise AlgorithmError(
-                f"parallel must be one of {_PARALLEL_MODES}, "
-                f"got {self.parallel!r}"
+                f"backend must be one of {_BACKENDS} or None, "
+                f"got {self.backend!r}"
             )
-        if self.backend is not None:
-            if self.backend not in _BACKENDS:
-                raise AlgorithmError(
-                    f"backend must be one of {_BACKENDS} or None, "
-                    f"got {self.backend!r}"
-                )
-            if self.parallel_batched:
-                raise AlgorithmError(
-                    "backend and parallel_batched are mutually "
-                    "exclusive; parallel_batched is the legacy "
-                    "spelling of backend='processes'"
-                )
-            if self.batch_size is None:
-                # the engines move batched deltas, so a batch width is
-                # needed; auto is the only safe unattended default
-                object.__setattr__(self, "batch_size", "auto")
-        if self.parallel_batched:
-            if self.parallel != "processes":
-                raise AlgorithmError(
-                    "parallel_batched requires parallel='processes', "
-                    f"got parallel={self.parallel!r}"
-                )
-            if self.batch_size is None:
-                # the pool moves batched deltas, so it needs a batch
-                # width; auto is the only safe unattended default
-                object.__setattr__(self, "batch_size", "auto")
+        if (
+            self.backend is not None or self.workers > 1
+        ) and self.batch_size is None:
+            # the engines move batched deltas, so a batch width is
+            # needed; auto is the only safe unattended default
+            object.__setattr__(self, "batch_size", "auto")
         if self.alpha_beta_method not in _AB_METHODS:
             raise AlgorithmError(
                 f"alpha_beta_method must be one of {_AB_METHODS}, "

@@ -55,8 +55,9 @@ class PhaseTimings:
     ``top_bc`` vs ``rest_bc`` splits the third phase between the top
     sub-graph and all others — the quantity Figure 8 plots ("the BC
     calculation of the top sub-graph is the majority of the total
-    execution time"). The split is measured in serial mode; parallel
-    modes report the whole phase under ``rest_bc``.
+    execution time"). ``top_bc`` is the time the serial loop spends on
+    the top sub-graph's units; ``rest_bc`` is the rest of the phase,
+    so an engine run (``workers > 1``) reports the whole phase there.
     """
 
     partition: float = 0.0
@@ -166,12 +167,12 @@ class BCResult:
     ``scores[v]`` is the exact unnormalised BC of vertex ``v`` (same
     convention as every baseline in :mod:`repro.baselines`).
 
-    ``health`` is the supervision report of a
-    ``parallel="processes"`` run (retries, worker crashes, timeouts,
-    serial fallbacks — see
-    :class:`repro.parallel.supervisor.RunHealth`); ``None`` for
-    serial and thread runs, which have no pool to supervise. Check
-    ``health.degraded`` to detect a run that needed any fallback.
+    ``health`` is the supervision report of an engine run
+    (``workers > 1``: retries, worker crashes, timeouts, serial
+    fallbacks — see :class:`repro.parallel.supervisor.RunHealth`) or a
+    journaled run; ``None`` for an unjournaled serial run, which has no
+    pool to supervise. Check ``health.degraded`` to detect a run that
+    needed any fallback.
     """
 
     scores: np.ndarray

@@ -328,7 +328,7 @@ def bfs_sigma_batched(
     valid until the workspace's next use.
 
     ``kernel`` selects the forward traversal: ``None`` or ``"arcs"``
-    (and ``"spmm"``/``"numba"``, whose forward phase is this push
+    (and ``"spmm"``, whose forward phase is this push
     step) run the top-down body below with *no* environment lookup —
     this is the low-level primitive; ``"pull"`` delegates to the
     direction-optimizing
@@ -336,7 +336,7 @@ def bfs_sigma_batched(
     ``"auto"`` resolves through the kernel registry for this graph and
     batch first.
     """
-    if kernel is not None and kernel not in ("arcs", "spmm", "numba"):
+    if kernel is not None and kernel not in ("arcs", "spmm"):
         from repro.graph import kernels as _kernels
 
         if kernel == "auto":
@@ -351,7 +351,7 @@ def bfs_sigma_batched(
                 keep_level_arcs=keep_level_arcs,
                 workspace=workspace,
             )
-        if kernel not in ("arcs", "spmm", "numba"):
+        if kernel not in ("arcs", "spmm"):
             _kernels.get_kernel(kernel)  # raises with the known names
     n = graph.n
     srcs = np.asarray(sources, dtype=np.int64).ravel()
@@ -753,7 +753,7 @@ def batched_contributions(
 
     ``kernel`` names any registered compute kernel
     (:mod:`repro.graph.kernels`): ``"arcs"``, ``"spmm"``, ``"pull"``,
-    ``"numba"``, or ``"auto"`` to select from the graph's structure;
+    or ``"auto"`` to select from the graph's structure;
     ``None`` resolves through the registry too (``REPRO_KERNEL``,
     then the availability default).  Every kernel produces the exact
     examined-edge tally.  The returned ``(n,)`` sum never aliases
@@ -784,8 +784,7 @@ def batched_bc_scores(
 
     The chunk loop behind ``run_per_source(..., batch_size=...)``:
     resolves ``kernel`` through :mod:`repro.graph.kernels` once, then
-    shares the kernel's prepared context (SpMM operands, compiled
-    numba function, ...) and one reusable :class:`BatchWorkspace`
+    shares the kernel's prepared context (SpMM operands, ...) and one reusable :class:`BatchWorkspace`
     across all chunks so per-chunk setup and state allocation are
     amortised over the whole run.
     """

@@ -21,10 +21,6 @@ a capability probe, so optional dependencies degrade to a clean miss
     bottom-up switching on union-frontier density, pure numpy, always
     available.  Bottom-up probes are tallied separately
     (``edges_pulled``) but stay inside TEPS.
-``"numba"``
-    An optional ``@njit(nogil=True)`` per-source Brandes kernel
-    (:mod:`repro.graph.kernels.nogil`) behind a lazy import probe;
-    absent numba is a clean miss, never an error.
 
 ``resolve_kernel_name`` mirrors ``resolve_backend``: an explicit name
 wins, then the ``REPRO_KERNEL`` environment variable, then ``"auto"``
@@ -313,7 +309,6 @@ register_kernel(ComputeKernel(
     prepare=_spmm_operands_for,
 ))
 
-from repro.graph.kernels import nogil as _nogil  # noqa: E402
 from repro.graph.kernels import pull as _pull  # noqa: E402
 
 register_kernel(ComputeKernel(
@@ -325,13 +320,4 @@ register_kernel(ComputeKernel(
     probe=lambda: True,
     unavailable_reason="",
     contributions=_pull.pull_contributions,
-))
-
-register_kernel(ComputeKernel(
-    name="numba",
-    description="numba @njit(nogil=True) per-source Brandes over CSR",
-    probe=_nogil.numba_available,
-    unavailable_reason="numba is not importable (optional dependency)",
-    contributions=_nogil.numba_contributions,
-    prepare=_nogil.prepare_numba,
 ))

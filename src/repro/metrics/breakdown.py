@@ -10,6 +10,7 @@ returns those shares.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 from repro.core.apgre import apgre_bc_detailed
@@ -25,17 +26,10 @@ def phase_breakdown(
     """Fractions of APGRE wall time per phase.
 
     Returns a dict with keys ``partition``, ``alpha_beta``, ``top_bc``
-    and ``rest_bc`` summing to 1. The run is forced serial — the
-    top/rest split is only well defined without overlapping workers.
+    and ``rest_bc`` summing to 1. The run is forced serial
+    (``workers=1``; every other option is kept) — the top/rest split
+    is only well defined without overlapping workers.
     """
-    config = config or APGREConfig()
-    if config.parallel != "serial":
-        config = APGREConfig(
-            threshold=config.threshold,
-            alpha_beta_method=config.alpha_beta_method,
-            eliminate_pendants=config.eliminate_pendants,
-            parallel="serial",
-            workers=1,
-        )
+    config = replace(config or APGREConfig(), workers=1)
     result = apgre_bc_detailed(graph, config)
     return result.stats.timings.fractions()

@@ -2,19 +2,20 @@
 
 The paper's two-level parallelism maps onto Python as follows
 (DESIGN.md §5): fine-grained level-synchronous parallelism is numpy
-vectorisation (:mod:`repro.graph.traversal`), coarse-grained
-parallelism across sub-graphs/sources is a fork-based process pool
-(:mod:`repro.parallel.pool`) — processes, not threads, because the
-GIL serialises the per-level driver code. Sub-graph tasks are ordered
-by LPT (:mod:`repro.parallel.scheduler`) so the dominant top sub-graph
-starts first.
+vectorisation (:mod:`repro.graph.traversal`, :mod:`repro.graph.batched`),
+and coarse-grained parallelism across sub-graphs/sources runs on one
+of the execution engines behind :mod:`repro.parallel.backends` —
+worker threads over the shared CSR (:mod:`repro.parallel.threaded`),
+the fork-based shared-memory process pool
+(:mod:`repro.parallel.batched_pool`), or an inline loop.  Tasks are
+ordered by LPT (:mod:`repro.parallel.scheduler`) so the dominant top
+sub-graph starts first.
 
-Production dispatch goes through the *supervised* layer
-(:mod:`repro.parallel.supervisor`): per-task timeouts, worker-crash
-detection, bounded retry with backoff and graceful serial degradation,
-with every failure path exercised deterministically by the
-fault-injection harness (:mod:`repro.parallel.faults`); see
-docs/ROBUSTNESS.md.
+Every engine is *supervised* (:mod:`repro.parallel.supervisor`):
+per-task timeouts, worker-crash detection, bounded retry with backoff
+and graceful serial degradation, with every failure path exercised
+deterministically by the fault-injection harness
+(:mod:`repro.parallel.faults`); see docs/ROBUSTNESS.md.
 """
 
 from repro.parallel.backends import (
@@ -27,7 +28,7 @@ from repro.parallel.backends import (
     resolve_backend,
 )
 from repro.parallel.batched_pool import batched_pool_bc_scores, tree_reduce
-from repro.parallel.pool import fork_map, map_sources_bc, thread_map
+from repro.parallel.pool import map_sources_bc
 from repro.parallel.threaded import threaded_bc_scores, threaded_contributions
 from repro.parallel.scheduler import assign_lpt, lpt_order
 from repro.parallel.sharedmem import SharedArray
@@ -58,9 +59,7 @@ __all__ = [
     "threaded_contributions",
     "batched_pool_bc_scores",
     "tree_reduce",
-    "fork_map",
     "map_sources_bc",
-    "thread_map",
     "assign_lpt",
     "lpt_order",
     "SharedArray",

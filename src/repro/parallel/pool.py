@@ -1,21 +1,22 @@
-"""Fork-based process pools and thread pools.
+"""Fork-pool plumbing shared by the supervised process engines.
 
-``fork_map`` is the coarse-grained primitive: it runs a module-level
-function over a list of payloads in worker processes created with the
-``fork`` start method, so the (immutable, read-only) CSR graph arrays
-are inherited copy-on-write — no serialisation of the graph, matching
-the paper's shared-memory setting as closely as CPython allows.
+Worker processes are created with the ``fork`` start method, so the
+(immutable, read-only) CSR graph arrays and the worker-global state
+installed here are inherited copy-on-write — no serialisation of the
+graph, matching the paper's shared-memory setting as closely as
+CPython allows.  The pools themselves live in
+:mod:`repro.parallel.supervisor` (per-task supervision) and
+:mod:`repro.parallel.batched_pool` (shared-memory score rows).
 
-On platforms without ``fork`` (or when ``workers <= 1``) everything
-degrades to an in-process loop, keeping results bit-identical.
+Also home to :func:`map_sources_bc`, the baselines' source-parallel
+route.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +26,10 @@ from repro.types import SCORE_DTYPE
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.supervisor import RunHealth, SupervisorConfig
 
-__all__ = ["fork_map", "thread_map", "map_sources_bc", "available_workers"]
+__all__ = ["map_sources_bc", "available_workers"]
 
-# worker-global state, installed by the pool initializer (inherited
-# through fork, so large arrays are never pickled)
+# worker-global state, installed in the parent before a pool forks
+# (inherited through fork, so large arrays are never pickled)
 _STATE: dict = {}
 
 
@@ -49,83 +50,9 @@ def _install_state(state: dict) -> None:
     _STATE.update(state)
 
 
-def fork_map(
-    func: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    *,
-    workers: int,
-    state: Optional[dict] = None,
-) -> List[Any]:
-    """Map ``func`` over ``payloads`` using forked worker processes.
-
-    Parameters
-    ----------
-    func:
-        A *module-level* function (picklable by reference). It may
-        read the worker-global ``state`` via
-        :func:`get_worker_state`.
-    payloads:
-        Small picklable items (vertex ranges, sub-graph indices...).
-        Everything heavy belongs in ``state``.
-    workers:
-        Process count; must be ``>= 1`` (``ValueError`` otherwise,
-        mirroring :func:`repro.parallel.scheduler.assign_lpt`).
-    state:
-        Read-only context installed in every worker before the map.
-        Installed into the *parent* first (workers inherit it through
-        fork) and always cleared again before returning, so a large
-        graph is never retained across calls.
-
-    Inline degradation contract: with ``workers == 1``, a single
-    payload, or no ``fork`` support on the platform, the map runs
-    in-process over the same ``func``/``state`` and the results are
-    bit-identical to the pooled path. For supervision (crash
-    detection, timeouts, retries) use
-    :func:`repro.parallel.supervisor.supervised_map` instead — this
-    primitive trusts its workers not to die.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    installed = state is not None
-    if installed:
-        _install_state(state)
-    try:
-        if workers == 1 or len(payloads) <= 1 or not _supports_fork():
-            return [func(p) for p in payloads]
-        ctx = mp.get_context("fork")
-        workers = min(workers, len(payloads))
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(func, payloads)
-    finally:
-        if installed:
-            _STATE.clear()
-
-
 def get_worker_state() -> dict:
-    """The state dict installed by the enclosing :func:`fork_map`."""
+    """The state dict installed by the enclosing supervised pool."""
     return _STATE
-
-
-def thread_map(
-    func: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    *,
-    workers: int,
-) -> List[Any]:
-    """Thread-pool map, preserving payload order.
-
-    Provided for the scaling benchmarks' thread mode: with CPython's
-    GIL the speedup is limited to whatever time numpy kernels spend
-    outside the interpreter — measuring exactly that is the point.
-    Runs inline for ``workers == 1`` or a single payload; raises
-    ``ValueError`` for ``workers < 1``.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(payloads) <= 1:
-        return [func(p) for p in payloads]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(func, payloads))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Supervised coarse-grained execution: the fault-tolerant pool.
 
-``fork_map`` (:mod:`repro.parallel.pool`) inherits the paper's
-assumption that workers never die: one OOM-killed child hangs or kills
-an entire APGRE run.  :func:`supervised_map` is the drop-in,
-fault-tolerant replacement used by the APGRE driver, the
-source-parallel baselines and the benchmark harness.  It dispatches
+A plain ``multiprocessing.Pool.map`` inherits the paper's assumption
+that workers never die: one OOM-killed child hangs or kills an entire
+run.  :func:`supervised_map` is the fault-tolerant map used by the
+weighted APGRE driver, the source-parallel baselines and the
+benchmark harness, and its :class:`_PoolSupervisor` also drives the
+shared-memory engine behind the APGRE BC phase
+(:mod:`repro.parallel.batched_pool`).  It dispatches
 each task to a dedicated worker over a pipe (future-style, one
 in-flight task per worker) and supervises the pool:
 
@@ -612,11 +614,12 @@ def supervised_map(
     config: Optional[SupervisorConfig] = None,
     health: Optional[RunHealth] = None,
 ) -> List[Any]:
-    """Fault-tolerant :func:`repro.parallel.pool.fork_map` replacement.
+    """Fault-tolerant fork-pool map.
 
-    Same contract — a module-level ``func`` mapped over small
-    ``payloads`` with heavy context in ``state``, results in payload
-    order — plus the supervision policy of ``config`` with events
+    A module-level ``func`` is mapped over small ``payloads`` with
+    heavy context in ``state`` (read through
+    :func:`repro.parallel.pool.get_worker_state`), results in payload
+    order, under the supervision policy of ``config`` with events
     tallied into ``health`` (pass a :class:`RunHealth` to collect
     them; it is mutated in place).
 

@@ -42,7 +42,7 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 _BACKENDS = ("auto", "serial", "threads", "processes")
-_KERNELS = ("auto", "arcs", "spmm", "pull", "numba")
+_KERNELS = ("auto", "arcs", "spmm", "pull")
 
 
 def _one(query: Dict, key: str) -> Optional[str]:
@@ -200,7 +200,6 @@ def build_config(params: RequestParams, base, store):
     overrides: Dict = {"journal_dir": None, "resume": False}
     if params.backend is not None:
         overrides["backend"] = params.backend
-        overrides["parallel_batched"] = False
     if params.kernel is not None:
         overrides["kernel"] = params.kernel
     if params.batch_size is not None:
@@ -250,11 +249,9 @@ def config_fingerprint(config) -> str:
         ("threshold", int(config.threshold)),
         ("alpha_beta_method", str(config.alpha_beta_method)),
         ("eliminate_pendants", bool(config.eliminate_pendants)),
-        ("parallel", str(config.parallel)),
         ("backend", config.backend),
         ("workers", int(config.workers)),
         ("batch_size", config.batch_size),
-        ("parallel_batched", bool(config.parallel_batched)),
         ("steal", bool(config.steal)),
         ("compress", bool(config.compress)),
         ("shard", bool(config.shard)),
@@ -263,7 +260,7 @@ def config_fingerprint(config) -> str:
         ("cache", config.cache is not None),
     )
     h = hashlib.blake2b(digest_size=16)
-    h.update(b"apgre-config-v1")
+    h.update(b"apgre-config-v2")
     for name, value in fields:
         h.update(f"|{name}={value!r}".encode())
     return h.hexdigest()

@@ -104,8 +104,16 @@ class TestConfigToggles:
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_invalid_parallel_mode(self):
-        with pytest.raises(AlgorithmError, match="parallel"):
-            APGREConfig(parallel="gpu")
+        with pytest.raises(AlgorithmError, match="backend"):
+            APGREConfig(backend="gpu")
+
+    def test_removed_parallel_spellings_rejected(self):
+        # backend= is the only engine spelling
+        for legacy in ({"parallel": "processes"}, {"parallel_batched": True}):
+            with pytest.raises(TypeError):
+                APGREConfig(**legacy)
+            with pytest.raises(TypeError):
+                apgre_bc(from_edges([(0, 1)]), **legacy)
 
     def test_invalid_workers(self):
         with pytest.raises(AlgorithmError, match="workers"):
@@ -124,15 +132,25 @@ class TestParallelModes:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_processes(self, und_random, workers):
         assert_matches_brandes(
-            und_random, parallel="processes", workers=workers
+            und_random, backend="processes", workers=workers
         )
 
     def test_threads(self, dir_random):
-        assert_matches_brandes(dir_random, parallel="threads", workers=3)
+        assert_matches_brandes(dir_random, backend="threads", workers=3)
 
     def test_processes_directed(self, dir_random):
         assert_matches_brandes(
-            dir_random, parallel="processes", workers=2
+            dir_random, backend="processes", workers=2
+        )
+
+    def test_workers_without_backend_runs_an_engine(self, und_random):
+        # workers > 1 alone resolves the host-default engine instead of
+        # silently running serial
+        result = apgre_bc_detailed(und_random, APGREConfig(workers=2))
+        assert result.health is not None
+        assert result.health.tasks > 0
+        np.testing.assert_allclose(
+            result.scores, brandes_bc(und_random), rtol=1e-9, atol=1e-9
         )
 
 

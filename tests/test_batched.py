@@ -234,7 +234,7 @@ class TestAPGREBatched:
     def test_processes_mode(self, und_random):
         ref = apgre_bc(und_random)
         got = apgre_bc(
-            und_random, parallel="processes", workers=2, batch_size=3
+            und_random, backend="processes", workers=2, batch_size=3
         )
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
 

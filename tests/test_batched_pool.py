@@ -17,8 +17,6 @@ from repro.baselines.common import WorkCounter, run_per_source
 from repro.baselines.preds import preds_bc
 from repro.bench.persistence import environment_provenance, save_results
 from repro.bench.runner import ExperimentResult
-from repro.core.config import APGREConfig
-from repro.errors import AlgorithmError
 from repro.graph.batched import (
     auto_batch_size,
     batched_bc_scores,
@@ -178,17 +176,6 @@ class TestMemoryBudget:
 
 
 class TestConfigAndProvenance:
-    def test_parallel_batched_requires_processes(self):
-        with pytest.raises(AlgorithmError, match="parallel_batched"):
-            APGREConfig(parallel_batched=True, parallel="serial")
-
-    def test_parallel_batched_defaults_auto_batch(self):
-        cfg = APGREConfig(
-            parallel="processes", workers=2, parallel_batched=True
-        )
-        assert cfg.batch_size == "auto"
-        assert cfg.steal
-
     def test_environment_provenance_keys(self):
         env = environment_provenance(workers=4)
         assert env["cpu_count"] >= 1

@@ -178,15 +178,15 @@ class TestWarmReplay:
     """The tier-1 acceptance guard: warm runs replay, exactly."""
 
     @pytest.mark.parametrize(
-        "parallel,workers",
+        "backend,workers",
         [("serial", 1), ("threads", 2), ("processes", 2)],
     )
     def test_warm_rerun_traverses_nothing(
-        self, random_graph, parallel, workers
+        self, random_graph, backend, workers
     ):
         store = ContributionStore()
         config = APGREConfig(
-            parallel=parallel, workers=workers, cache=store
+            backend=backend, workers=workers, cache=store
         )
         cold = apgre_bc_detailed(random_graph, config)
         warm = apgre_bc_detailed(random_graph, config)

@@ -365,9 +365,8 @@ class TestSuiteEquivalence:
             g,
             APGREConfig(
                 compress=True,
-                parallel="processes",
+                backend="processes",
                 workers=2,
-                parallel_batched=True,
             ),
         )
         np.testing.assert_allclose(res.scores, ref, **TOL)
@@ -531,9 +530,8 @@ class TestFaultComposition:
                 g,
                 APGREConfig(
                     compress=True,
-                    parallel="processes",
+                    backend="processes",
                     workers=2,
-                    parallel_batched=True,
                 ),
             )
         np.testing.assert_allclose(res.scores, ref, **TOL)
@@ -551,7 +549,7 @@ class TestFaultComposition:
                 g,
                 APGREConfig(
                     compress=True,
-                    parallel="processes",
+                    backend="processes",
                     workers=2,
                     max_retries=1,
                 ),

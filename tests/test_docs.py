@@ -66,12 +66,40 @@ class TestReadmePromises:
             assert (ROOT / "examples" / name).exists(), name
 
 
+class TestRemovedSpellings:
+    """``backend=`` is the only engine spelling and the numba kernel is
+    gone; only the CHANGELOG's migration note may name what was
+    removed."""
+
+    REMOVED = re.compile(
+        r"\bparallel=|\bparallel_batched\b|--parallel-batched"
+        r"|\bfork_map\b|\bthread_map\b|\bnumba\b"
+    )
+
+    def test_docs_name_only_live_surfaces(self):
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+                ROOT / "CONTRIBUTING.md", *sorted((ROOT / "docs").glob("*.md"))]
+        for path in docs:
+            found = self.REMOVED.findall(path.read_text())
+            assert not found, f"{path.name} names {found}"
+
+    def test_changelog_carries_the_migration(self):
+        text = (ROOT / "CHANGELOG.md").read_text()
+        assert 'backend="processes"' in text
+        assert 'parallel="threads"' in text
+
+
 class TestRobustnessDoc:
     """ROBUSTNESS.md promises a crash-recovery contract; pin the
     structural claims so the doc cannot drift from the code."""
 
     def text(self):
         return (ROOT / "docs" / "ROBUSTNESS.md").read_text()
+
+    def test_one_ladder_documented(self):
+        text = self.text()
+        assert "**one ladder**" in text
+        assert "_compute_units" in text
 
     def test_crash_recovery_matrix_present(self):
         text = self.text()
@@ -219,12 +247,11 @@ class TestKernelsDoc:
             bfs_sigma_batched_pull,
             pull_contributions,
         )
-        from repro.graph.kernels.nogil import numba_available  # noqa: F401
         from repro.core.config import APGREConfig
 
         assert KERNEL_ENV_VAR == "REPRO_KERNEL"
         assert PULL_ALPHA == 0.7
-        assert set(kernel_names()) == {"arcs", "spmm", "pull", "numba"}
+        assert set(kernel_names()) == {"arcs", "spmm", "pull"}
         assert APGREConfig(kernel="pull").kernel == "pull"
 
     def test_cli_flags_exist(self):

@@ -221,8 +221,8 @@ class TestRunJournal:
         pooled = run_fingerprint(
             graph,
             APGREConfig(
-                threshold=2, parallel="processes", workers=4,
-                parallel_batched=True, compress=True,
+                threshold=2, backend="processes", workers=4,
+                compress=True,
             ),
         )
         assert base == pooled
@@ -280,10 +280,10 @@ PATHS = {
     "serial": {},
     "batched": {"batch_size": 4},
     "compressed": {"compress": True},
-    "threads": {"parallel": "threads", "workers": 2},
-    "pooled": {"parallel": "processes", "workers": 2},
+    "threads": {"backend": "threads", "workers": 2},
+    "pooled": {"backend": "processes", "workers": 2},
     "pooled-batched": {
-        "parallel": "processes", "workers": 2, "parallel_batched": True,
+        "backend": "processes", "workers": 2, "batch_size": 4,
     },
 }
 
@@ -340,7 +340,7 @@ class TestResumeContract:
         resumed = apgre_bc_detailed(
             graph,
             config_for(
-                tmp_path, resume=True, parallel="processes", workers=2,
+                tmp_path, resume=True, backend="processes", workers=2,
             ),
         )
         np.testing.assert_allclose(resumed.scores, reference, atol=1e-9)
@@ -684,7 +684,7 @@ class TestKillAndResume:
             "'kill', task=0, attempts=tuple(range(99)))]))"
         )
         config_kw = (
-            ", parallel='processes', workers=2, fallback=False"
+            ", backend='processes', workers=2, fallback=False"
             ", max_retries=0"
         )
         script = child_script(

@@ -8,12 +8,11 @@ composition (plain, compressed, sharded, cached-replay,
 journaled-resume), ``auto`` selection never returns an unavailable
 kernel and honours the structural thresholds, the pull kernel's RAM
 model shrinks ``auto`` batch sizes, injected worker kills mid-pull
-never commit a partial delta, and an absent numba degrades to a clean
-miss instead of an error.
+never commit a partial delta, and an unavailable kernel degrades to a
+clean miss instead of an error.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from repro.graph.kernels import (
     resolve_kernel_name,
     select_kernel,
 )
-from repro.graph.kernels import nogil as _nogil
 from repro.graph.kernels.pull import (
     PULL_ALPHA,
     bfs_sigma_batched_pull,
@@ -54,8 +52,8 @@ from repro.parallel.threaded import threaded_bc_scores
 
 WORKERS = 2
 
-#: every kernel the host can actually run (numba joins on CI's kernels
-#: job); "auto" rides along as the selection path
+#: every kernel the host can actually run; "auto" rides along as the
+#: selection path
 AVAILABLE = [k for k in kernel_names() if get_kernel(k).available()]
 BACKENDS = ["serial", "threads", "processes"]
 
@@ -92,7 +90,7 @@ def triple(graph, *, kernel, backend=None, workers=1, batch=8):
 
 class TestKernelRegistry:
     def test_registered_names(self):
-        assert kernel_names() == ("arcs", "spmm", "pull", "numba")
+        assert kernel_names() == ("arcs", "spmm", "pull")
         for name in kernel_names():
             assert isinstance(get_kernel(name).available(), bool)
         assert get_kernel("arcs").available()
@@ -497,48 +495,10 @@ class TestAutoBatchSizePull:
         n, m = 50_000, 400_000
         budget = 128 << 20
         base = auto_batch_size(n, m, available_bytes=budget)
-        for kernel in (None, "arcs", "spmm", "numba"):
+        for kernel in (None, "arcs", "spmm"):
             assert (
                 auto_batch_size(
                     n, m, available_bytes=budget, kernel=kernel
                 )
                 == base
             )
-
-
-class TestNumbaKernel:
-    def test_probe_is_a_clean_miss_or_a_real_kernel(self):
-        kernel = get_kernel("numba")
-        if not kernel.available():
-            assert "numba" in kernel.unavailable_reason
-            assert _nogil.numba_available() is False
-            assert _nogil.numba_unavailable_reason()
-        else:  # pragma: no cover - exercised on CI's kernels job
-            assert _nogil.numba_available() is True
-
-    def test_unavailable_numba_degrades_not_raises(self, dense):
-        if get_kernel("numba").available():
-            pytest.skip("numba present: degradation path not reachable")
-        with pytest.warns(RuntimeWarning, match="numba"):
-            name = resolve_kernel_name("numba")
-        assert name == default_kernel_name()
-        # and requesting it end-to-end still computes correct scores
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            scores = run_per_source(
-                dense, mode="arcs", batch_size=8, kernel="numba"
-            )
-        np.testing.assert_allclose(
-            scores, brandes_bc(dense), rtol=1e-9, atol=1e-9
-        )
-
-    @pytest.mark.skipif(
-        not _nogil.numba_available(), reason="numba not installed"
-    )
-    def test_numba_matches_brandes(self, dense, dense_oracle):
-        # pragma: no cover - exercised on CI's kernels job
-        scores, split = triple(dense, kernel="numba")
-        np.testing.assert_allclose(
-            scores, dense_oracle, rtol=1e-9, atol=1e-9
-        )
-        assert split[0] > 0 and split[1] == 0

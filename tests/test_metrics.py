@@ -113,12 +113,35 @@ class TestBreakdown:
     def test_forces_serial(self):
         from repro.core.config import APGREConfig
 
-        config = APGREConfig(parallel="processes", workers=2)
+        config = APGREConfig(backend="processes", workers=2)
         frac = phase_breakdown(
             analogue_graph("USA-roadNY", scale=0.3), config
         )
         # serial re-run still splits top vs rest
         assert frac["top_bc"] > 0
+
+    def test_keeps_every_option_but_workers(self, monkeypatch):
+        # forcing serial must not drop compress/batch_size/shard/...
+        from repro.core.config import APGREConfig
+        from repro.metrics import breakdown
+
+        runs = []
+        real = breakdown.apgre_bc_detailed
+
+        def spy(graph, config):
+            result = real(graph, config)
+            runs.append((config, result))
+            return result
+
+        monkeypatch.setattr(breakdown, "apgre_bc_detailed", spy)
+        config = APGREConfig(compress=True, workers=2, backend="threads")
+        phase_breakdown(analogue_graph("USA-roadNY", scale=0.3), config)
+        ((ran, result),) = runs
+        assert ran.workers == 1
+        assert ran.compress and ran.backend == "threads"
+        assert ran.batch_size == config.batch_size == "auto"
+        assert result.health is None  # the inline serial loop ran
+        assert result.stats.compression_ratio > 1.0  # it ran compressed
 
 
 class TestStats:

@@ -1,14 +1,12 @@
-"""Tests for the parallel substrate (pools, scheduler, shared memory)."""
+"""Tests for the parallel substrate (pool helpers, scheduler, shared memory)."""
 
 import numpy as np
 import pytest
 
 from repro.parallel.pool import (
     available_workers,
-    fork_map,
     get_worker_state,
     map_sources_bc,
-    thread_map,
 )
 from repro.parallel.scheduler import (
     assign_lpt,
@@ -17,76 +15,13 @@ from repro.parallel.scheduler import (
     task_cost,
 )
 from repro.parallel.sharedmem import SharedArray
+from repro.parallel.supervisor import supervised_map
 from repro.graph.traversal import bfs_sigma
 
 
-def _square(x):
-    return x * x
-
-
-def _state_lookup(key):
-    return get_worker_state()[key]
-
-
-class TestForkMap:
-    def test_inline_when_single_worker(self):
-        assert fork_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_parallel_results_ordered(self):
-        assert fork_map(_square, list(range(10)), workers=3) == [
-            i * i for i in range(10)
-        ]
-
-    def test_single_payload_runs_inline(self):
-        assert fork_map(_square, [7], workers=4) == [49]
-
-    def test_state_visible_in_workers(self):
-        out = fork_map(
-            _state_lookup, ["a", "a"], workers=2, state={"a": 42}
-        )
-        assert out == [42, 42]
-
-    def test_empty_payloads(self):
-        assert fork_map(_square, [], workers=2) == []
-
+class TestAvailableWorkers:
     def test_available_workers_positive(self):
         assert available_workers() >= 1
-
-    def test_invalid_workers_raises(self):
-        with pytest.raises(ValueError, match="workers"):
-            fork_map(_square, [1, 2], workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            fork_map(_square, [1, 2], workers=-3)
-
-    def test_state_cleared_after_map(self):
-        from repro.parallel import pool as pool_mod
-
-        fork_map(_state_lookup, ["a", "a"], workers=2, state={"a": 1})
-        assert pool_mod._STATE == {}
-        # inline path clears too
-        fork_map(_state_lookup, ["a"], workers=1, state={"a": 2})
-        assert pool_mod._STATE == {}
-
-    def test_state_cleared_even_when_func_raises(self):
-        from repro.parallel import pool as pool_mod
-
-        with pytest.raises(KeyError):
-            fork_map(_state_lookup, ["missing"], workers=1, state={"a": 3})
-        assert pool_mod._STATE == {}
-
-
-class TestThreadMap:
-    def test_ordered(self):
-        assert thread_map(_square, list(range(8)), workers=3) == [
-            i * i for i in range(8)
-        ]
-
-    def test_inline_path(self):
-        assert thread_map(_square, [5], workers=8) == [25]
-
-    def test_invalid_workers_raises(self):
-        with pytest.raises(ValueError, match="workers"):
-            thread_map(_square, [1], workers=0)
 
 
 class TestMapSourcesBC:
@@ -242,7 +177,7 @@ class TestSharedArray:
     def test_cross_process_visibility(self):
         owner = SharedArray.create((4,), np.float64)
         try:
-            out = fork_map(
+            out = supervised_map(
                 _shared_writer,
                 [0, 1, 2, 3],
                 workers=2,

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -276,6 +277,15 @@ class TestProtocol:
             APGREConfig(eliminate_pendants=False),
         ):
             assert config_fingerprint(variant) != config_fingerprint(base)
+        # the engine layout alone still changes the fingerprint: one
+        # field at a time, everything else equal
+        engine = APGREConfig(backend="threads", workers=2)
+        for variant in (
+            replace(engine, backend="processes"),
+            replace(engine, backend=None),
+            replace(engine, workers=3),
+        ):
+            assert config_fingerprint(variant) != config_fingerprint(engine)
 
     def test_fingerprint_ignores_supervisor_budgets(self):
         base = APGREConfig()

@@ -207,8 +207,9 @@ EXEC_PATHS = {
     "serial": {},
     "compressed": {"compress": True},
     "batched": {"batch_size": 4},
-    "threads": {"parallel": "threads", "workers": 2},
-    "processes": {"parallel": "processes", "workers": 2},
+    # workers alone: the host-default engine (threads where scipy imports)
+    "threads": {"workers": 2},
+    "processes": {"backend": "processes", "workers": 2},
     "backend-threads": {"backend": "threads", "workers": 2},
 }
 

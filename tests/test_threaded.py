@@ -474,15 +474,13 @@ class TestBackendRegistry:
     def test_config_backend_validation(self):
         with pytest.raises(AlgorithmError, match="backend"):
             APGREConfig(backend="gpu")
-        with pytest.raises(AlgorithmError, match="mutually"):
-            APGREConfig(
-                backend="threads", parallel="processes",
-                parallel_batched=True,
-            )
         cfg = APGREConfig(backend="threads")
         assert cfg.batch_size == "auto"
         explicit = APGREConfig(backend="threads", batch_size=16)
         assert explicit.batch_size == 16
+        # workers > 1 selects an engine too, so it implies a batch width
+        assert APGREConfig(workers=2).batch_size == "auto"
+        assert APGREConfig().batch_size is None
 
 
 class TestSharedCsrBudget:
