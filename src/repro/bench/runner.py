@@ -83,7 +83,7 @@ class ExperimentResult:
         )
 
 
-_RUN_CACHE: Dict[Tuple[str, str, int], MeasuredRun] = {}
+_RUN_CACHE: Dict[Tuple[str, str, int, tuple], MeasuredRun] = {}
 _REFERENCE: Dict[str, np.ndarray] = {}
 
 
@@ -110,11 +110,16 @@ def time_algorithm(
     a ``timeout`` (argument or ``REPRO_BENCH_TIMEOUT``) elapses or
     the supervised run dies — a misbehaving algorithm degrades one
     cell, never the sweep. Raises :class:`BenchmarkError` if an exact
-    algorithm disagrees with the serial reference.
+    algorithm disagrees with the serial reference.  Runs are memoised
+    per (algorithm, graph, options) when the options are hashable.
     """
-    key = (algorithm, graph_name, graph.n)
-    if key in _RUN_CACHE and not kwargs:
-        return _RUN_CACHE[key]
+    key = (algorithm, graph_name, graph.n, tuple(sorted(kwargs.items())))
+    try:
+        cached = _RUN_CACHE.get(key)
+    except TypeError:  # unhashable options: time afresh, do not memoise
+        key = cached = None
+    if cached is not None:
+        return cached
     fn = get_algorithm(algorithm)
     if timeout is None:
         timeout = _env_timeout()
@@ -150,6 +155,6 @@ def time_algorithm(
                 f"{algorithm} disagrees with serial reference on "
                 f"{graph_name} (max abs diff {worst:.3g})"
             )
-    if not kwargs:
+    if key is not None:
         _RUN_CACHE[key] = run
     return run

@@ -127,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N|auto",
         help="advance N sources at once through the multi-source "
-        "batched kernel ('auto' sizes batches from the graph and "
-        "available memory; supported by APGRE, serial, preds and "
+        "batched kernel ('auto', APGRE's default, sizes batches to a "
+        "~4 MiB working set; supported by APGRE, serial, preds and "
         "batched)",
     )
     p_compute.add_argument(
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_batch_size,
         default=None,
         metavar="N|auto",
-        help="default batch width for the multi-source kernel",
+        help="default batch width for the multi-source kernel "
+        "(default 'auto': a ~4 MiB working set)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, help="default worker count"

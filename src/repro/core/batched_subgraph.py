@@ -155,13 +155,13 @@ def bc_subgraph_batched(
     Same contract as :func:`repro.core.bc_subgraph.bc_subgraph` (root
     subsets from different calls still sum to the full sub-graph
     scores), with roots processed ``batch_size`` at a time; ``"auto"``
-    resolves a RAM-safe batch from the sub-graph's own n and m divided
-    by ``workers`` — pass the pool's worker count when several of
-    these calls run concurrently, so they share one RAM budget instead
-    of each claiming all of it.  ``compress=True`` routes through the
-    structural compression kernel when any reduction rule fires (the
-    shrunken core does not benefit from SpMM batching); trivial plans
-    stay on the batched path.
+    sizes the batch to a ~4 MiB working set from the sub-graph's own n
+    and m, under a RAM ceiling divided by ``workers`` — pass the
+    pool's worker count when several of these calls run concurrently,
+    so they share one RAM budget instead of each claiming all of it.
+    ``compress=True`` routes through the structural compression kernel
+    when any reduction rule fires (the shrunken core does not benefit
+    from SpMM batching); trivial plans stay on the batched path.
 
     ``kernel`` picks the *forward traversal* strategy
     (:mod:`repro.graph.kernels`): ``"pull"`` (or ``"auto"`` resolving
@@ -238,24 +238,33 @@ def bc_subgraph_batched(
         dep = accumulate_four_dependencies_batched(
             res, alpha=alpha, beta=beta, is_art=is_art, counter=counter
         )
+        res.level_arcs = None  # replayed; free them before the merge
         g_s = gamma[srcs].astype(SCORE_DTYPE)
 
-        # merge for v != s, reached vertices only (equation 7): the
-        # o2i/o2o terms carry per-row β(s)/art masks, so rows whose
-        # root is not an articulation point contribute exact zeros
-        contrib = (1.0 + g_s)[:, None] * (dep.delta_i2i + dep.delta_i2o)
-        contrib += dep.size_o2i[:, None] * dep.delta_i2i
-        if dep.source_is_art.any():
-            contrib += dep.delta_o2o
-        bc += np.where(res.dist >= 1, contrib, 0.0).sum(axis=0)
-
-        # merge for v == s: the γ(s) derived pendant sources (roots
-        # are unique, so the fancy-indexed += has no collisions)
+        # v == s terms first: the merge below overwrites δ_i2i/δ_i2o
         self_i2i = dep.delta_i2i[rows0, srcs] - (
             1.0 if undirected else 0.0
         )
         self_i2o = dep.delta_i2o[rows0, srcs] + np.where(
             dep.source_is_art, alpha[srcs].astype(SCORE_DTYPE), 0.0
         )
+
+        # merge for v != s, reached vertices only (equation 7), built
+        # in place in δ_i2o with the association of
+        # (1+γ)(i2i+i2o) + β·i2i [+ o2o]: the o2i/o2o terms carry
+        # per-row β(s)/art masks, so rows whose root is not an
+        # articulation point contribute exact zeros
+        contrib = dep.delta_i2o
+        np.add(dep.delta_i2i, contrib, out=contrib)
+        contrib *= (1.0 + g_s)[:, None]
+        dep.delta_i2i *= dep.size_o2i[:, None]
+        contrib += dep.delta_i2i
+        if dep.source_is_art.any():
+            contrib += dep.delta_o2o
+        contrib[res.dist < 1] = 0.0
+        bc += contrib.sum(axis=0)
+
+        # merge for v == s: the γ(s) derived pendant sources (roots
+        # are unique, so the fancy-indexed += has no collisions)
         bc[srcs] += g_s * (self_i2i + self_i2o)
     return bc

@@ -75,9 +75,12 @@ def bc_subgraph(
         (the fine-grained level of the paper's two-level scheme,
         realised as source chunks).
     batch_size:
-        ``None`` runs one root at a time (this function's own loop);
-        a positive int or ``"auto"`` delegates to the multi-source
-        kernel (:func:`repro.core.batched_subgraph.bc_subgraph_batched`),
+        ``None`` runs one root at a time (this function's own loop,
+        the per-source reference the batched kernel is tested
+        against); a positive int or ``"auto"`` (``APGREConfig``'s
+        default, batches sized to a ~4 MiB working set) delegates to
+        the multi-source kernel
+        (:func:`repro.core.batched_subgraph.bc_subgraph_batched`),
         which processes roots in ``(B, n)`` batches with identical
         edge counting and float64-tolerance-identical scores.
     compress:

@@ -15,6 +15,16 @@ _BACKENDS = ("auto", "serial", "threads", "processes")
 _KERNELS = ("auto", "arcs", "spmm", "pull")
 
 
+def _is_int(value: object) -> bool:
+    # bool subclasses int, but True is no worker count or batch width
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value: object) -> None:
+    if not _is_int(value):
+        raise AlgorithmError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class APGREConfig:
     """Options controlling an APGRE run.
@@ -46,8 +56,6 @@ class APGREConfig:
     workers:
         Worker count.  ``1`` (default) runs the BC phase as an inline
         serial loop; ``> 1`` runs it on the engine ``backend`` names.
-        Setting a backend or ``workers > 1`` implies
-        ``batch_size="auto"`` when no batch size is set.
     timeout:
         Per-task wall-clock budget in seconds for supervised process
         execution (``None`` disables timeouts). Stuck workers are
@@ -64,9 +72,13 @@ class APGREConfig:
     batch_size:
         Route each sub-graph's root set through the multi-source
         batched kernel (:mod:`repro.graph.batched`), ``batch_size``
-        sources at a time. ``None`` (default) keeps the per-source
-        kernel; ``"auto"`` sizes batches from the graph and available
-        memory; a positive int fixes the batch width.
+        sources at a time. ``"auto"`` (default) sizes each batch to a
+        ~4 MiB working set (:func:`~repro.graph.batched.auto_batch_size`);
+        a positive int fixes the batch width.  ``None`` runs the
+        per-source reference loop of
+        :func:`~repro.core.bc_subgraph.bc_subgraph`, and is valid only
+        for inline runs: ``workers=1`` with no ``backend`` and no
+        ``kernel``.
     steal:
         Allow idle pool workers to steal the heaviest remaining batch
         of the most-loaded peer (engine runs only).
@@ -140,9 +152,9 @@ class APGREConfig:
         ``"auto"`` (per-sub-graph selection from structural features).
         ``None`` (default) defers to the ``REPRO_KERNEL`` environment
         variable and then automatic selection.  Kernels run inside the
-        batched paths, so setting one implies ``batch_size="auto"``
-        when no batch size is set; requesting an unavailable kernel
-        degrades to the default with a ``RuntimeWarning``.
+        batched paths, so a kernel needs a batch size; requesting an
+        unavailable kernel degrades to the default with a
+        ``RuntimeWarning``.
     """
 
     threshold: int = DEFAULT_THRESHOLD
@@ -153,7 +165,7 @@ class APGREConfig:
     timeout: Optional[float] = None
     max_retries: int = 2
     fallback: bool = True
-    batch_size: Optional[Union[int, str]] = None
+    batch_size: Optional[Union[int, str]] = "auto"
     steal: bool = True
     cache: object = None
     cache_dir: Optional[str] = None
@@ -165,32 +177,23 @@ class APGREConfig:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kernel is not None:
-            if self.kernel not in _KERNELS:
-                raise AlgorithmError(
-                    f"kernel must be one of {_KERNELS} or None, "
-                    f"got {self.kernel!r}"
-                )
-            if self.batch_size is None:
-                # kernels run inside the batched paths; auto is the
-                # only safe unattended batch width
-                object.__setattr__(self, "batch_size", "auto")
+        if self.kernel is not None and self.kernel not in _KERNELS:
+            raise AlgorithmError(
+                f"kernel must be one of {_KERNELS} or None, "
+                f"got {self.kernel!r}"
+            )
         if self.backend is not None and self.backend not in _BACKENDS:
             raise AlgorithmError(
                 f"backend must be one of {_BACKENDS} or None, "
                 f"got {self.backend!r}"
             )
-        if (
-            self.backend is not None or self.workers > 1
-        ) and self.batch_size is None:
-            # the engines move batched deltas, so a batch width is
-            # needed; auto is the only safe unattended default
-            object.__setattr__(self, "batch_size", "auto")
         if self.alpha_beta_method not in _AB_METHODS:
             raise AlgorithmError(
                 f"alpha_beta_method must be one of {_AB_METHODS}, "
                 f"got {self.alpha_beta_method!r}"
             )
+        for name in ("workers", "threshold", "max_retries", "shard_max_size"):
+            _require_int(name, getattr(self, name))
         if self.workers < 1:
             raise AlgorithmError(f"workers must be >= 1, got {self.workers}")
         if self.threshold < 0:
@@ -204,12 +207,6 @@ class APGREConfig:
         if self.max_retries < 0:
             raise AlgorithmError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not isinstance(self.shard_max_size, int) or isinstance(
-            self.shard_max_size, bool
-        ):
-            raise AlgorithmError(
-                f"shard_max_size must be an int, got {self.shard_max_size!r}"
             )
         if self.shard_max_size < 16:
             # thinner shards than this drown in separator tables; the
@@ -233,15 +230,24 @@ class APGREConfig:
                     "cache must be None, a bool, or a ContributionStore-"
                     f"like object with get/put, got {self.cache!r}"
                 )
-        if self.batch_size is not None:
-            if isinstance(self.batch_size, str):
-                if self.batch_size != "auto":
-                    raise AlgorithmError(
-                        "batch_size must be None, 'auto' or a positive "
-                        f"int, got {self.batch_size!r}"
-                    )
-            elif not isinstance(self.batch_size, int) or self.batch_size < 1:
+        if self.batch_size is None:
+            if (
+                self.backend is not None
+                or self.kernel is not None
+                or self.workers > 1
+            ):
+                # the engines move batched deltas and the kernels run
+                # inside the batched paths: only the inline loop can
+                # run the per-source reference
                 raise AlgorithmError(
-                    "batch_size must be None, 'auto' or a positive "
-                    f"int, got {self.batch_size!r}"
+                    "batch_size=None (the per-source reference) needs "
+                    "workers=1 with no backend and no kernel; use "
+                    "'auto' or a positive int"
                 )
+        elif self.batch_size != "auto" and (
+            not _is_int(self.batch_size) or self.batch_size < 1
+        ):
+            raise AlgorithmError(
+                "batch_size must be None, 'auto' or a positive "
+                f"int, got {self.batch_size!r}"
+            )

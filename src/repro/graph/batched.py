@@ -38,6 +38,7 @@ Two kernels implement the batched contraction:
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -48,12 +49,9 @@ from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
 from repro.types import SCORE_DTYPE
 
-try:  # optional C backend for the SpMM kernel ("stub or gate" policy)
-    from scipy.sparse import _sparsetools as _spmm_tools
-except ImportError:  # pragma: no cover - scipy absent in minimal envs
-    _spmm_tools = None
-
 __all__ = [
+    "AUTO_MIN_BATCH",
+    "AUTO_WORKSET_BYTES",
     "DEFAULT_MAX_BATCH",
     "BatchedBFSResult",
     "BatchWorkspace",
@@ -74,6 +72,17 @@ __all__ = [
 #: scatters are large enough that dispatch overhead is already amortised
 #: and bigger batches only grow the ``(B, n)`` working set past cache.
 DEFAULT_MAX_BATCH = 128
+
+#: Working set ``"auto"`` sizes a batch to.  On the road analogue's
+#: top sub-graph, rows past ~16 (about this many bytes under the
+#: per-row model below) buy little time while peak RSS keeps climbing
+#: with every one (docs/PERFORMANCE.md §6).
+AUTO_WORKSET_BYTES = 4 << 20
+
+#: Fewest rows ``"auto"`` picks while the RAM ceiling allows them: on
+#: graphs where 8 rows outgrow the working set, 8 rows still amortise
+#: most of the per-level dispatch that a single row pays in full.
+AUTO_MIN_BATCH = 8
 
 # Rough per-batch-row memory model used by the ``auto`` heuristic:
 # dist (int32) + sigma (float64) + up to three dependency matrices
@@ -118,14 +127,17 @@ def auto_batch_size(
     shared_csr: bool = False,
     kernel: Optional[str] = None,
 ) -> int:
-    """Pick a batch size whose ``(B, n)`` buffers stay RAM-safe.
+    """Pick a batch size whose ``(B, n)`` working set stays small.
 
-    Budgets a quarter of available memory (capped at 2 GiB) against a
-    conservative per-row estimate of ``44·n + 20·m`` bytes (state
-    matrices plus recorded DAG arcs), clamped to ``[1, max_batch]``.
-    ``workers`` divides the budget: in a parallel run every concurrent
-    worker materialises its own ``(B, n)`` working set, so sizing each
-    against the full budget would oversubscribe RAM ``workers``-fold.
+    Sizes the batch to :data:`AUTO_WORKSET_BYTES` under a conservative
+    per-row estimate of ``44·n + 20·m`` bytes (state matrices plus
+    recorded DAG arcs), with a floor of :data:`AUTO_MIN_BATCH` rows.
+    A quarter of available memory (capped at 2 GiB) stays the
+    ceiling, and the result is clamped to ``[1, max_batch]``.
+    ``workers`` divides that ceiling: in a parallel run every
+    concurrent worker materialises its own ``(B, n)`` working set, so
+    sizing each against the full budget would oversubscribe RAM
+    ``workers``-fold.
 
     ``shared_csr`` selects the threaded-backend accounting: worker
     threads share one address space, so the graph's CSR structure
@@ -160,7 +172,8 @@ def auto_batch_size(
     per_row = _BYTES_PER_ROW_VERTEX * n + _BYTES_PER_ROW_ARC * max(m, 1)
     if kernel == "pull":
         per_row += _PULL_BYTES_PER_ROW_VERTEX * n
-    return int(max(1, min(budget // per_row, max_batch)))
+    rows = max(AUTO_WORKSET_BYTES // per_row, AUTO_MIN_BATCH)
+    return int(max(1, min(rows, budget // per_row, max_batch)))
 
 
 def resolve_batch_size(
@@ -512,9 +525,23 @@ def accumulate_dependencies_batched(
     return delta_flat.reshape(res.dist.shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _sparsetools():
+    """scipy's C sparse-matmul module, imported on first use.
+
+    Deferred so that ``import repro`` and runs that never take the
+    SpMM kernel stay numpy-only; ``None`` when scipy is absent.
+    """
+    try:
+        from scipy.sparse import _sparsetools
+    except ImportError:  # pragma: no cover - scipy absent in minimal envs
+        return None
+    return _sparsetools
+
+
 def spmm_available() -> bool:
     """True when scipy's C sparse-matmul backend is importable."""
-    return _spmm_tools is not None
+    return _sparsetools() is not None
 
 
 _I32_MAX = np.iinfo(np.int32).max
@@ -597,7 +624,8 @@ def spmm_contributions(
     tally (forward examinations + DAG replays) *identical* to the
     serial per-source path at the cost of one wider product.
     """
-    if _spmm_tools is None:
+    spmm_tools = _sparsetools()
+    if spmm_tools is None:
         raise AlgorithmError(
             "the SpMM batched kernel needs scipy; use kernel='arcs'"
         )
@@ -649,7 +677,7 @@ def spmm_contributions(
         cp = np.empty(b + 1, dtype=idx)
         cj = np.empty(bound, dtype=idx)
         cx = np.empty(bound, dtype=vals.dtype)
-        _spmm_tools.csr_matmat(b, n, fp, cols, vals, ap, aj, ax, cp, cj, cx)
+        spmm_tools.csr_matmat(b, n, fp, cols, vals, ap, aj, ax, cp, cj, cx)
         nnz = int(cp[b])
         cand = np.repeat(rowbase, np.diff(cp))
         cand += cj[:nnz]
@@ -695,7 +723,7 @@ def spmm_contributions(
         cp = np.empty(b + 1, dtype=idx)
         cj = np.empty(bound, dtype=idx)
         cx = np.empty(bound, dtype=SCORE_DTYPE)
-        _spmm_tools.csr_matmat(b, n, fp, cols, w, bp, bj, bx, cp, cj, cx)
+        spmm_tools.csr_matmat(b, n, fp, cols, w, bp, bj, bx, cp, cj, cx)
         nnz = int(cp[b])
         cand = np.repeat(rowbase, np.diff(cp))
         cand += cj[:nnz]

@@ -36,6 +36,12 @@ class TestExactness:
         ours = apgre_bc(g)
         np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-8, err_msg=name)
 
+    def test_zoo_per_source_reference(self, zoo_entry):
+        name, g, nxg = zoo_entry
+        ref = nx_betweenness(nxg)
+        ours = apgre_bc(g, batch_size=None)
+        np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-8, err_msg=name)
+
     def test_matches_exact_fraction_brandes(self):
         nxg = nx.gnm_random_graph(25, 45, seed=11)
         g = from_networkx(nxg, n=25)
@@ -118,6 +124,9 @@ class TestConfigToggles:
     def test_invalid_workers(self):
         with pytest.raises(AlgorithmError, match="workers"):
             APGREConfig(workers=0)
+        for bad in (2.0, True):
+            with pytest.raises(AlgorithmError, match="workers"):
+                APGREConfig(workers=bad, backend="serial")
 
     def test_invalid_ab_method(self):
         with pytest.raises(AlgorithmError, match="alpha_beta_method"):
@@ -126,6 +135,13 @@ class TestConfigToggles:
     def test_invalid_threshold(self):
         with pytest.raises(AlgorithmError, match="threshold"):
             APGREConfig(threshold=-3)
+        with pytest.raises(AlgorithmError, match="threshold"):
+            APGREConfig(threshold=True)
+
+    def test_invalid_max_retries(self):
+        for bad in (-1, 1.5):
+            with pytest.raises(AlgorithmError, match="max_retries"):
+                APGREConfig(max_retries=bad)
 
 
 class TestParallelModes:

@@ -6,6 +6,8 @@ match the per-source path within float64 summation tolerance, and the
 examined-edge tally (the MTEPS denominator) is exactly the serial one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,10 @@ from repro.core.config import APGREConfig
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import graph_partition
 from repro.errors import AlgorithmError
-from repro.generators.suite import paper_suite
+from repro.generators.suite import analogue_graph, paper_suite
 from repro.graph.batched import (
+    AUTO_MIN_BATCH,
+    AUTO_WORKSET_BYTES,
     DEFAULT_MAX_BATCH,
     auto_batch_size,
     batched_contributions,
@@ -112,13 +116,33 @@ class TestBatchSizing:
         with pytest.raises(AlgorithmError):
             resolve_batch_size("large", 10, 10)
 
+    def test_auto_working_set_pins(self):
+        ram = 1 << 34  # the RAM ceiling does not bind
+        # road-cold's top sub-graph: 17 rows fill the working set
+        assert auto_batch_size(2113, 7282, available_bytes=ram) == 17
+        # the 55k-vertex road bench graph sits on the row floor
+        assert (
+            auto_batch_size(55_375, 199_824, available_bytes=ram)
+            == AUTO_MIN_BATCH
+        )
+        # ... which never overrides the RAM ceiling
+        assert auto_batch_size(55_375, 199_824, available_bytes=1 << 20) == 1
+
     def test_config_validation(self):
         APGREConfig(batch_size=None)
         APGREConfig(batch_size="auto")
         APGREConfig(batch_size=16)
-        for bad in (0, -1, "big", 2.5):
+        for bad in (0, -1, "big", 2.5, True):
             with pytest.raises(AlgorithmError):
                 APGREConfig(batch_size=bad)
+        # the per-source reference runs only in the inline loop
+        for engine in (
+            {"backend": "serial"},
+            {"kernel": "arcs"},
+            {"workers": 2},
+        ):
+            with pytest.raises(AlgorithmError, match="batch_size=None"):
+                APGREConfig(batch_size=None, **engine)
 
 
 class TestBatchedBrandes:
@@ -203,6 +227,22 @@ class TestBatchedSubgraph:
                 np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
             assert batched_c.edges == serial_c.edges
 
+    @pytest.mark.parametrize("name", ["USA-roadBAY", "Email-Enron"])
+    def test_auto_batch_stays_in_working_set(self, name):
+        g = analogue_graph(name, scale=2.0, seed=1)
+        partition = graph_partition(g)
+        compute_alpha_beta(g, partition)
+        top = partition.top
+        roots = top.roots[:128]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bc_subgraph_batched(top, batch_size="auto", roots=roots)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * AUTO_WORKSET_BYTES, f"{peak / 2**20:.1f} MiB"
+
     def test_root_subsets_sum(self, zoo_entry):
         _name, g, _nxg = zoo_entry
         if g.n == 0:
@@ -239,7 +279,7 @@ class TestAPGREBatched:
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
 
     def test_no_elimination_ablation(self, und_random):
-        ref = apgre_bc(und_random, eliminate_pendants=False)
+        ref = apgre_bc(und_random, eliminate_pendants=False, batch_size=None)
         got = apgre_bc(
             und_random, eliminate_pendants=False, batch_size="auto"
         )

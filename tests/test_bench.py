@@ -203,10 +203,23 @@ class TestExperimentsSmoke:
             shares = [float(cell.rstrip("%")) for cell in row[1:5]]
             assert abs(sum(shares) - 100.0) < 0.5
 
-    def test_table2_table3_fig6_consistent(self, small_env):
+    def test_table2_table3_fig6_consistent(self, small_env, monkeypatch):
+        from repro.baselines import registry as reg
+
+        monkeypatch.delenv("REPRO_BENCH_TIMEOUT", raising=False)
+        apgre_calls = []
+        real_apgre = reg.ALGORITHMS["APGRE"]
+
+        def spy(graph, **kwargs):
+            apgre_calls.append(kwargs)
+            return real_apgre(graph, **kwargs)
+
+        monkeypatch.setitem(reg.ALGORITHMS, "APGRE", spy)
         t2 = get_experiment("table2")()
         t3 = get_experiment("table3")()
         f6 = get_experiment("fig6")()
+        # the APGRE column times the per-source kernel, once per graph
+        assert apgre_calls == [{"batch_size": None}] * 2
         # table2 ends with the average-speedup row
         assert t2.rows[-1][0].startswith("Average")
         assert len(t3.rows) == 2

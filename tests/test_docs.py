@@ -285,6 +285,39 @@ class TestKernelsDoc:
         assert info["kernel_default"] in info["kernels_available"]
 
 
+class TestBatchSizeDocs:
+    """The docs describe ``batch_size="auto"`` as the default, sized
+    to a fixed working set; pin those claims to the code."""
+
+    def test_structural_claims_present(self):
+        claims = {
+            "docs/PERFORMANCE.md": ("AUTO_WORKSET_BYTES", "AUTO_MIN_BATCH"),
+            "docs/ALGORITHM.md": (
+                "AUTO_WORKSET_BYTES", "the `APGREConfig` default",
+            ),
+            "docs/API.md": ('`batch_size` defaults to `"auto"`',),
+            "docs/KERNELS.md": ("`kernel=` with `batch_size=None`",),
+            "EXPERIMENTS.md": ("`batch_size=None`, its per-source kernel",),
+        }
+        for rel, needles in claims.items():
+            text = (ROOT / rel).read_text()
+            for claim in needles:
+                assert claim in text, (rel, claim)
+        text = (ROOT / "docs" / "ALGORITHM.md").read_text()
+        assert "matters more than the RAM bound" not in text
+
+    def test_named_surfaces_exist(self, capsys):
+        from repro.cli import build_parser
+        from repro.graph.batched import AUTO_MIN_BATCH, AUTO_WORKSET_BYTES
+
+        assert AUTO_WORKSET_BYTES == 4 << 20
+        assert AUTO_MIN_BATCH == 8
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compute", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "'auto', APGRE's default, sizes batches to a ~4 MiB" in help_text
+
+
 class TestServingDoc:
     """SERVING.md promises the daemon's protocol and versioning
     contract; pin the structural claims so the doc cannot drift."""

@@ -1,5 +1,9 @@
 """Tests for the exception hierarchy and package surface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -54,3 +58,25 @@ def test_run_selftest_api():
     report = run_selftest()
     assert len(report.checks) >= 6
     assert "self-test" in str(report)
+
+
+def test_import_and_default_run_stay_numpy_only():
+    # scipy only backs the optional SpMM kernel; the default run and
+    # the package import must not pay for loading it
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.core.apgre import apgre_bc_detailed\n"
+        "from repro.core.config import APGREConfig\n"
+        "from repro.generators.suite import analogue_graph\n"
+        "apgre_bc_detailed(analogue_graph('Email-Enron', scale=0.25), "
+        "APGREConfig())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout

@@ -468,8 +468,10 @@ class TestPullUnderFaults:
 
 class TestAutoBatchSizePull:
     def test_pull_model_shrinks_batches(self):
+        # a budget where the RAM ceiling binds (base 7 rows, pull 6):
+        # at 8 GiB both models sit on the AUTO_MIN_BATCH floor
         n, m = 200_000, 3_000_000
-        budget = 8 << 30
+        budget = 2 << 30
         base = auto_batch_size(n, m, available_bytes=budget)
         pull = auto_batch_size(n, m, available_bytes=budget, kernel="pull")
         assert pull < base

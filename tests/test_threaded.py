@@ -478,9 +478,8 @@ class TestBackendRegistry:
         assert cfg.batch_size == "auto"
         explicit = APGREConfig(backend="threads", batch_size=16)
         assert explicit.batch_size == 16
-        # workers > 1 selects an engine too, so it implies a batch width
         assert APGREConfig(workers=2).batch_size == "auto"
-        assert APGREConfig().batch_size is None
+        assert APGREConfig().batch_size == "auto"
 
 
 class TestSharedCsrBudget:
