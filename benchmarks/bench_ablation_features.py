@@ -2,7 +2,8 @@
 
 Quantifies each design choice separately: total-redundancy elimination
 (γ/R) on/off, and the α/β method (the paper's blocked BFS vs this
-reproduction's block-cut-tree DP) on undirected graphs.
+reproduction's sub-graph-tree DP) on a directed and an undirected
+graph, whose scores the experiment asserts are identical.
 """
 
 import pytest

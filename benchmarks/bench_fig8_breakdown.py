@@ -29,9 +29,9 @@ def test_apgre_detailed(benchmark, name):
 def test_report_fig8(benchmark, report):
     result = one_shot(benchmark, fig8)
     # the BC phase (top + rest) dominates on at least half the graphs
-    # (at small REPRO_SCALE the directed graphs' per-articulation-point
-    # blocked BFS is relatively more expensive than at paper scale, so
-    # the bound is looser than the paper's ~25% extra-share ceiling)
+    # (at small REPRO_SCALE the near-linear decomposition is relatively
+    # more expensive than at paper scale, so the bound is looser than
+    # the paper's ~25% extra-share ceiling)
     dominated = 0
     for row in result.rows:
         extra = float(row[5].rstrip("%"))

@@ -460,7 +460,11 @@ def ablation_threshold() -> ExperimentResult:
 
 
 def ablation_features() -> ExperimentResult:
-    """Ablation A2: feature toggles (γ elimination, α/β method)."""
+    """Ablation A2: feature toggles (γ elimination, α/β method).
+
+    Both α/β methods run on the directed and the undirected
+    representative, and must give bit-identical scores.
+    """
     rows: List[List] = []
     # a directed and an undirected representative
     for name in ("Email-EuAll", "Email-Enron"):
@@ -470,14 +474,19 @@ def ablation_features() -> ExperimentResult:
         variants = [
             ("APGRE (full)", APGREConfig()),
             ("no pendant elimination", APGREConfig(eliminate_pendants=False)),
+            ("alpha/beta: blocked BFS", APGREConfig(alpha_beta_method="bfs")),
+            ("alpha/beta: tree DP", APGREConfig(alpha_beta_method="tree")),
         ]
-        if not graph.directed:
-            variants.append(("alpha/beta: blocked BFS", APGREConfig(alpha_beta_method="bfs")))
-            variants.append(("alpha/beta: tree DP", APGREConfig(alpha_beta_method="tree")))
+        scores = {}
         for label, config in variants:
             t0 = time.perf_counter()
-            apgre_bc_detailed(graph, config)
+            scores[label] = apgre_bc_detailed(graph, config).scores
             rows.append([name, label, time.perf_counter() - t0])
+        if not np.array_equal(scores["alpha/beta: blocked BFS"],
+                              scores["alpha/beta: tree DP"]):
+            raise AssertionError(
+                f"{name}: alpha/beta methods disagree on the scores"
+            )
         if not graph.directed:
             from repro.core.treefold import treefold_bc
 

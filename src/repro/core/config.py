@@ -35,9 +35,10 @@ class APGREConfig:
         Algorithm-1 small-BCC merge threshold (vertices). Swept by the
         threshold ablation benchmark.
     alpha_beta_method:
-        ``"bfs"`` (the paper's blocked BFS), ``"tree"`` (this
-        reproduction's block-cut-tree DP, undirected only) or
-        ``"auto"`` (tree when undirected).
+        ``"bfs"`` (the paper's blocked BFS, kept as the reference),
+        ``"tree"`` (this reproduction's sub-graph-tree DP, for
+        directed and undirected graphs) or ``"auto"`` (always tree).
+        Both give identical values.
     eliminate_pendants:
         Enable the total-redundancy elimination (R/γ). Disabling it
         runs every vertex as a source — the partial-redundancy-only

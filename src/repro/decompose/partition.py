@@ -63,10 +63,10 @@ class Subgraph:
     index:
         Position within :attr:`Partition.subgraphs`.
     graph:
-        The sub-graph's own CSR (directed iff the parent graph is).
-        Contains exactly the edges of its merged biconnected
-        components — *not* the induced edge set (an edge between two
-        boundary articulation points may belong to another sub-graph).
+        The sub-graph's own CSR (directed iff the parent graph is):
+        the edges of its merged biconnected components. Sub-graphs
+        share at most one vertex pairwise, so these are exactly the
+        arcs of the parent graph induced on :attr:`vertices`.
     vertices:
         Sorted global ids of the sub-graph's vertices.
     is_boundary_art:
@@ -164,25 +164,31 @@ class Partition:
             )
 
 
+def _arc_keys(graph: CSRGraph) -> np.ndarray:
+    """Sorted linearised keys ``src * n + dst`` of every arc."""
+    src, dst = graph.arcs()
+    keys = src.astype(np.int64) * graph.n + dst.astype(np.int64)
+    keys.sort()
+    return keys
+
+
 def _directed_arcs_for_pairs(
-    graph: CSRGraph, pairs: np.ndarray
+    n: int, keys: np.ndarray, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover the original directed arcs for undirected edge pairs.
 
     The block decomposition runs on the undirected shadow; each shadow
     edge ``{u, v}`` corresponds to ``u->v``, ``v->u`` or both in the
-    directed input. Membership is tested with one vectorised
-    ``isin`` over linearised arc keys.
+    directed input. Membership is tested by binary search in the
+    graph's sorted arc keys (:func:`_arc_keys`, built once per
+    partition).
     """
-    src, dst = graph.arcs()
-    keys = src.astype(np.int64) * graph.n + dst.astype(np.int64)
-    keys.sort()
     u = pairs[:, 0].astype(np.int64)
     v = pairs[:, 1].astype(np.int64)
-    fwd = np.searchsorted(keys, u * graph.n + v)
-    fwd_ok = (fwd < keys.size) & (keys[np.minimum(fwd, keys.size - 1)] == u * graph.n + v)
-    bwd = np.searchsorted(keys, v * graph.n + u)
-    bwd_ok = (bwd < keys.size) & (keys[np.minimum(bwd, keys.size - 1)] == v * graph.n + u)
+    fwd = np.searchsorted(keys, u * n + v)
+    fwd_ok = (fwd < keys.size) & (keys[np.minimum(fwd, keys.size - 1)] == u * n + v)
+    bwd = np.searchsorted(keys, v * n + u)
+    bwd_ok = (bwd < keys.size) & (keys[np.minimum(bwd, keys.size - 1)] == v * n + u)
     out_src = np.concatenate([u[fwd_ok], v[bwd_ok]])
     out_dst = np.concatenate([v[fwd_ok], u[bwd_ok]])
     return out_src, out_dst
@@ -193,8 +199,12 @@ def _build_subgraph(
     graph: CSRGraph,
     edge_arrays: List[np.ndarray],
     extra_vertices: Optional[np.ndarray] = None,
+    arc_keys: Optional[np.ndarray] = None,
 ) -> Subgraph:
     """Materialise one sub-graph from its undirected edge arrays.
+
+    A directed ``graph`` takes its sorted ``arc_keys``
+    (:func:`_arc_keys`); an undirected one ignores them.
 
     Boundary/root/γ fields are placeholders; they are resolved by
     :func:`graph_partition` once global boundary information exists.
@@ -207,14 +217,19 @@ def _build_subgraph(
         verts = np.empty(0, dtype=np.int64)
     if extra_vertices is not None and extra_vertices.size:
         verts = np.unique(np.concatenate([verts, extra_vertices]))
-    local = np.full(graph.n, -1, dtype=np.int64)
-    local[verts] = np.arange(verts.size)
     if graph.directed:
-        gsrc, gdst = _directed_arcs_for_pairs(graph, pairs)
+        gsrc, gdst = _directed_arcs_for_pairs(graph.n, arc_keys, pairs)
     else:
         gsrc, gdst = pairs[:, 0], pairs[:, 1]
+    # each shadow edge lies in exactly one block, so the arcs are
+    # already distinct; local ids by binary search in the sorted
+    # ``verts`` keep the cost per sub-graph off the graph's size
     sub = CSRGraph.from_arcs(
-        verts.size, local[gsrc], local[gdst], directed=graph.directed
+        verts.size,
+        np.searchsorted(verts, gsrc),
+        np.searchsorted(verts, gdst),
+        directed=graph.directed,
+        dedupe=False,
     )
     n_local = verts.size
     return Subgraph(
@@ -294,10 +309,16 @@ def graph_partition(
 
     visited = np.zeros(num_blocks, dtype=bool)
     finalized: List[int] = []
+    block_cuts = [cuts.tolist() for cuts in tree.block_cuts]
+    cut_blocks = {a: blocks.tolist() for a, blocks in tree.cut_blocks.items()}
 
     # --- forest discovery: connected groups of blocks ---
+    # A block's neighbours are the blocks at its cuts. Once one block
+    # has expanded a cut, every block at that cut is seen, so later
+    # blocks skip it and a hub's list is walked once, not per block.
     forests: List[List[int]] = []
     seen = np.zeros(num_blocks, dtype=bool)
+    expanded: Set[int] = set()
     for c0 in range(num_blocks):
         if seen[c0]:
             continue
@@ -306,30 +327,46 @@ def graph_partition(
         queue = [c0]
         while queue:
             c = queue.pop()
-            for nb in tree.block_neighbors(c):
-                if not seen[nb]:
-                    seen[nb] = True
-                    comp.append(nb)
-                    queue.append(nb)
+            for a in block_cuts[c]:
+                if a in expanded:
+                    continue
+                expanded.add(a)
+                for nb in cut_blocks[a]:
+                    if not seen[nb]:
+                        seen[nb] = True
+                        comp.append(nb)
+                        queue.append(nb)
         forests.append(comp)
 
     # --- Algorithm 1 DFS per forest, rooted at its top BCC ---
+    # A block takes its neighbours cut by cut (``cut_at``), each cut
+    # list from one cursor shared by all its blocks (``cut_next``):
+    # entries before a cursor are visited, so every block still gets
+    # its first unvisited neighbour and each list is walked once.
+    cut_at = [0] * num_blocks
+    cut_next = dict.fromkeys(cut_blocks, 0)
     for forest in forests:
         top = forest[int(np.argmax(block_edge_counts[forest]))]
         visited[top] = True
         stack = [top]
-        cursors = {top: iter(tree.block_neighbors(top))}
         while stack:
             curr = stack[-1]
-            advanced = False
-            for nb in cursors[curr]:
-                if not visited[nb]:
-                    visited[nb] = True
-                    stack.append(nb)
-                    cursors[nb] = iter(tree.block_neighbors(nb))
-                    advanced = True
+            cuts = block_cuts[curr]
+            nb = -1
+            while cut_at[curr] < len(cuts):
+                a = cuts[cut_at[curr]]
+                blocks = cut_blocks[a]
+                k = cut_next[a]
+                while k < len(blocks) and visited[blocks[k]]:
+                    k += 1
+                cut_next[a] = k
+                if k < len(blocks):
+                    nb = blocks[k]
                     break
-            if advanced:
+                cut_at[curr] += 1
+            if nb >= 0:
+                visited[nb] = True
+                stack.append(nb)
                 continue
             stack.pop()
             if not stack:
@@ -347,15 +384,19 @@ def graph_partition(
                 finalized.append(curr)
 
     # --- materialise sub-graphs ---
+    keys = _arc_keys(graph) if graph.directed else None
     subgraphs: List[Subgraph] = []
     for gid in finalized:
         subgraphs.append(
-            _build_subgraph(len(subgraphs), graph, group_edges[gid])
+            _build_subgraph(
+                len(subgraphs), graph, group_edges[gid], arc_keys=keys
+            )
         )
     if bcc.isolated_vertices.size:
         subgraphs.append(
             _build_subgraph(
-                len(subgraphs), graph, [], extra_vertices=bcc.isolated_vertices
+                len(subgraphs), graph, [],
+                extra_vertices=bcc.isolated_vertices, arc_keys=keys,
             )
         )
 

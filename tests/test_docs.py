@@ -412,3 +412,35 @@ class TestDesignModuleMap:
                 except ImportError:
                     continue
             assert imported is not None, dotted
+
+
+class TestAlphaBetaDocs:
+    """The sub-graph-tree α/β DP covers directed graphs and is what
+    ``"auto"`` picks everywhere; no doc may still call it
+    undirected-only."""
+
+    STALE = re.compile(
+        r"undirected tree-DP fast path|DP for undirected graphs"
+        r"|tree DP on undirected graphs|undirected only\) or"
+        r"|tree when undirected"
+    )
+
+    def test_docs_describe_one_dp(self):
+        from repro.core.config import APGREConfig
+        from repro.decompose import alphabeta
+
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+                ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md"))]
+        texts = {p.name: p.read_text() for p in docs}
+        texts["APGREConfig"] = APGREConfig.__doc__
+        texts["alphabeta"] = alphabeta.__doc__
+        for name, text in texts.items():
+            found = self.STALE.findall(text)
+            assert not found, f"{name} names {found}"
+        assert "always tree" in APGREConfig.__doc__
+        assert "D_j(a)" in texts["ALGORITHM.md"]
+
+    def test_changelog_carries_the_note(self):
+        text = (ROOT / "CHANGELOG.md").read_text()
+        assert '`compute_alpha_beta(method="tree")` accepts directed' in text
+        assert 'picks `"tree"` for every' in text

@@ -61,8 +61,9 @@ def test_run_selftest_api():
 
 
 def test_import_and_default_run_stay_numpy_only():
-    # scipy only backs the optional SpMM kernel; the default run and
-    # the package import must not pay for loading it
+    # scipy only backs the optional SpMM kernel; the default run (on
+    # an undirected and a directed graph) and the package import must
+    # not pay for loading it
     code = (
         "import sys\n"
         "import repro\n"
@@ -70,6 +71,8 @@ def test_import_and_default_run_stay_numpy_only():
         "from repro.core.config import APGREConfig\n"
         "from repro.generators.suite import analogue_graph\n"
         "apgre_bc_detailed(analogue_graph('Email-Enron', scale=0.25), "
+        "APGREConfig())\n"
+        "apgre_bc_detailed(analogue_graph('Email-EuAll', scale=0.25), "
         "APGREConfig())\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )

@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 (GraphPartition) and sub-graph construction."""
 
+import time
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -24,6 +26,16 @@ class TestPartitionInvariants:
     @pytest.mark.parametrize("threshold", [0, 2, 5, 16, 1000])
     def test_threshold_sweep_invariants(self, und_random, threshold):
         partition = graph_partition(und_random, threshold=threshold)
+        partition.validate()
+
+    @pytest.mark.timeout(30)
+    def test_hub_blocks_partition_in_linear_time(self):
+        # 4000 single-edge blocks meet at one cut vertex; walking the
+        # hub's block list once per block made this take ~11 s
+        star = from_edges([(0, i) for i in range(1, 4001)])
+        t0 = time.perf_counter()
+        partition = graph_partition(star)
+        assert time.perf_counter() - t0 < 2.0
         partition.validate()
 
     def test_negative_threshold(self, und_random):

@@ -108,12 +108,40 @@ def test_partition_invariants(g):
         assert sg.gamma.sum() == sg.removed.size
 
 
-@given(random_graphs(directed=False))
+@given(random_graphs(), st.integers(min_value=0, max_value=20))
 @settings(**SETTINGS)
-def test_alpha_beta_tree_equals_bfs(g):
-    """(c) the tree DP and blocked BFS agree on undirected graphs."""
-    p1 = graph_partition(g)
-    p2 = graph_partition(g)
+def test_subgraphs_form_a_tree(g, threshold):
+    """(b') what the α/β tree DP rests on: sub-graphs share at most one
+    vertex pairwise, each owns exactly its induced arcs, and sub-graphs
+    plus boundary arts, joined by membership, form a forest."""
+    partition = graph_partition(g, threshold=threshold)
+    vertex_sets = [set(sg.vertices.tolist()) for sg in partition.subgraphs]
+    for i, a in enumerate(vertex_sets):
+        for b in vertex_sets[i + 1:]:
+            assert len(a & b) <= 1
+    src, dst = g.arcs()
+    for sg, verts in zip(partition.subgraphs, vertex_sets):
+        induced = {
+            (u, v) for u, v in zip(src.tolist(), dst.tolist())
+            if u in verts and v in verts
+        }
+        ssrc, sdst = sg.graph.arcs()
+        owned = set(zip(sg.vertices[ssrc].tolist(), sg.vertices[sdst].tolist()))
+        assert owned == induced
+    tree = nx.Graph()
+    for sg in partition.subgraphs:
+        tree.add_node(("sg", sg.index))
+        for a in sg.vertices[sg.is_boundary_art].tolist():
+            tree.add_edge(("sg", sg.index), ("art", a))
+    assert nx.is_forest(tree)
+
+
+@given(random_graphs(), st.integers(min_value=0, max_value=9))
+@settings(**SETTINGS)
+def test_alpha_beta_tree_equals_bfs(g, threshold):
+    """(c) the tree DP and blocked BFS agree, in both directions."""
+    p1 = graph_partition(g, threshold=threshold)
+    p2 = graph_partition(g, threshold=threshold)
     compute_alpha_beta(g, p1, method="bfs")
     compute_alpha_beta(g, p2, method="tree")
     for sg1, sg2 in zip(p1.subgraphs, p2.subgraphs):
