@@ -202,7 +202,7 @@ def run_per_source(
     ``kernel`` names the compute kernel the batched paths traverse
     with (:mod:`repro.graph.kernels`: ``"auto"`` / ``"arcs"`` /
     ``"spmm"`` / ``"pull"``); ``None`` defers to
-    ``REPRO_KERNEL`` and then automatic selection.  It requires a
+    ``REPRO_KERNEL`` and then the host default.  It requires a
     batched run, so passing it without ``batch_size`` implies
     ``batch_size="auto"`` (like ``backend``).
     """

@@ -147,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="compute kernel for the batched traversals: pure-numpy "
         "scatters, scipy sparse-matmul levels, direction-optimizing "
-        "push/pull, or 'auto' "
-        "(per-sub-graph structural selection, honours REPRO_KERNEL); "
+        "push/pull, or 'auto' (per-sub-graph structural selection); "
+        "unset: REPRO_KERNEL, else spmm when scipy's extension "
+        "loads, else arcs; "
         "implies --batch-size auto unless one is given; an "
         "unavailable kernel degrades to the default with a warning",
     )

@@ -47,7 +47,8 @@ class APGREConfig:
         Execution engine for the BC phase when ``workers > 1``
         (:mod:`repro.parallel.backends`): ``"threads"`` (worker
         threads over the shared in-process CSR — true multicore via
-        the GIL-releasing SpMM kernel, zero fork/pickle overhead),
+        the GIL-releasing SpMM kernel, which APGRE's sub-graph sweep
+        runs by default; zero fork/pickle overhead),
         ``"processes"`` (the supervised shared-memory fork pool),
         ``"serial"`` (inline chunk loop), or ``"auto"`` (best engine
         for this host).  ``None`` (default) defers to the
@@ -146,16 +147,17 @@ class APGREConfig:
         Interior size ceiling per shard (vertices).  Only sub-graphs
         strictly larger than this are split.
     kernel:
-        Compute kernel for the batched traversals
-        (:mod:`repro.graph.kernels`): ``"arcs"`` (pure numpy,
-        bit-identical to serial), ``"spmm"`` (scipy sparse-matmul
-        levels), ``"pull"`` (direction-optimizing push/pull), or
-        ``"auto"`` (per-sub-graph selection from structural features).
-        ``None`` (default) defers to the ``REPRO_KERNEL`` environment
-        variable and then automatic selection.  Kernels run inside the
-        batched paths, so a kernel needs a batch size; requesting an
-        unavailable kernel degrades to the default with a
-        ``RuntimeWarning``.
+        Compute kernel every sub-graph batch runs
+        (:mod:`repro.graph.kernels`; each one runs Algorithm 2 as one
+        weighted sweep): ``"arcs"`` (pure numpy), ``"spmm"`` (scipy
+        sparse-matmul levels), ``"pull"`` (direction-optimizing
+        push/pull), or ``"auto"`` (per-sub-graph selection from
+        structural features).  ``None`` (default) defers to the
+        ``REPRO_KERNEL`` environment variable and then the host
+        default: ``"spmm"`` when scipy's sparsetools extension loads,
+        else ``"arcs"``.  Kernels run inside the batched paths, so a
+        kernel needs a batch size; requesting an unavailable kernel
+        degrades to the default with a ``RuntimeWarning``.
     """
 
     threshold: int = DEFAULT_THRESHOLD

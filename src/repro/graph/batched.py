@@ -34,13 +34,22 @@ Two kernels implement the batched contraction:
   agree with the per-source path to float64 tolerance and the examined
   -edge tally is still identical (counted runs carry the arc
   multiplicities in the imaginary part of a complex matmul).
+
+Every kernel also runs the *weighted* sweep APGRE's sub-graph step
+needs (:class:`SweepWeights`): rows seeded with external mass at the
+boundary articulation points, the same backward recurrence, and rows
+merged with per-source weights plus a per-source self term.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -55,12 +64,14 @@ __all__ = [
     "DEFAULT_MAX_BATCH",
     "BatchedBFSResult",
     "BatchWorkspace",
+    "SweepWeights",
     "available_memory_bytes",
     "auto_batch_size",
     "resolve_batch_size",
     "bfs_sigma_batched",
     "arc_segments",
     "accumulate_dependencies_batched",
+    "merge_rows",
     "arcs_contributions",
     "batched_contributions",
     "batched_bc_scores",
@@ -325,7 +336,6 @@ def bfs_sigma_batched(
     *,
     keep_level_arcs: bool = False,
     workspace: Optional[BatchWorkspace] = None,
-    kernel: Optional[str] = None,
 ) -> BatchedBFSResult:
     """Forward BFS with σ counting for a whole batch of sources.
 
@@ -339,33 +349,7 @@ def bfs_sigma_batched(
     the workspace's reusable buffers (re-initialised here exactly as
     fresh allocations would be); the returned result then only stays
     valid until the workspace's next use.
-
-    ``kernel`` selects the forward traversal: ``None`` or ``"arcs"``
-    (and ``"spmm"``, whose forward phase is this push
-    step) run the top-down body below with *no* environment lookup —
-    this is the low-level primitive; ``"pull"`` delegates to the
-    direction-optimizing
-    :func:`repro.graph.kernels.pull.bfs_sigma_batched_pull`, and
-    ``"auto"`` resolves through the kernel registry for this graph and
-    batch first.
     """
-    if kernel is not None and kernel not in ("arcs", "spmm"):
-        from repro.graph import kernels as _kernels
-
-        if kernel == "auto":
-            srcs = np.asarray(sources, dtype=np.int64).ravel()
-            kernel = _kernels.select_kernel(graph, srcs.size)
-        if kernel == "pull":
-            from repro.graph.kernels.pull import bfs_sigma_batched_pull
-
-            return bfs_sigma_batched_pull(
-                graph,
-                sources,
-                keep_level_arcs=keep_level_arcs,
-                workspace=workspace,
-            )
-        if kernel not in ("arcs", "spmm"):
-            _kernels.get_kernel(kernel)  # raises with the known names
     n = graph.n
     srcs = np.asarray(sources, dtype=np.int64).ravel()
     b = srcs.size
@@ -480,11 +464,94 @@ def arc_segments(flat_src: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return flat_src[starts], starts
 
 
+@dataclass(frozen=True)
+class SweepWeights:
+    """Per-graph weights of the reach-weighted sweep (one sub-graph).
+
+    APGRE's sub-graph step (Algorithm 2) is one Brandes sweep of
+    ``y_s = δ_i2i + δ_i2o``: ``δ_o2i = β(s)·δ_i2i`` and
+    ``δ_o2o = β(s)·δ_i2o`` fold into a per-source row weight (the
+    reach-weighted accumulation of Sarıyüce et al.).  With these
+    weights a kernel
+
+    * seeds every row with ``ext`` (zero at the row's own source),
+    * runs the plain backward step
+      ``y[tail] += σ(tail)·Σ_w (1 + y[w])/σ(w)``,
+    * returns ``Σ_rows scale[s]·y_s(v)`` over reached ``v ≠ s``, plus
+      ``gamma[s]·(y_s(s) + shift[s])`` at each source ``s``.
+
+    All four arrays are indexed by vertex.
+    """
+
+    #: mass beyond each vertex seeded into every row (α at boundary
+    #: articulation points, else 0)
+    ext: np.ndarray
+    #: weight of source ``s``'s row (``1 + γ(s) + β(s)·[s ∈ A]``)
+    scale: np.ndarray
+    #: weight of source ``s``'s self term (``γ(s)``)
+    gamma: np.ndarray
+    #: added to ``y_s(s)`` in the self term
+    #: (``α(s)·[s ∈ A] − [undirected]``)
+    shift: np.ndarray
+    #: vertices with non-zero ``ext`` (derived)
+    arts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arts", np.flatnonzero(self.ext))
+
+
+def _seed_rows(
+    delta: np.ndarray, sources: np.ndarray, weights: Optional[SweepWeights]
+) -> None:
+    """Initialise a zeroed ``(B, n)`` dependency matrix for ``weights``.
+
+    Every row gets the external mass ``ext``, except at its own source
+    ("for all i ∈ A_sgi && i != s"); plain sweeps stay all-zero.
+    """
+    if weights is not None and weights.arts.size:
+        delta[:, weights.arts] = weights.ext[weights.arts]
+        delta[np.arange(sources.size), sources] = 0.0
+
+
+def merge_rows(
+    delta: np.ndarray,
+    dist: np.ndarray,
+    sources: np.ndarray,
+    weights: Optional[SweepWeights],
+) -> np.ndarray:
+    """Sum a batch's ``(B, n)`` dependency rows into one ``(n,)`` vector.
+
+    Plain sweeps zero each row's own source and add the rows.  Weighted
+    sweeps merge reached ``v ≠ s`` with the row weights and add each
+    source's self term (see :class:`SweepWeights`).  ``delta`` is
+    overwritten; the result never aliases it.
+    """
+    rows = np.arange(sources.size)
+    if weights is None:
+        delta[rows, sources] = 0.0
+        return delta.sum(axis=0)
+    arts = weights.arts
+    if arts.size:
+        # an unreached articulation point still holds its seed, and only
+        # reached vertices merge (Algorithm 2 walks the level buckets)
+        seeded = delta[:, arts]
+        seeded[dist[:, arts] < 0] = 0.0
+        delta[:, arts] = seeded
+    own = delta[rows, sources]
+    delta[rows, sources] = 0.0
+    out = weights.scale[sources] @ delta
+    np.add.at(
+        out, sources, weights.gamma[sources] * (own + weights.shift[sources])
+    )
+    return out
+
+
 def accumulate_dependencies_batched(
     res: BatchedBFSResult,
     *,
     counter=None,
     workspace: Optional[BatchWorkspace] = None,
+    weights: Optional[SweepWeights] = None,
 ) -> np.ndarray:
     """Batched backward phase: δ_s(v) for every source in the batch.
 
@@ -493,6 +560,7 @@ def accumulate_dependencies_batched(
     the whole batch.  Returns a ``(B, n)`` dependency matrix whose row
     ``i`` equals the serial ``accumulate_dependencies(..., mode="arcs")``
     for ``sources[i]``; the examined-edge tally matches it too.
+    ``weights`` seeds the rows first (see :class:`SweepWeights`).
 
     ``workspace`` reuses the workspace's delta buffer (zeroed here);
     pass the same workspace the forward phase used — the delta buffer
@@ -502,12 +570,13 @@ def accumulate_dependencies_batched(
         raise AlgorithmError(
             "batched dependency accumulation needs keep_level_arcs=True"
         )
+    b, n = res.dist.shape
     if workspace is None:
         delta_flat = np.zeros(res.dist.size, dtype=SCORE_DTYPE)
     else:
-        b, n = res.dist.shape
         delta_flat = workspace.arrays(b, n)[2]
         delta_flat.fill(0.0)
+    _seed_rows(delta_flat.reshape(b, n), res.sources, weights)
     sigma_flat = res.sigma.reshape(-1)
     for flat_src, flat_dst in reversed(res.level_arcs):
         if counter is not None:
@@ -517,26 +586,55 @@ def accumulate_dependencies_batched(
         coef = sigma_flat[flat_src] / sigma_flat[flat_dst]
         tails, runs = arc_segments(flat_src)
         # a vertex only receives contributions at its own level, so
-        # delta[tails] is still zero here and the segmented sum equals
-        # the serial np.add.at accumulation bit for bit
-        delta_flat[tails] = np.add.reduceat(
+        # delta[tails] still holds its seed (zero in a plain sweep) and
+        # the segmented sum equals the serial np.add.at bit for bit
+        delta_flat[tails] += np.add.reduceat(
             coef * (1.0 + delta_flat[flat_dst]), runs
         )
-    return delta_flat.reshape(res.dist.shape)
+    return delta_flat.reshape(b, n)
+
+
+#: scipy's C sparse-matmul extension module
+_SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
 @functools.lru_cache(maxsize=None)
 def _sparsetools():
-    """scipy's C sparse-matmul module, imported on first use.
+    """scipy's C sparse-matmul extension, loaded on first use.
 
-    Deferred so that ``import repro`` and runs that never take the
-    SpMM kernel stay numpy-only; ``None`` when scipy is absent.
+    The extension file beside the ``scipy`` package is loaded directly,
+    without running the ``scipy.sparse`` package ``__init__`` (75
+    modules and ~13 MB of resident memory), and registered under its
+    own name so that a later ``import scipy.sparse`` reuses it.
+    ``import repro`` never loads it.  ``None`` when scipy or the
+    extension is missing or fails to load (the ``arcs`` kernel then
+    serves).
     """
-    try:
-        from scipy.sparse import _sparsetools
-    except ImportError:  # pragma: no cover - scipy absent in minimal envs
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
         return None
-    return _sparsetools
+    folder = Path(spec.origin).parent / "sparse"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_sparsetools{suffix}"
+        if path.is_file():
+            break
+    else:
+        return None
+    loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, str(path))
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(
+                _SPARSETOOLS, path, loader=loader
+            )
+        )
+        loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    sys.modules[_SPARSETOOLS] = module
+    return module
 
 
 def spmm_available() -> bool:
@@ -601,6 +699,7 @@ def spmm_contributions(
     counter=None,
     operands: Optional["_SpmmOperands"] = None,
     workspace: Optional[BatchWorkspace] = None,
+    weights: Optional[SweepWeights] = None,
 ) -> np.ndarray:
     """Summed BC contributions of one batch via sparse matmuls.
 
@@ -623,6 +722,9 @@ def spmm_contributions(
     candidates recovers the shortest-path-DAG arc count, making the
     tally (forward examinations + DAG replays) *identical* to the
     serial per-source path at the cost of one wider product.
+
+    ``weights`` runs the weighted sweep of :class:`SweepWeights`: δ
+    starts from the seeded rows and each level adds to it.
     """
     spmm_tools = _sparsetools()
     if spmm_tools is None:
@@ -712,6 +814,7 @@ def spmm_contributions(
     else:
         delta_buf.fill(0.0)
         delta = delta_buf
+    _seed_rows(delta.reshape(b, n), srcs, weights)
     bp, bj, bx = ops.bwd
     for lvl in range(len(levels) - 1, 0, -1):
         flat, cols, fp, vals = levels[lvl]
@@ -730,11 +833,9 @@ def spmm_contributions(
         up = dist[cand] == lvl - 1
         tgt = cand[up]
         # a vertex collects its whole δ at its own level (candidates
-        # one level up are unique per row), so this is an assignment
-        delta[tgt] = sigma[tgt] * cx[:nnz][up]
-    delta2 = delta.reshape(b, n)
-    delta2[rows, srcs] = 0.0
-    return delta2.sum(axis=0)
+        # one level up are unique per row) on top of its seed
+        delta[tgt] += sigma[tgt] * cx[:nnz][up]
+    return merge_rows(delta.reshape(b, n), dist.reshape(b, n), srcs, weights)
 
 
 def arcs_contributions(
@@ -744,13 +845,15 @@ def arcs_contributions(
     counter=None,
     workspace: Optional[BatchWorkspace] = None,
     context=None,
+    weights: Optional[SweepWeights] = None,
 ) -> np.ndarray:
     """Summed BC contributions of one batch via the ``"arcs"`` kernel.
 
     Pure-numpy push BFS + recorded-DAG backward replay; per-row bit
     -identical to the serial per-source path, tally included.
     ``context`` is accepted for kernel-signature uniformity (the arcs
-    kernel needs no prepared operands).
+    kernel needs no prepared operands); ``weights`` runs the weighted
+    sweep of :class:`SweepWeights`.
     """
     srcs = np.asarray(sources, dtype=np.int64).ravel()
     res = bfs_sigma_batched(
@@ -759,10 +862,9 @@ def arcs_contributions(
     if counter is not None:
         counter.add(res.edges_traversed)
     delta = accumulate_dependencies_batched(
-        res, counter=counter, workspace=workspace
+        res, counter=counter, workspace=workspace, weights=weights
     )
-    delta[np.arange(srcs.size), srcs] = 0.0
-    return delta.sum(axis=0)
+    return merge_rows(delta, res.dist, srcs, weights)
 
 
 def batched_contributions(
@@ -807,14 +909,17 @@ def batched_bc_scores(
     counter=None,
     kernel: Optional[str] = None,
     workspace: Optional[BatchWorkspace] = None,
+    weights: Optional[SweepWeights] = None,
 ) -> np.ndarray:
     """BC contribution sum over ``sources``, ``batch`` roots at a time.
 
-    The chunk loop behind ``run_per_source(..., batch_size=...)``:
-    resolves ``kernel`` through :mod:`repro.graph.kernels` once, then
-    shares the kernel's prepared context (SpMM operands, ...) and one reusable :class:`BatchWorkspace`
-    across all chunks so per-chunk setup and state allocation are
-    amortised over the whole run.
+    The chunk loop behind ``run_per_source(..., batch_size=...)`` and
+    APGRE's sub-graph step: resolves ``kernel`` through
+    :mod:`repro.graph.kernels` once, then shares the kernel's prepared
+    context (SpMM operands, ...) and one reusable
+    :class:`BatchWorkspace` across all chunks so per-chunk setup and
+    state allocation are amortised over the whole run.  ``weights``
+    runs every chunk as the weighted sweep of :class:`SweepWeights`.
     """
     from repro.graph import kernels as _kernels
 
@@ -840,5 +945,6 @@ def batched_bc_scores(
             counter=counter,
             workspace=workspace,
             context=ctx,
+            weights=weights,
         )
     return bc

@@ -14,7 +14,7 @@ a capability probe, so optional dependencies degrade to a clean miss
 ``"spmm"``
     The scipy ``csr_matmat`` level kernel
     (:func:`repro.graph.batched.spmm_contributions`) — the default
-    whenever scipy's C backend imports.
+    whenever scipy's sparsetools extension loads.
 ``"pull"``
     The direction-optimizing (push/pull) kernel
     (:mod:`repro.graph.kernels.pull`): Beamer-style top-down /
@@ -22,9 +22,14 @@ a capability probe, so optional dependencies degrade to a clean miss
     available.  Bottom-up probes are tallied separately
     (``edges_pulled``) but stay inside TEPS.
 
+Every kernel serves both Brandes and APGRE's sub-graph step: the
+contract's ``weights`` (:class:`repro.graph.batched.SweepWeights`)
+turn the plain batched sweep into the weighted one.
+
 ``resolve_kernel_name`` mirrors ``resolve_backend``: an explicit name
-wins, then the ``REPRO_KERNEL`` environment variable, then ``"auto"``
-— which picks per sub-graph from cheap structural features (density,
+wins, then the ``REPRO_KERNEL`` environment variable, then the host
+default (:func:`default_kernel_name`).  ``"auto"``, by name only,
+picks per sub-graph from cheap structural features (density,
 two-sweep estimated diameter, BFS coverage, batch width) and **never**
 selects an unavailable kernel.  Explicitly requesting an unavailable kernel
 degrades to the default with a :class:`RuntimeWarning`.
@@ -89,9 +94,12 @@ class ComputeKernel:
     """One traversal strategy for batched BC contributions.
 
     ``contributions(graph, sources, *, counter=None, workspace=None,
-    context=None)`` returns the summed ``(n,)`` dependency vector of
-    the batch with source self-dependencies zeroed — the contract of
-    :func:`repro.graph.batched.batched_contributions`.  ``prepare``
+    context=None, weights=None)`` returns the summed ``(n,)``
+    dependency vector of the batch with source self-dependencies
+    zeroed — the contract of
+    :func:`repro.graph.batched.batched_contributions` — or, with
+    ``weights``, the weighted merge of
+    :class:`~repro.graph.batched.SweepWeights`.  ``prepare``
     optionally builds per-run shared state (SpMM operands, compiled
     functions) handed back as ``context``; ``probe`` must be cheap and
     side-effect free after its first call.
@@ -233,13 +241,18 @@ def resolve_kernel_name(
 ) -> str:
     """Resolve a kernel option to an available registered name.
 
-    ``None`` defers to ``REPRO_KERNEL`` and then ``"auto"``; ``"auto"``
-    selects per (graph, batch) via :func:`select_kernel`.  A known but
-    unavailable kernel degrades to :func:`default_kernel_name` with a
-    :class:`RuntimeWarning`; an unknown name raises.
+    ``None`` defers to ``REPRO_KERNEL`` and then
+    :func:`default_kernel_name` — never to ``"auto"``, whose feature
+    probe would run once per fresh graph (every sub-graph of an APGRE
+    run).  ``"auto"`` selects per (graph, batch) via
+    :func:`select_kernel`.  A known but unavailable kernel degrades to
+    :func:`default_kernel_name` with a :class:`RuntimeWarning`; an
+    unknown name raises.
     """
     if name is None:
-        name = os.environ.get(KERNEL_ENV_VAR, "").strip() or "auto"
+        name = os.environ.get(KERNEL_ENV_VAR, "").strip()
+        if not name:
+            return default_kernel_name()
     if name == "auto":
         return select_kernel(graph, batch)
     kernel = get_kernel(name)
@@ -276,19 +289,22 @@ def kernel_report() -> Dict[str, Dict[str, object]]:
 
 
 def _arcs_kernel_contributions(
-    graph, sources, *, counter=None, workspace=None, context=None
+    graph, sources, *, counter=None, workspace=None, context=None,
+    weights=None,
 ):
     return arcs_contributions(
-        graph, sources, counter=counter, workspace=workspace
+        graph, sources, counter=counter, workspace=workspace,
+        weights=weights,
     )
 
 
 def _spmm_kernel_contributions(
-    graph, sources, *, counter=None, workspace=None, context=None
+    graph, sources, *, counter=None, workspace=None, context=None,
+    weights=None,
 ):
     return spmm_contributions(
         graph, sources, counter=counter, operands=context,
-        workspace=workspace,
+        workspace=workspace, weights=weights,
     )
 
 
@@ -304,7 +320,7 @@ register_kernel(ComputeKernel(
     name="spmm",
     description="scipy csr_matmat level products (C-compiled expansion)",
     probe=spmm_available,
-    unavailable_reason="scipy.sparse._sparsetools is not importable",
+    unavailable_reason="scipy.sparse._sparsetools does not load",
     contributions=_spmm_kernel_contributions,
     prepare=_spmm_operands_for,
 ))

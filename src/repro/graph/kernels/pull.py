@@ -47,7 +47,9 @@ from repro.errors import AlgorithmError
 from repro.graph.batched import (
     BatchedBFSResult,
     BatchWorkspace,
+    SweepWeights,
     accumulate_dependencies_batched,
+    merge_rows,
 )
 from repro.graph.csr import CSRGraph
 from repro.types import SCORE_DTYPE
@@ -279,6 +281,7 @@ def pull_contributions(
     counter=None,
     workspace: Optional[BatchWorkspace] = None,
     context=None,
+    weights: Optional[SweepWeights] = None,
     alpha: float = PULL_ALPHA,
 ) -> np.ndarray:
     """Summed BC contributions of one batch via the push/pull kernel.
@@ -286,9 +289,9 @@ def pull_contributions(
     Forward direction-optimizing BFS + the standard recorded-DAG
     backward sweep (the per-level arc sets are identical to the
     top-down kernels, so :func:`accumulate_dependencies_batched`
-    replays them unchanged); source self-dependencies zeroed, rows
-    summed.  Backward replays land in ``edges_traversed`` exactly as
-    the ``arcs`` kernel counts them.
+    replays them unchanged, ``weights`` included); rows merged by
+    :func:`~repro.graph.batched.merge_rows`.  Backward replays land in
+    ``edges_traversed`` exactly as the ``arcs`` kernel counts them.
     """
     srcs = np.asarray(sources, dtype=np.int64).ravel()
     res = bfs_sigma_batched_pull(
@@ -297,7 +300,6 @@ def pull_contributions(
     )
     tally_traversal(counter, res)
     delta = accumulate_dependencies_batched(
-        res, counter=counter, workspace=workspace
+        res, counter=counter, workspace=workspace, weights=weights
     )
-    delta[np.arange(srcs.size), srcs] = 0.0
-    return delta.sum(axis=0)
+    return merge_rows(delta, res.dist, srcs, weights)

@@ -27,13 +27,18 @@ from repro.graph.batched import (
     AUTO_WORKSET_BYTES,
     DEFAULT_MAX_BATCH,
     auto_batch_size,
+    batched_bc_scores,
     batched_contributions,
     bfs_sigma_batched,
     resolve_batch_size,
 )
+from repro.graph.kernels import get_kernel, kernel_names
 from repro.graph.traversal import bfs_sigma
 
 from tests.conftest import nx_betweenness
+
+#: every kernel this host can run (spmm needs scipy's extension)
+KERNELS = [k for k in kernel_names() if get_kernel(k).available()]
 
 
 class TestBfsSigmaBatched:
@@ -205,6 +210,8 @@ class TestBatchedBrandes:
 
 
 class TestBatchedSubgraph:
+    # the kernels loop inside the tests: one id per (graph, mode)
+    # covers every kernel the host can run
     @pytest.mark.parametrize("eliminate", [True, False])
     def test_matches_per_source_subgraph(self, zoo_entry, eliminate):
         _name, g, _nxg = zoo_entry
@@ -213,35 +220,70 @@ class TestBatchedSubgraph:
         partition = graph_partition(g)
         compute_alpha_beta(g, partition)
         for sg in partition.subgraphs:
-            serial_c, batched_c = WorkCounter(), WorkCounter()
+            serial_c = WorkCounter()
             ref = bc_subgraph(
                 sg, eliminate_pendants=eliminate, counter=serial_c
             )
-            for bs in (1, 3, "auto"):
-                got = bc_subgraph_batched(
-                    sg,
-                    eliminate_pendants=eliminate,
-                    batch_size=bs,
-                    counter=batched_c if bs == 3 else None,
-                )
-                np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
-            assert batched_c.edges == serial_c.edges
+            roots = sg.roots if eliminate else np.arange(sg.graph.n)
+            for kernel in KERNELS:
+                for bs in (1, 3, "auto"):
+                    batched_c = WorkCounter()
+                    got = bc_subgraph_batched(
+                        sg,
+                        eliminate_pendants=eliminate,
+                        batch_size=bs,
+                        kernel=kernel,
+                        counter=batched_c,
+                    )
+                    np.testing.assert_allclose(
+                        got, ref, rtol=1e-9, atol=1e-9, err_msg=kernel
+                    )
+                    if kernel != "pull":
+                        assert batched_c.edges == serial_c.edges, kernel
+                        assert batched_c.pulled == 0, kernel
+                        continue
+                    # pull examines its own arcs; the weights must not
+                    # change which: same split as the plain sweep
+                    plain_c = WorkCounter()
+                    if roots.size:
+                        batched_bc_scores(
+                            sg.graph,
+                            roots,
+                            batch=resolve_batch_size(
+                                bs, sg.graph.n, sg.graph.num_arcs,
+                                kernel="pull",
+                            ),
+                            kernel="pull",
+                            counter=plain_c,
+                        )
+                    assert (
+                        batched_c.edges, batched_c.pulled, batched_c.switches
+                    ) == (plain_c.edges, plain_c.pulled, plain_c.switches)
 
-    @pytest.mark.parametrize("name", ["USA-roadBAY", "Email-Enron"])
-    def test_auto_batch_stays_in_working_set(self, name):
-        g = analogue_graph(name, scale=2.0, seed=1)
+    @pytest.mark.parametrize(
+        "name,scale",
+        [("USA-roadBAY", 2.0), ("Email-Enron", 2.0), ("WikiTalk", 6.0)],
+        ids=["USA-roadBAY", "Email-Enron", "WikiTalk"],
+    )
+    def test_auto_batch_stays_in_working_set(self, name, scale):
+        g = analogue_graph(name, scale=scale, seed=1)
         partition = graph_partition(g)
         compute_alpha_beta(g, partition)
         top = partition.top
         roots = top.roots[:128]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            bc_subgraph_batched(top, batch_size="auto", roots=roots)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * AUTO_WORKSET_BYTES, f"{peak / 2**20:.1f} MiB"
+        for kernel in [k for k in ("arcs", "spmm") if k in KERNELS]:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bc_subgraph_batched(
+                    top, batch_size="auto", roots=roots, kernel=kernel
+                )
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * AUTO_WORKSET_BYTES, (
+                f"{kernel}: {peak / 2**20:.1f} MiB"
+            )
 
     def test_root_subsets_sum(self, zoo_entry):
         _name, g, _nxg = zoo_entry

@@ -67,13 +67,15 @@ class TestReadmePromises:
 
 
 class TestRemovedSpellings:
-    """``backend=`` is the only engine spelling and the numba kernel is
-    gone; only the CHANGELOG's migration note may name what was
-    removed."""
+    """``backend=`` is the only engine spelling, the numba kernel is
+    gone, and so is the batched four-dependency sweep; only the
+    CHANGELOG's migration note may name what was removed."""
 
     REMOVED = re.compile(
         r"\bparallel=|\bparallel_batched\b|--parallel-batched"
         r"|\bfork_map\b|\bthread_map\b|\bnumba\b"
+        r"|\baccumulate_four_dependencies_batched\b"
+        r"|\bBatchedFourDependencies\b"
     )
 
     def test_docs_name_only_live_surfaces(self):
@@ -412,6 +414,74 @@ class TestDesignModuleMap:
                 except ImportError:
                     continue
             assert imported is not None, dotted
+
+
+class TestWeightedSweepDocs:
+    """APGRE's batched sub-graph step is one weighted sweep that every
+    registered kernel runs, ``spmm`` by default; pin the docs to it."""
+
+    def test_structural_claims_present(self):
+        claims = {
+            "docs/ALGORITHM.md": (
+                "**One weighted sweep.**",
+                "`δ_o2o = β(s)·δ_i2o`",
+                "arXiv:1209.6007",
+                "**self term**",
+                "**Why APGRE runs every kernel.**",
+            ),
+            "docs/KERNELS.md": (
+                "each name runs its own kernel",
+                "3. the host default, `default_kernel_name()`",
+                "An unset kernel never falls back to it",
+            ),
+            "docs/API.md": ("`sweep_weights(sg, gamma)` → `SweepWeights`",),
+        }
+        for rel, needles in claims.items():
+            text = (ROOT / rel).read_text()
+            for claim in needles:
+                assert claim in text, (rel, claim)
+        kernels = (ROOT / "docs" / "KERNELS.md").read_text()
+        assert "which `spmm` does not produce" not in kernels
+        readme = " ".join((ROOT / "README.md").read_text().split())
+        assert "scipy `spmm` (the default when scipy's extension loads)" in readme
+
+    def test_docstrings_describe_the_fold(self):
+        from repro.core import batched_subgraph
+        from repro.core.config import APGREConfig
+
+        assert "δ_o2o = β(s)·δ_i2o" in batched_subgraph.__doc__
+        doc = " ".join(APGREConfig.__doc__.split())
+        assert "then the host default" in doc
+        assert "which APGRE's sub-graph sweep runs by default" in doc
+
+    def test_named_surfaces_exist(self):
+        import inspect
+
+        from repro.core import batched_subgraph
+        from repro.graph.batched import (  # noqa: F401 - named in docs
+            SweepWeights,
+            batched_bc_scores,
+            merge_rows,
+        )
+        from repro.graph.kernels import get_kernel, kernel_names
+
+        assert batched_subgraph.__all__ == [
+            "bc_subgraph_batched", "sweep_weights"
+        ]
+        assert "weights" in inspect.signature(batched_bc_scores).parameters
+        for name in kernel_names():
+            params = inspect.signature(get_kernel(name).contributions)
+            assert "weights" in params.parameters, name
+
+    def test_changelog_carries_the_note(self):
+        text = " ".join((ROOT / "CHANGELOG.md").read_text().split())
+        for claim in (
+            "Kernel names now take effect inside APGRE",
+            "`accumulate_four_dependencies_batched`",
+            "`BatchedFourDependencies`",
+            "never imports the `scipy.sparse` package",
+        ):
+            assert claim in text, claim
 
 
 class TestAlphaBetaDocs:

@@ -13,6 +13,8 @@ clean miss instead of an error.
 """
 
 import dataclasses
+import importlib.util
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.baselines.common import WorkCounter, run_per_source
 from repro.core.apgre import apgre_bc, apgre_bc_detailed
 from repro.core.config import APGREConfig
 from repro.errors import AlgorithmError
+from repro.graph import batched
 from repro.graph.batched import auto_batch_size, bfs_sigma_batched
 from repro.graph.build import from_networkx
 from repro.graph.kernels import (
@@ -71,6 +74,22 @@ def dense():
 @pytest.fixture(scope="module")
 def dense_oracle(dense):
     return brandes_bc(dense)
+
+
+def spy_on_kernels(monkeypatch):
+    """Record the name of every registry kernel a run calls."""
+    calls = []
+    for name in kernel_names():
+        real = get_kernel(name)
+
+        def spy(*args, _name=name, _real=real.contributions, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setitem(
+            _REGISTRY, name, dataclasses.replace(real, contributions=spy)
+        )
+    return calls
 
 
 def triple(graph, *, kernel, backend=None, workers=1, batch=8):
@@ -413,6 +432,53 @@ class TestApgreKernelCompositions:
         np.testing.assert_allclose(
             apgre_bc(graph, kernel="pull"), oracle, rtol=1e-9, atol=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "kernel,env,expected",
+        [
+            ("arcs", None, "arcs"),
+            ("spmm", None, "spmm"),
+            ("pull", None, "pull"),
+            (None, "arcs", "arcs"),
+            (None, None, default_kernel_name()),
+        ],
+        ids=["arcs", "spmm", "pull", "env-arcs", "default"],
+    )
+    def test_kernel_name_takes_effect(
+        self, graph, oracle, monkeypatch, kernel, env, expected
+    ):
+        if not get_kernel(expected).available():
+            pytest.skip(f"{expected} kernel unavailable on this host")
+        calls = spy_on_kernels(monkeypatch)
+        if env is None:
+            monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(KERNEL_ENV_VAR, env)
+        res = apgre_bc_detailed(graph, APGREConfig(kernel=kernel))
+        np.testing.assert_allclose(
+            res.scores, oracle, rtol=1e-9, atol=1e-9
+        )
+        assert calls and set(calls) == {expected}
+
+    def test_without_sparsetools_default_runs_arcs(
+        self, graph, oracle, monkeypatch
+    ):
+        # the loader gives up cleanly when scipy cannot be found ...
+        with monkeypatch.context() as m:
+            m.delitem(sys.modules, batched._SPARSETOOLS, raising=False)
+            m.setattr(importlib.util, "find_spec", lambda name: None)
+            assert batched._sparsetools.__wrapped__() is None
+        # ... and a None loader makes the default run the arcs kernel
+        monkeypatch.setattr(batched, "_sparsetools", lambda: None)
+        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        calls = spy_on_kernels(monkeypatch)
+        assert not get_kernel("spmm").available()
+        assert default_kernel_name() == "arcs"
+        res = apgre_bc_detailed(graph, APGREConfig())
+        np.testing.assert_allclose(
+            res.scores, oracle, rtol=1e-9, atol=1e-9
+        )
+        assert calls and set(calls) == {"arcs"}
 
 
 class TestPullUnderFaults:

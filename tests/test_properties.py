@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.baselines.brandes import brandes_bc
 from repro.baselines.common import per_source_delta
 from repro.core.apgre import apgre_bc
+from repro.core.dependencies import accumulate_four_dependencies
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.articulation import biconnected_components
 from repro.decompose.partition import graph_partition
@@ -147,6 +148,32 @@ def test_alpha_beta_tree_equals_bfs(g, threshold):
     for sg1, sg2 in zip(p1.subgraphs, p2.subgraphs):
         np.testing.assert_array_equal(sg1.alpha, sg2.alpha)
         np.testing.assert_array_equal(sg1.beta, sg2.beta)
+
+
+@given(random_graphs(), st.integers(min_value=0, max_value=9))
+@settings(**SETTINGS)
+def test_four_dependencies_fold_into_one_sweep(g, threshold):
+    """(c') δ_o2o = β(s)·δ_i2o, so eq. 7 merges one weighted sweep of
+    δ_i2i + δ_i2o (what the batched kernels run)."""
+    partition = graph_partition(g, threshold=threshold)
+    compute_alpha_beta(g, partition)
+    for sg in partition.subgraphs:
+        for s in range(sg.graph.n):
+            res = bfs_sigma(sg.graph, s, keep_level_arcs=True)
+            dep = accumulate_four_dependencies(
+                res, alpha=sg.alpha, beta=sg.beta, is_art=sg.is_boundary_art
+            )
+            beta_s = dep.size_o2i  # β(s)·[s ∈ A]
+            np.testing.assert_allclose(
+                dep.delta_o2o, beta_s * dep.delta_i2o, rtol=1e-12
+            )
+            y = dep.delta_i2i + dep.delta_i2o
+            gamma_s = sg.gamma[s]
+            np.testing.assert_allclose(
+                (1 + gamma_s) * y + beta_s * dep.delta_i2i + dep.delta_o2o,
+                (1 + gamma_s + beta_s) * y,
+                rtol=1e-12,
+            )
 
 
 @given(random_graphs())
