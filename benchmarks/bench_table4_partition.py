@@ -41,9 +41,9 @@ def test_report_table4(benchmark, report):
 
 
 def test_report_bcc_histogram(report):
-    """Per-graph BCC size histogram — the dominant-BCC view that
-    motivates sharding (docs/SHARDING.md): one BCC alone in the top
-    power-of-two bucket is the critical path ``shard=True`` splits."""
+    """Per-graph BCC size histogram — the dominant-BCC view: one BCC
+    alone in the top power-of-two bucket is the top sub-graph whose
+    sweep dominates the run (Table 4's top-sub-graph share)."""
     rows = []
     for name in bench_graph_names():
         graph = get_graph(name)
@@ -63,5 +63,5 @@ def test_report_bcc_histogram(report):
         headers=["Graph", "#BCC", "top bucket", "#top", "lo:count"],
         rows=rows,
         notes="also printed per graph by `repro-bc info`; a lone BCC "
-        "in the top bucket is the sharding target (docs/SHARDING.md)",
+        "in the top bucket is the top sub-graph that dominates the run",
     ))

@@ -191,22 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and pendant folding shrink the sweeps; scores are identical",
     )
     p_compute.add_argument(
-        "--shard",
-        action="store_true",
-        help="split sub-graphs larger than --shard-max-size along "
-        "divide-and-conquer vertex separators into independently "
-        "scheduled shard tasks with exact boundary correction "
-        "(APGRE only); scores are identical",
-    )
-    p_compute.add_argument(
-        "--shard-max-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="interior size ceiling per shard, >= 16 (implies --shard; "
-        "default 2048)",
-    )
-    p_compute.add_argument(
         "--journal-dir",
         default=None,
         metavar="DIR",
@@ -358,18 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compress",
         action="store_true",
         help="run requests through the compression ladder by default",
-    )
-    p_serve.add_argument(
-        "--shard",
-        action="store_true",
-        help="shard over-threshold sub-graphs by default",
-    )
-    p_serve.add_argument(
-        "--shard-max-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="interior size ceiling per shard (implies --shard)",
     )
     p_serve.add_argument(
         "--no-cache",
@@ -557,19 +529,6 @@ def _cmd_compute(args) -> int:
             )
             return 2
         kwargs["compress"] = True
-    shard_on = args.shard or args.shard_max_size is not None
-    if shard_on:
-        if args.algorithm != "APGRE":
-            print(
-                f"repro-bc: error: --shard/--shard-max-size need the "
-                f"decomposition and are not supported by "
-                f"{args.algorithm!r} (use APGRE)",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["shard"] = True
-        if args.shard_max_size is not None:
-            kwargs["shard_max_size"] = args.shard_max_size
     journal_on = args.journal_dir is not None or args.resume
     if journal_on:
         if args.algorithm != "APGRE":
@@ -925,10 +884,6 @@ def _cmd_serve(args) -> int:
         cfg_kwargs["batch_size"] = args.batch_size
     if args.compress:
         cfg_kwargs["compress"] = True
-    if args.shard or args.shard_max_size is not None:
-        cfg_kwargs["shard"] = True
-        if args.shard_max_size is not None:
-            cfg_kwargs["shard_max_size"] = args.shard_max_size
     if args.timeout is not None:
         cfg_kwargs["timeout"] = args.timeout
     base = APGREConfig(**cfg_kwargs)

@@ -13,19 +13,19 @@ Three steps:
 
 Step 3 carries the coarse-grained parallelism: sub-graphs are
 independent ("coarse-grained asynchronous parallelism among
-sub-graphs").  The driver expands them into work units (whole
-sub-graphs, or shard tasks — :func:`_expand_units`) and runs the units
-through one BC-phase path, :func:`_compute_units`.  With ``workers >
+sub-graphs"), and the sub-graph is the driver's one work unit: tasks,
+cache keys and journal slots are all keyed by sub-graph index.  One
+BC-phase path, :func:`_compute_units`, runs them.  With ``workers >
 1`` their root slices go largest-first to the execution engine
 ``backend`` resolves to (:mod:`repro.parallel.backends`: worker
 threads, the supervised shared-memory process pool, or an inline
 loop) and the run attaches its supervision report to
-``BCResult.health``; otherwise an inline loop runs the units in the
-same LPT order.  One degradation ladder covers both: engine → serial
-→ the plain Brandes baseline (docs/ROBUSTNESS.md).  The contribution
-cache and the run journal are filters in front of that one pass: they
-drop the units they can replay and commit every recomputed unit
-through a sink.
+``BCResult.health``; otherwise an inline loop runs the sub-graphs in
+the same LPT order.  One degradation ladder covers both: engine →
+serial → the plain Brandes baseline (docs/ROBUSTNESS.md).  The
+contribution cache and the run journal are filters in front of that
+one pass: they drop the sub-graphs they can replay and commit every
+recomputed sub-graph through a sink.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ from repro.types import SCORE_DTYPE
 
 __all__ = ["apgre_bc", "apgre_bc_detailed"]
 
-# journal slot encoding for shard units: sub-graph ``index`` stays the
-# slot of a whole-sub-graph unit (back-compatible with pre-shard
-# journals), shard ``s`` of sub-graph ``i`` lives at
-# ``(i + 1) * _SLOT_BASE + s`` — disjoint ranges, deterministic.
-_SLOT_BASE = 1_000_000
-
 
 def _counter_triple(tally: WorkCounter) -> Tuple[int, int, int]:
     """One task's ``(edges, pulled, switches)`` engine commit row."""
@@ -72,130 +66,50 @@ def _fold_tally(counter: WorkCounter, tally: WorkCounter) -> None:
         counter.add_switch(tally.switches)
 
 
-def _plan_of(sg, config: APGREConfig):
-    """The sub-graph's shard plan, or ``None`` when it runs whole."""
-    if not config.shard:
-        return None
-    from repro.shard import shard_plan
-
-    return shard_plan(sg, max_size=config.shard_max_size)
-
-
-def _expand_units(subgraphs, config: APGREConfig) -> List[Tuple[int, int]]:
-    """The run's work units: ``(subgraph_index, shard)``.
-
-    ``shard == -1`` is a whole-sub-graph unit (the only kind when
-    sharding is off or the plan declined to split); a sharded
-    sub-graph contributes one unit per shard task instead, each a
-    first-class schedule/cache/journal citizen.
-    """
-    units: List[Tuple[int, int]] = []
-    for sg in subgraphs:
-        plan = _plan_of(sg, config)
-        if plan is None:
-            units.append((sg.index, -1))
-        else:
-            units.extend((sg.index, s) for s in range(plan.k))
-    return units
-
-
-def _unit_num_roots(sg, shard: int, config: APGREConfig) -> int:
+def _roots(sg, config: APGREConfig) -> np.ndarray:
+    """A sub-graph's sources: ``R`` with pendant elimination, else all."""
     if config.eliminate_pendants:
-        roots = sg.roots
-    else:
-        roots = np.arange(sg.num_vertices, dtype=sg.roots.dtype)
-    if shard < 0:
-        return int(roots.size)
-    return int(_plan_of(sg, config).home_roots(roots, shard).size)
+        return sg.roots
+    return np.arange(sg.num_vertices, dtype=sg.roots.dtype)
 
 
-def _unit_scores(
+def _subgraph_scores(
     sg,
-    shard: int,
     config: APGREConfig,
     counter=None,
     lo=None,
     hi=None,
     workers: int = 1,
 ) -> np.ndarray:
-    """One unit's full-length local score vector (optionally root-sliced).
+    """One sub-graph's full-length local score vector, optionally over
+    the root slice ``[lo, hi)``.
 
-    Whole units route through :func:`bc_subgraph` (honouring
-    ``batch_size``/``compress``; ``workers`` concurrent callers share
-    the auto batch's RAM budget); shard units run the shard kernel —
-    never root-sliced and never compressed (the two reductions do not
-    compose; docs/SHARDING.md).
+    Routes through :func:`bc_subgraph` (honouring
+    ``batch_size``/``compress``/``kernel``); ``workers`` concurrent
+    callers share the auto batch's RAM budget.
     """
-    if shard < 0:
-        roots = None
-        if lo is not None:
-            if config.eliminate_pendants:
-                all_roots = sg.roots
-            else:
-                all_roots = np.arange(sg.num_vertices, dtype=sg.roots.dtype)
-            roots = all_roots[lo:hi]
-        return bc_subgraph(
-            sg,
-            eliminate_pendants=config.eliminate_pendants,
-            counter=counter,
-            roots=roots,
-            batch_size=config.batch_size,
-            compress=config.compress,
-            kernel=config.kernel,
-            workers=workers,
-        )
-    from repro.shard import shard_task_scores
-
-    return shard_task_scores(
+    return bc_subgraph(
         sg,
-        _plan_of(sg, config),
-        shard,
         eliminate_pendants=config.eliminate_pendants,
         counter=counter,
-    )
-
-
-def _unit_weight(sg, shard: int, config: APGREConfig) -> float:
-    """LPT weight of a unit under the edges × sqrt(roots) cost model."""
-    n_roots = _unit_num_roots(sg, shard, config)
-    if shard < 0:
-        return task_cost(sg.num_arcs, n_roots)
-    h = _plan_of(sg, config).shard_graphs[shard]
-    return task_cost(h.num_arcs, n_roots)
-
-
-def _unit_key(sg, shard: int, config: APGREConfig) -> str:
-    """Content fingerprint of one unit's local contribution vector."""
-    if shard < 0:
-        from repro.cache.fingerprint import subgraph_key
-
-        return subgraph_key(
-            sg,
-            eliminate_pendants=config.eliminate_pendants,
-            compress=config.compress,
-        )
-    from repro.shard import shard_key
-
-    return shard_key(
-        sg,
-        shard,
-        max_size=config.shard_max_size,
-        eliminate_pendants=config.eliminate_pendants,
+        roots=None if lo is None else _roots(sg, config)[lo:hi],
+        batch_size=config.batch_size,
+        compress=config.compress,
+        kernel=config.kernel,
+        workers=workers,
     )
 
 
 def _make_tasks(
-    subgraphs,
-    units: List[Tuple[int, int]],
+    sgs: list,
     config: APGREConfig,
 ) -> Tuple[List[Tuple[int, int, int]], List[float]]:
-    """Split units into (unit_pos, root_lo, root_hi) chunks + weights.
+    """Split sub-graphs into (position, root_lo, root_hi) chunks + weights.
 
-    Large whole-sub-graph units are cut into ~``2 × workers`` root
-    slices so the dominant top sub-graph does not serialise the pool
-    (the paper gets the same effect from its fine-grained level); small
-    units stay whole, and shard units are always one task — the shard
-    decomposition *is* the fine cut.  Tasks are returned
+    ``position`` indexes ``sgs``.  Large sub-graphs are cut into
+    ~``2 × workers`` root slices so the dominant top sub-graph does not
+    serialise the pool (the paper gets the same effect from its
+    fine-grained level); small ones stay whole.  Tasks are returned
     largest-estimated-work first (LPT) under the
     :func:`~repro.parallel.scheduler.task_cost` model.  With an
     integer ``batch_size``, chunk boundaries are aligned to a multiple
@@ -205,31 +119,20 @@ def _make_tasks(
     batch_size = config.batch_size
     tasks: List[Tuple[int, int, int]] = []
     weights: List[float] = []
-    total_roots = sum(
-        _unit_num_roots(subgraphs[i], s, config) for i, s in units
-    )
-    chunk_target = max(total_roots // max(2 * config.workers, 1), 1)
+    counts = [_roots(sg, config).size for sg in sgs]
+    chunk_target = max(sum(counts) // max(2 * config.workers, 1), 1)
     if isinstance(batch_size, int) and batch_size > 1:
         chunk_target = max(
             (chunk_target + batch_size - 1) // batch_size * batch_size,
             batch_size,
         )
-    for upos, (index, shard) in enumerate(units):
-        sg = subgraphs[index]
-        n_roots = _unit_num_roots(sg, shard, config)
-        if shard >= 0:
-            # zero-root shards still get a task so their (all-zero)
-            # vector reaches the cache/journal commit path once
-            tasks.append((upos, 0, n_roots))
-            h = _plan_of(sg, config).shard_graphs[shard]
-            weights.append(task_cost(h.num_arcs, n_roots))
-            continue
+    for k, (sg, n_roots) in enumerate(zip(sgs, counts)):
         if n_roots == 0:
             continue
         step = max(min(chunk_target, n_roots), 1)
         for lo in range(0, n_roots, step):
             hi = min(lo + step, n_roots)
-            tasks.append((upos, lo, hi))
+            tasks.append((k, lo, hi))
             weights.append(task_cost(sg.num_arcs, hi - lo))
     order = lpt_order(weights)
     return [tasks[i] for i in order], [weights[i] for i in order]
@@ -242,13 +145,12 @@ class _Run:
     graph: CSRGraph
     config: APGREConfig
     subgraphs: list
-    units: List[Tuple[int, int]]
     bc: np.ndarray
     counter: WorkCounter
     stats: APGREStats
 
 
-#: ``sink(unit_pos, local, edges)``: commits one recomputed unit
+#: ``sink(index, local, edges)``: commits one recomputed sub-graph
 _Sink = Callable[[int, np.ndarray, int], None]
 
 
@@ -299,21 +201,6 @@ def apgre_bc_detailed(
     else:
         stats.num_sources = sum(sg.num_vertices for sg in subgraphs)
 
-    if config.shard:
-        # Build (and memoize) every shard plan up front: fork-based
-        # workers inherit finished plans, and the stats describe the
-        # decomposition whichever execution path the scores take.
-        # Plan-construction work is tallied out of TEPS.
-        plans = [(sg, _plan_of(sg, config)) for sg in subgraphs]
-        built = [(sg, p) for sg, p in plans if p is not None]
-        stats.shards_created = sum(p.k for _, p in built)
-        stats.separator_vertices = sum(p.num_separator for _, p in built)
-        stats.edges_correction = sum(p.edges_correction for _, p in built)
-        stats.largest_shard_ratio = max(
-            (p.largest_shard / sg.num_vertices for sg, p in built),
-            default=1.0,
-        )
-
     if config.compress:
         # Build (and memoize) every plan up front: fork-based workers
         # then inherit the finished plans instead of rebuilding them,
@@ -325,8 +212,6 @@ def apgre_bc_detailed(
         plans = [
             compression_plan(sg, eliminate_pendants=config.eliminate_pendants)
             for sg in subgraphs
-            # sharded sub-graphs skip the compression ladder entirely
-            if _plan_of(sg, config) is None
         ]
         stats.vertices_merged = sum(p.vertices_merged for p in plans)
         stats.chains_contracted = sum(p.chain_interiors for p in plans)
@@ -342,7 +227,6 @@ def apgre_bc_detailed(
         graph=graph,
         config=config,
         subgraphs=subgraphs,
-        units=_expand_units(subgraphs, config),
         bc=bc,
         counter=counter,
         stats=stats,
@@ -358,9 +242,9 @@ def apgre_bc_detailed(
     elif store is not None:
         health = _cached_pass(run, store)
     else:
-        health = _compute_units(run, list(range(len(run.units))))
-    # the serial loop times the top sub-graph's units itself; the rest
-    # of the phase (other units, replays, engine runs) is rest_bc
+        health = _compute_units(run, list(range(len(subgraphs))))
+    # the serial loop times the top sub-graph itself; the rest of the
+    # phase (other sub-graphs, replays, engine runs) is rest_bc
     timings.rest_bc = time.perf_counter() - t0 - timings.top_bc
 
     stats.edges_traversed = counter.edges
@@ -375,18 +259,18 @@ def _compute_units(
     sink: Optional[_Sink] = None,
     health: Optional[RunHealth] = None,
 ) -> Optional[RunHealth]:
-    """Compute the ``todo`` units into the scores — the one BC phase.
+    """Compute the ``todo`` sub-graphs into the scores — the one BC phase.
 
-    ``todo`` indexes ``run.units``.  With ``workers > 1`` the units
-    run on the engine ``config.backend`` resolves to; otherwise, and
-    as the engine's fallback rung, an inline loop runs them.  ``sink``
-    receives each unit's complete local vector and its exact
+    ``todo`` indexes ``run.subgraphs``.  With ``workers > 1`` they run
+    on the engine ``config.backend`` resolves to; otherwise, and as
+    the engine's fallback rung, an inline loop runs them.  ``sink``
+    receives each sub-graph's complete local vector and its exact
     direction-blind examined-edge tally, parent-side only (after the
     engine's poisoned-row recovery or tree reduction), so a worker
     never touches the store or the journal.  Rungs: engine → serial →
     Brandes; the lower two engage only with ``config.fallback``, and
     the Brandes rung clears the replay/resume bookkeeping, since the
-    scores no longer decompose per unit.  Returns ``health``, created
+    scores no longer decompose per sub-graph.  Returns ``health``, created
     for an engine run.
     """
     config = run.config
@@ -418,26 +302,25 @@ def _compute_units(
 
 
 def _serial_units(run: _Run, todo: List[int], sink: Optional[_Sink]) -> None:
-    """The inline loop: one unit at a time, largest first (LPT)."""
-    subgraphs, units, config = run.subgraphs, run.units, run.config
+    """The inline loop: one sub-graph at a time, largest first (LPT)."""
+    subgraphs, config = run.subgraphs, run.config
     costs = [
-        _unit_weight(subgraphs[units[u][0]], units[u][1], config)
-        for u in todo
+        task_cost(subgraphs[i].num_arcs, _roots(subgraphs[i], config).size)
+        for i in todo
     ]
     for idx in lpt_order(costs):
-        upos = todo[idx]
-        index, shard = units[upos]
+        index = todo[idx]
         sg = subgraphs[index]
         tally = WorkCounter()
         t0 = time.perf_counter()
-        local = _unit_scores(sg, shard, config, tally)
+        local = _subgraph_scores(sg, config, tally)
         if index == 0:
             run.stats.timings.top_bc += time.perf_counter() - t0
         if sink is not None:
             # committed replay tallies are direction-blind totals, so a
             # later replay reports the same examined count whatever
             # kernel recomputed the entry
-            sink(upos, local, tally.examined)
+            sink(index, local, tally.examined)
         run.bc[sg.vertices] += local
         _fold_tally(run.counter, tally)
 
@@ -449,36 +332,33 @@ def _engine_units(
     contributions,
     health: RunHealth,
 ) -> None:
-    """Fan the ``todo`` units' root slices out over an engine.
+    """Fan the ``todo`` sub-graphs' root slices out over an engine.
 
-    Whole units are cut into root slices and shard units run one task
-    each (:func:`_make_tasks`).  Without a sink every slice folds
-    straight into global coordinates, so each engine row costs one
-    ``(n,)`` vector.  A sink needs every unit's complete local vector
-    back, so each unit then owns a contiguous slice of a concatenated
-    local space instead.  Per-batch edge tallies come back exactly and
-    are summed per unit, so committed entries replay the tally a
-    serial run counts.  Nothing touches the scores or the counter
-    until the engine returns, so a failed attempt leaves them clean
-    for the serial rung.
+    Sub-graphs are cut into root slices (:func:`_make_tasks`).  Without
+    a sink every slice folds straight into global coordinates, so each
+    engine row costs one ``(n,)`` vector.  A sink needs every
+    sub-graph's complete local vector back, so each one then owns a
+    contiguous slice of a concatenated local space instead.  Per-batch
+    edge tallies come back exactly and are summed per sub-graph, so
+    committed entries replay the tally a serial run counts.  Nothing
+    touches the scores or the counter until the engine returns, so a
+    failed attempt leaves them clean for the serial rung.
     """
     config = run.config
-    units = [run.units[u] for u in todo]
-    sgs = [run.subgraphs[i] for i, _s in units]
-    tasks, weights = _make_tasks(run.subgraphs, units, config)
+    sgs = [run.subgraphs[i] for i in todo]
+    tasks, weights = _make_tasks(sgs, config)
     offsets = None
     n = run.graph.n
     if sink is not None:
-        offsets = np.zeros(len(units) + 1, dtype=np.int64)
+        offsets = np.zeros(len(sgs) + 1, dtype=np.int64)
         np.cumsum([sg.num_vertices for sg in sgs], out=offsets[1:])
         n = int(offsets[-1])
 
     def compute(task_id: int):
         k, lo, hi = tasks[task_id]
         tally = WorkCounter()
-        local = _unit_scores(
-            sgs[k], units[k][1], config, tally, lo, hi,
-            workers=config.workers,
+        local = _subgraph_scores(
+            sgs[k], config, tally, lo, hi, workers=config.workers
         )
         if offsets is None:
             verts = sgs[k].vertices
@@ -504,18 +384,18 @@ def _engine_units(
         run.bc += total
         return
     # batch_edges carries per-batch examined TOTALS (push + pull), so
-    # the committed per-unit replay tallies are direction-blind
-    per_unit = np.zeros(len(units), dtype=np.int64)
+    # the committed per-sub-graph replay tallies are direction-blind
+    per_sg = np.zeros(len(sgs), dtype=np.int64)
     for task_id, (k, _lo, _hi) in enumerate(tasks):
-        per_unit[k] += batch_edges[task_id]
+        per_sg[k] += batch_edges[task_id]
     for k, sg in enumerate(sgs):
         local = total[offsets[k] : offsets[k + 1]]
-        sink(todo[k], local, int(per_unit[k]))
+        sink(todo[k], local, int(per_sg[k]))
         run.bc[sg.vertices] += local
 
 
 def _replay(run: _Run, index: int, entry) -> bool:
-    """Merge a stored unit vector of sub-graph ``index`` into the scores.
+    """Merge a stored vector of sub-graph ``index`` into the scores.
 
     ``False`` (nothing merged) when there is no entry or its length
     does not match the sub-graph.
@@ -532,26 +412,33 @@ def _cache_filter(
 ) -> Tuple[List[int], List[str]]:
     """Replay the store hits among ``todo``; return the misses and keys.
 
-    Every work unit — a whole sub-graph, or one shard task of a
-    sharded sub-graph — is keyed by its content fingerprint (local
-    edges + incoming α/β/γ summaries — :mod:`repro.cache.fingerprint`;
-    shard units add the shard id and threshold under their own domain
-    — :mod:`repro.shard.fingerprint`).  Hits merge their stored local
-    vectors and report their stored tallies as
-    ``stats.edges_replayed``; ``on_hit(unit_pos, entry)`` sees each
+    Every sub-graph is keyed by its content fingerprint (local edges +
+    incoming α/β/γ summaries — :mod:`repro.cache.fingerprint`).  Hits
+    merge their stored local vectors and report their stored tallies
+    as ``stats.edges_replayed``; ``on_hit(index, entry)`` sees each
     one.
     """
-    keys = [_unit_key(run.subgraphs[i], s, run.config) for i, s in run.units]
+    from repro.cache.fingerprint import subgraph_key
+
+    config = run.config
+    keys = [
+        subgraph_key(
+            sg,
+            eliminate_pendants=config.eliminate_pendants,
+            compress=config.compress,
+        )
+        for sg in run.subgraphs
+    ]
     misses: List[int] = []
-    for upos in todo:
-        entry = store.get(keys[upos])
-        if _replay(run, run.units[upos][0], entry):
+    for index in todo:
+        entry = store.get(keys[index])
+        if _replay(run, index, entry):
             run.stats.edges_replayed += entry.edges
             run.stats.subgraphs_replayed += 1
             if on_hit is not None:
-                on_hit(upos, entry)
+                on_hit(index, entry)
         else:
-            misses.append(upos)
+            misses.append(index)
     return misses, keys
 
 
@@ -563,13 +450,13 @@ def _cached_pass(run: _Run, store) -> Optional[RunHealth]:
     vectors and *exact* tallies — parent-side, so a worker killed
     mid-recompute can never commit a poisoned cache entry.
     """
-    misses, keys = _cache_filter(run, store, list(range(len(run.units))))
+    misses, keys = _cache_filter(run, store, list(range(len(run.subgraphs))))
     run.stats.subgraphs_recomputed = len(misses)
     if not misses:
         return None
 
-    def sink(upos: int, local: np.ndarray, edges: int) -> None:
-        store.put(keys[upos], local, edges)
+    def sink(index: int, local: np.ndarray, edges: int) -> None:
+        store.put(keys[index], local, edges)
 
     return _compute_units(run, misses, sink)
 
@@ -583,9 +470,10 @@ def _journaled_pass(run: _Run, store) -> RunHealth:
        replays) the journal in ``config.journal_dir``; a fingerprint
        mismatch raises :class:`~repro.errors.JournalError` before any
        BC work starts.
-    2. Journal-replayed units merge their durable local vectors
-       (``stats.subgraphs_resumed`` / ``edges_resumed``).
-    3. With a cache configured, remaining units consult the store
+    2. Journal-replayed sub-graphs merge their durable local vectors
+       (``stats.subgraphs_resumed`` / ``edges_resumed``); a record's
+       slot is its sub-graph index.
+    3. With a cache configured, remaining sub-graphs consult the store
        next; hits are journaled too, so the resume contract never
        depends on cache warmth.
     4. The rest recompute through :func:`_compute_units`, whose sink
@@ -608,32 +496,28 @@ def _journaled_pass(run: _Run, store) -> RunHealth:
     health = RunHealth()
     health.journal_resumable = bool(resumed)
 
-    slots = [
-        index if shard < 0 else (index + 1) * _SLOT_BASE + shard
-        for index, shard in run.units
-    ]
     todo: List[int] = []
-    for upos, (index, _shard) in enumerate(run.units):
-        entry = resumed.get(slots[upos])
+    for index in range(len(run.subgraphs)):
+        entry = resumed.get(index)
         if _replay(run, index, entry):
             stats.edges_resumed += entry.edges
             stats.subgraphs_resumed += 1
         else:
-            todo.append(upos)
+            todo.append(index)
     keys = None
     if store is not None:
         todo, keys = _cache_filter(
             run, store, todo,
-            on_hit=lambda upos, entry: journal.record_contribution(
-                slots[upos], entry.scores, entry.edges
+            on_hit=lambda index, entry: journal.record_contribution(
+                index, entry.scores, entry.edges
             ),
         )
     stats.subgraphs_recomputed = len(todo)
 
-    def sink(upos: int, local: np.ndarray, edges: int) -> None:
+    def sink(index: int, local: np.ndarray, edges: int) -> None:
         if keys is not None:
-            store.put(keys[upos], local, edges)
-        journal.record_contribution(slots[upos], local, edges)
+            store.put(keys[index], local, edges)
+        journal.record_contribution(index, local, edges)
 
     try:
         if todo:

@@ -13,6 +13,7 @@ __all__ = ["APGREConfig"]
 _AB_METHODS = ("auto", "bfs", "tree")
 _BACKENDS = ("auto", "serial", "threads", "processes")
 _KERNELS = ("auto", "arcs", "spmm", "pull")
+_FLAGS = ("eliminate_pendants", "fallback", "steal", "compress", "resume")
 
 
 def _is_int(value: object) -> bool:
@@ -128,24 +129,6 @@ class APGREConfig:
         the unjournaled sub-graphs.  Requires ``journal_dir``; a
         missing journal or a fingerprint mismatch raises
         :class:`~repro.errors.JournalError`.
-    shard:
-        Split every undirected sub-graph larger than
-        ``shard_max_size`` along divide-and-conquer vertex separators
-        (:mod:`repro.shard`, docs/SHARDING.md): each shard computes
-        its home sources independently on a shard-plus-separator
-        graph, boundary-correction sweeps reconcile the paths that
-        cross the separator, and the per-shard vectors sum to exactly
-        the unsharded scores.  Shards are first-class work units —
-        they schedule independently through the execution backends,
-        carry their own cache keys and journal records, and turn the
-        dominant-BCC critical path from O(whole BCC) into O(largest
-        shard + correction).  Sub-graphs a shard plan cannot split
-        (directed, small, clique-like) run the unsharded kernels;
-        sharded sub-graphs skip the compression ladder (the two
-        reductions do not compose — see the docs matrix).
-    shard_max_size:
-        Interior size ceiling per shard (vertices).  Only sub-graphs
-        strictly larger than this are split.
     kernel:
         Compute kernel every sub-graph batch runs
         (:mod:`repro.graph.kernels`; each one runs Algorithm 2 as one
@@ -175,8 +158,6 @@ class APGREConfig:
     compress: bool = False
     journal_dir: Optional[str] = None
     resume: bool = False
-    shard: bool = False
-    shard_max_size: int = 2048
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -195,27 +176,30 @@ class APGREConfig:
                 f"alpha_beta_method must be one of {_AB_METHODS}, "
                 f"got {self.alpha_beta_method!r}"
             )
-        for name in ("workers", "threshold", "max_retries", "shard_max_size"):
+        for name in ("workers", "threshold", "max_retries"):
             _require_int(name, getattr(self, name))
+        for name in _FLAGS:
+            value = getattr(self, name)
+            # a truthy string such as "false" must not read as True
+            if not isinstance(value, bool):
+                raise AlgorithmError(f"{name} must be a bool, got {value!r}")
         if self.workers < 1:
             raise AlgorithmError(f"workers must be >= 1, got {self.workers}")
         if self.threshold < 0:
             raise AlgorithmError(
                 f"threshold must be >= 0, got {self.threshold}"
             )
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and (
+            not (_is_int(self.timeout) or isinstance(self.timeout, float))
+            or self.timeout <= 0
+        ):
             raise AlgorithmError(
-                f"timeout must be > 0 seconds, got {self.timeout}"
+                "timeout must be None or a positive number of seconds, "
+                f"got {self.timeout!r}"
             )
         if self.max_retries < 0:
             raise AlgorithmError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.shard_max_size < 16:
-            # thinner shards than this drown in separator tables; the
-            # floor also keeps the level-cut heuristic meaningful
-            raise AlgorithmError(
-                f"shard_max_size must be >= 16, got {self.shard_max_size}"
             )
         if self.resume and not self.journal_dir:
             raise AlgorithmError(

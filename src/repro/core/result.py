@@ -100,21 +100,6 @@ class APGREStats:
     ``edges_resumed + edges_replayed + edges_traversed`` equals the
     from-scratch ``edges_traversed`` of an identical unjournaled run.
 
-    ``shards_created`` / ``separator_vertices`` / ``edges_correction``
-    describe divide-and-conquer sharding (``shard=True`` runs only;
-    docs/SHARDING.md): the number of shard work units carved out of
-    over-threshold sub-graphs, the total separator size, and the
-    edges examined building the plans' barrier tables and shard
-    graphs — one-time setup work a sharded run performs that an
-    unsharded run would not.  ``largest_shard_ratio`` is the largest
-    shard (interior + separator) over its sub-graph's vertex count,
-    maximised over the sharded sub-graphs (1.0 when nothing sharded)
-    — the critical-path shrink factor sharding bought.
-    ``edges_correction`` stays out of ``edges_traversed``/TEPS,
-    exactly like the replay tallies; the per-source sweeps *and* the
-    correction-sweep replays they trigger are real per-run traversal
-    work and stay inside ``edges_traversed``.
-
     ``vertices_merged`` / ``chains_contracted`` / ``vertices_peeled``
     tally the structural compression (``compress=True`` runs only;
     docs/COMPRESSION.md): twin-class members collapsed into their
@@ -149,10 +134,6 @@ class APGREStats:
     subgraphs_recomputed: int = 0
     alpha_beta_pairs: int = 0
     alpha_beta_method: str = ""
-    shards_created: int = 0
-    separator_vertices: int = 0
-    edges_correction: int = 0
-    largest_shard_ratio: float = 1.0
     vertices_merged: int = 0
     chains_contracted: int = 0
     vertices_peeled: int = 0

@@ -171,11 +171,11 @@ _FEATURE_CACHE: "weakref.WeakKeyDictionary[CSRGraph, KernelFeatures]" = (
 def kernel_features(graph: CSRGraph) -> KernelFeatures:
     """Structural features of ``graph`` (cached per graph object).
 
-    The diameter estimate is the two-sweep pseudo-peripheral BFS the
-    separator search already uses (:mod:`repro.shard.separator`): BFS
-    from vertex 0's component, re-BFS from the farthest vertex, take
-    the depth — a classic lower bound that is tight on the road/social
-    shapes the suite covers.
+    The diameter estimate is a two-sweep pseudo-peripheral BFS
+    (:func:`repro.graph.traversal.bfs`): BFS from vertex 0's
+    component, re-BFS from the farthest vertex, take the depth — a
+    classic lower bound that is tight on the road/social shapes the
+    suite covers.
     """
     cached = _FEATURE_CACHE.get(graph)
     if cached is not None:
@@ -185,12 +185,11 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
     if n == 0:
         feats = KernelFeatures(0, 0, 0.0, 0, 0.0)
     else:
-        from repro.shard.separator import _masked_bfs
+        from repro.graph.traversal import bfs
 
-        active = np.ones(n, dtype=bool)
-        d0 = _masked_bfs(graph, 0, active)
+        d0 = bfs(graph, 0)
         far = int(np.argmax(d0))
-        dist = _masked_bfs(graph, far, active)
+        dist = bfs(graph, far)
         reached = max(
             int((d0 >= 0).sum()), int((dist >= 0).sum())
         ) / n

@@ -51,7 +51,7 @@ def info_payload(
     """The ``repro-bc info`` view of one graph, as a JSON-shaped dict.
 
     Structural statistics (size, articulation points, pendant fraction,
-    the power-of-two BCC size histogram that motivates sharding) plus
+    the power-of-two BCC size histogram that shows the dominant BCC) plus
     :func:`registry_payload` and the package version — everything the
     human-readable listing prints, machine-readable.
     """

@@ -85,19 +85,12 @@ def _config_digest(config) -> str:
     size, pooling, compression, caching — is deliberately excluded, so
     a run journaled under one strategy can resume under another (e.g.
     a pooled run killed by an OOM resumes serially).
-
-    Sharding (``shard=True``) *does* participate — it changes the
-    record granularity (one record per shard task, composite slots) —
-    but its fields are appended only when enabled, so pre-shard
-    journals keep their digests and stay resumable.
     """
     text = (
         f"threshold={int(config.threshold)};"
         f"alpha_beta_method={config.alpha_beta_method};"
         f"eliminate_pendants={bool(config.eliminate_pendants)}"
     )
-    if getattr(config, "shard", False):
-        text += f";shard=1;shard_max_size={int(config.shard_max_size)}"
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 

@@ -30,10 +30,10 @@ def bcc_size_histogram(graph: CSRGraph):
     """Power-of-two histogram of biconnected-component vertex sizes.
 
     Returns ``[(lo, hi, count), ...]`` over occupied buckets
-    ``[2^k, 2^{k+1})``, largest-size bucket last.  This is the view
-    that motivates sharding (docs/SHARDING.md): a lone BCC in the top
-    bucket holding most of the graph is exactly the dominant critical
-    path ``shard=True`` splits.
+    ``[2^k, 2^{k+1})``, largest-size bucket last.  A lone BCC in the
+    top bucket holding most of the graph is the dominant sub-graph
+    whose sweep dominates an APGRE run (Table 4's top-sub-graph
+    share).
     """
     from repro.decompose.articulation import biconnected_components
     from repro.graph.ops import to_undirected

@@ -4,14 +4,14 @@ per-request config construction, and config fingerprints.
 The daemon speaks plain HTTP with query-string parameters, so every
 client — ``repro-bc query``, ``curl``, a load generator — composes the
 same execution matrix the CLI exposes: backend and kernel from the
-PR 7/PR 9 registries, batching, compression, sharding, caching, and
+PR 7/PR 9 registries, batching, compression, caching, and
 supervisor budgets (timeout / retries / fallback) per request.
 
 :func:`config_fingerprint` is the score-LRU half of the key: a
 BLAKE2b-128 digest over exactly the config fields that can change the
 served *bytes* — anything affecting either the mathematical scores
 (threshold, pendant elimination) or the floating-point summation
-order (batching, compression, sharding, execution layout).  Two
+order (batching, compression, execution layout).  Two
 requests with the same fingerprint against the same graph version are
 guaranteed byte-identical answers, which is what makes serving a
 cached vector indistinguishable from recomputing it.  Operational
@@ -104,8 +104,6 @@ class RequestParams:
     workers: Optional[int] = None
     steal: Optional[bool] = None
     compress: Optional[bool] = None
-    shard: Optional[bool] = None
-    shard_max_size: Optional[int] = None
     threshold: Optional[int] = None
     cache: Optional[bool] = None
     timeout: Optional[float] = None
@@ -120,7 +118,7 @@ class RequestParams:
     _KNOWN = frozenset(
         (
             "backend", "kernel", "batch_size", "workers", "steal",
-            "compress", "shard", "shard_max_size", "threshold", "cache",
+            "compress", "threshold", "cache",
             "timeout", "max_retries", "fallback", "isolate", "fresh",
             "top", "full", "version",
         )
@@ -161,12 +159,11 @@ class RequestParams:
                         f"batch_size must be 'auto' or >= 1, got {value}"
                     )
                 params.batch_size = value
-        for key in ("workers", "shard_max_size", "threshold",
-                    "max_retries", "version"):
+        for key in ("workers", "threshold", "max_retries", "version"):
             raw = _one(query, key)
             if raw is not None:
                 setattr(params, key, _as_int(key, raw))
-        for key in ("steal", "compress", "shard", "cache", "fallback"):
+        for key in ("steal", "compress", "cache", "fallback"):
             raw = _one(query, key)
             if raw is not None:
                 setattr(params, key, _as_bool(key, raw))
@@ -210,11 +207,6 @@ def build_config(params: RequestParams, base, store):
         overrides["steal"] = params.steal
     if params.compress is not None:
         overrides["compress"] = params.compress
-    if params.shard is not None:
-        overrides["shard"] = params.shard
-    if params.shard_max_size is not None:
-        overrides["shard_max_size"] = params.shard_max_size
-        overrides["shard"] = True if params.shard is None else params.shard
     if params.threshold is not None:
         overrides["threshold"] = params.threshold
     if params.timeout is not None:
@@ -239,7 +231,7 @@ def config_fingerprint(config) -> str:
 
     Everything that can change the served bytes participates:
     mathematical knobs (threshold, α/β method, pendant elimination)
-    and floating-point-order knobs (batching, compression, sharding,
+    and floating-point-order knobs (batching, compression,
     backend/kernel/worker layout, stealing).  The cache is keyed as a
     bool — *which* store replays a contribution cannot change its
     bytes (entries are content-addressed).  Supervisor budgets stay
@@ -254,13 +246,11 @@ def config_fingerprint(config) -> str:
         ("batch_size", config.batch_size),
         ("steal", bool(config.steal)),
         ("compress", bool(config.compress)),
-        ("shard", bool(config.shard)),
-        ("shard_max_size", int(config.shard_max_size)),
         ("kernel", config.kernel),
         ("cache", config.cache is not None),
     )
     h = hashlib.blake2b(digest_size=16)
-    h.update(b"apgre-config-v2")
+    h.update(b"apgre-config-v3")
     for name, value in fields:
         h.update(f"|{name}={value!r}".encode())
     return h.hexdigest()

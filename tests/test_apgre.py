@@ -114,8 +114,14 @@ class TestConfigToggles:
             APGREConfig(backend="gpu")
 
     def test_removed_parallel_spellings_rejected(self):
-        # backend= is the only engine spelling
-        for legacy in ({"parallel": "processes"}, {"parallel_batched": True}):
+        # backend= is the only engine spelling, and the shard layer is
+        # gone: each removed field is an unknown keyword
+        for legacy in (
+            {"parallel": "processes"},
+            {"parallel_batched": True},
+            {"shard": True},
+            {"shard_max_size": 64},
+        ):
             with pytest.raises(TypeError):
                 APGREConfig(**legacy)
             with pytest.raises(TypeError):
@@ -142,6 +148,21 @@ class TestConfigToggles:
         for bad in (-1, 1.5):
             with pytest.raises(AlgorithmError, match="max_retries"):
                 APGREConfig(max_retries=bad)
+
+    def test_invalid_flags(self):
+        # a truthy string or a number must not read as True
+        for name in ("eliminate_pendants", "fallback", "steal",
+                     "compress", "resume"):
+            for bad in ("false", "no", 1, 0, None):
+                with pytest.raises(AlgorithmError, match=name):
+                    APGREConfig(**{name: bad})
+
+    def test_invalid_timeout(self):
+        for bad in ("5", True, False, 0, -1.5, [5]):
+            with pytest.raises(AlgorithmError, match="timeout"):
+                APGREConfig(timeout=bad)
+        for good in (None, 5, 0.25):
+            assert APGREConfig(timeout=good).timeout == good
 
 
 class TestParallelModes:

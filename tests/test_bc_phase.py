@@ -1,6 +1,6 @@
 """The APGRE BC phase is one path, whatever wraps it.
 
-Every engine × shard × compress cell runs the same
+Every engine × compress cell runs the same
 ``_compute_units`` pass: a plain run, a cold-cache run and a journaled
 run agree with Brandes to 1e-9 and tally exactly the same work, and a
 warm-cache rerun or a journal resume accounts for that work as
@@ -29,8 +29,8 @@ ENGINES = {
 
 def ring_graph():
     """Four K6 blobs joined into a ring by 3-vertex chains, plus a
-    pendant 2-path off each blob: one 36-vertex BCC worth sharding,
-    with twins and chains for the compression ladder."""
+    pendant 2-path off each blob: one 36-vertex BCC with twins and
+    chains for the compression ladder."""
     edges, n, blobs = [], 0, []
     for _ in range(4):
         edges += [(n + i, n + j) for i in range(6) for j in range(i + 1, 6)]
@@ -66,23 +66,17 @@ def work(result) -> int:
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["full", "compress"])
-@pytest.mark.parametrize("shard", [False, True], ids=["whole", "shard"])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_plain_cache_journal_agree(
-    graph, reference, tmp_path, engine, shard, compress
+    graph, reference, tmp_path, engine, compress
 ):
-    base = APGREConfig(
-        threshold=2, shard=shard, shard_max_size=16, compress=compress,
-        **ENGINES[engine],
-    )
+    base = APGREConfig(threshold=2, compress=compress, **ENGINES[engine])
     store = ContributionStore()
     plain = apgre_bc_detailed(graph, base)
     cold = apgre_bc_detailed(graph, replace(base, cache=store))
     journaled = apgre_bc_detailed(
         graph, replace(base, journal_dir=str(tmp_path))
     )
-    if shard:
-        assert plain.stats.shards_created >= 2
     if compress:
         assert plain.stats.compression_ratio > 1.0
 

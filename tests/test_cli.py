@@ -34,6 +34,17 @@ class TestParser:
         assert args.top == 10
         assert not args.directed
 
+    def test_removed_shard_flags_exit_two(self, graph_file, capsys):
+        for argv in (
+            ["compute", graph_file, "--shard"],
+            ["compute", graph_file, "--shard-max-size", "64"],
+            ["serve", graph_file, "--shard"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCompute:
     def test_compute_apgre(self, graph_file, capsys):
@@ -120,6 +131,10 @@ class TestInfo:
         assert "directed             : yes" in out
         assert "articulation points  : 3" in out
         assert "pendant vertices     : 2" in out
+        # the power-of-two BCC size histogram: [(2, 3, 2), (4, 7, 3)]
+        assert "biconnected components: 5" in out
+        assert "BCC size           2-3 : 2" in out
+        assert "BCC size           4-7 : 3" in out
 
 
 class TestConvert:

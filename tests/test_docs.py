@@ -45,7 +45,6 @@ class TestReadmePromises:
             "docs/PERFORMANCE.md",
             "docs/ROBUSTNESS.md",
             "docs/SERVING.md",
-            "docs/SHARDING.md",
             "docs/TUTORIAL.md",
             "LICENSE",
             "CONTRIBUTING.md",
@@ -68,14 +67,17 @@ class TestReadmePromises:
 
 class TestRemovedSpellings:
     """``backend=`` is the only engine spelling, the numba kernel is
-    gone, and so is the batched four-dependency sweep; only the
-    CHANGELOG's migration note may name what was removed."""
+    gone, and so are the batched four-dependency sweep and the shard
+    layer; only the CHANGELOG's migration note may name what was
+    removed."""
 
     REMOVED = re.compile(
         r"\bparallel=|\bparallel_batched\b|--parallel-batched"
         r"|\bfork_map\b|\bthread_map\b|\bnumba\b"
         r"|\baccumulate_four_dependencies_batched\b"
         r"|\bBatchedFourDependencies\b"
+        r"|\bshard=|--shard\b|\bshard_max_size\b|repro\.shard\b"
+        r"|SHARDING\.md"
     )
 
     def test_docs_name_only_live_surfaces(self):
@@ -154,61 +156,6 @@ class TestRobustnessDoc:
         for field in ("edges_resumed", "subgraphs_resumed",
                       "edges_replayed", "subgraphs_replayed",
                       "edges_traversed"):
-            assert hasattr(stats, field), field
-
-
-class TestShardingDoc:
-    """SHARDING.md promises an exact divide-and-conquer contract; pin
-    the structural claims so the doc cannot drift from the code."""
-
-    def text(self):
-        return (ROOT / "docs" / "SHARDING.md").read_text()
-
-    def test_structural_claims_present(self):
-        text = self.text()
-        for claim in (
-            "Composition matrix",
-            "arXiv:1406.4173",
-            "edges_correction",
-            "excluded from TEPS",
-            "BFS level-set bisection",
-            "sqrt(max(roots, 1))",
-        ):
-            assert claim in text, claim
-
-    def test_named_surfaces_exist(self):
-        """Every API surface the doc names must resolve."""
-        from repro.shard import (  # noqa: F401 - named in the doc
-            ShardPlan,
-            bc_subgraph_sharded,
-            find_shard_labels,
-            shard_key,
-            shard_plan,
-            shard_task_scores,
-        )
-        from repro.core.config import APGREConfig
-        from repro.metrics.stats import bcc_size_histogram  # noqa: F401
-        from repro.parallel.scheduler import task_cost
-
-        config = APGREConfig(shard=True, shard_max_size=64)
-        assert config.shard_max_size == 64
-        assert task_cost(100, 16) == pytest.approx(400.0)
-
-    def test_cli_flags_exist(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["compute", "g.txt", "--shard", "--shard-max-size", "128"]
-        )
-        assert args.shard is True and args.shard_max_size == 128
-
-    def test_stats_shard_fields_exist(self):
-        from repro.core.result import APGREStats
-
-        stats = APGREStats()
-        for field in ("shards_created", "separator_vertices",
-                      "edges_correction", "largest_shard_ratio"):
             assert hasattr(stats, field), field
 
 

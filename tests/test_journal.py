@@ -217,6 +217,10 @@ class TestRunJournal:
             RunJournal(tmp_path).begin(changed, resume=True)
 
     def test_execution_strategy_does_not_change_fingerprint(self, graph):
+        import hashlib
+
+        from repro.journal.journal import _config_digest
+
         base = run_fingerprint(graph, APGREConfig(threshold=2))
         pooled = run_fingerprint(
             graph,
@@ -226,6 +230,14 @@ class TestRunJournal:
             ),
         )
         assert base == pooled
+        # the digest text is pinned: journals written by earlier
+        # releases must keep resuming
+        legacy = hashlib.blake2b(
+            b"threshold=2;alpha_beta_method=auto;eliminate_pendants=True",
+            digest_size=16,
+        ).hexdigest()
+        assert _config_digest(APGREConfig(threshold=2)) == legacy
+        assert base["config"] == legacy
 
     def test_newer_version_raises(self, tmp_path, graph):
         journal = RunJournal(tmp_path)

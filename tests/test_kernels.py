@@ -4,12 +4,12 @@ Covers the PR's contract surface: every registered kernel matches
 Brandes to 1e-9 across the serial/threads/processes engines with exact
 (and deterministic) examined-edge tallies, the split tally identity
 ``edges_traversed + edges_pulled == examined`` holds on every
-composition (plain, compressed, sharded, cached-replay,
-journaled-resume), ``auto`` selection never returns an unavailable
-kernel and honours the structural thresholds, the pull kernel's RAM
-model shrinks ``auto`` batch sizes, injected worker kills mid-pull
-never commit a partial delta, and an unavailable kernel degrades to a
-clean miss instead of an error.
+composition (plain, compressed, cached-replay, journaled-resume),
+``auto`` selection never returns an unavailable kernel and honours
+the structural thresholds, the pull kernel's RAM model shrinks
+``auto`` batch sizes, injected worker kills mid-pull never commit a
+partial delta, and an unavailable kernel degrades to a clean miss
+instead of an error.
 """
 
 import dataclasses
@@ -375,16 +375,6 @@ class TestApgreKernelCompositions:
         np.testing.assert_allclose(
             res.scores, oracle, rtol=1e-9, atol=1e-9
         )
-
-    def test_sharded(self, graph, oracle):
-        res = apgre_bc_detailed(
-            graph,
-            APGREConfig(kernel="pull", shard=True, shard_max_size=24),
-        )
-        np.testing.assert_allclose(
-            res.scores, oracle, rtol=1e-9, atol=1e-9
-        )
-        assert res.stats.shards_created > 0
 
     def test_cached_then_replayed(self, graph, oracle, tmp_path):
         cfg = APGREConfig(kernel="pull", cache_dir=str(tmp_path / "c"))

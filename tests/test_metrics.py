@@ -121,7 +121,7 @@ class TestBreakdown:
         assert frac["top_bc"] > 0
 
     def test_keeps_every_option_but_workers(self, monkeypatch):
-        # forcing serial must not drop compress/batch_size/shard/...
+        # forcing serial must not drop compress/batch_size/kernel/...
         from repro.core.config import APGREConfig
         from repro.metrics import breakdown
 

@@ -3,8 +3,8 @@
 The serving PR's acceptance guards live here:
 
 * served results are **bit-identical** to :func:`apgre_bc_detailed`
-  for the same config across serial / threads / cached / compressed /
-  sharded request parameters;
+  for the same config across serial / threads / cached / compressed
+  request parameters;
 * concurrent readers racing ``POST /delta`` always observe a single
   consistent committed version (every response's scores match the
   Brandes oracle of *its reported version's* graph to 1e-9);
@@ -246,8 +246,11 @@ class TestProtocol:
         assert params.timeout == 1.5
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ServeError, match="unknown parameter"):
-            self._params({"bogus": "1"})
+        # "shard" is a removed parameter: it must fail loudly, not be
+        # silently ignored
+        for name in ("bogus", "shard"):
+            with pytest.raises(ServeError, match="unknown parameter"):
+                self._params({name: "1"})
 
     def test_repeated_parameter_rejected(self):
         with pytest.raises(ServeError, match="given 2 times"):
@@ -271,7 +274,6 @@ class TestProtocol:
         for variant in (
             APGREConfig(threshold=0),
             APGREConfig(compress=True),
-            APGREConfig(shard=True, shard_max_size=16),
             APGREConfig(kernel="arcs"),
             APGREConfig(backend="threads", workers=2),
             APGREConfig(eliminate_pendants=False),
@@ -541,11 +543,6 @@ class TestBitIdentityMatrix:
         ("serial", {}, {}),
         ("cached-replay", {"fresh": True}, {}),
         ("compressed", {"compress": True}, {"compress": True}),
-        (
-            "sharded",
-            {"shard": True, "shard_max_size": 16},
-            {"shard": True, "shard_max_size": 16},
-        ),
         (
             "threads",
             {"backend": "threads", "workers": 2, "steal": False},
