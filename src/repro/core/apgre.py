@@ -13,36 +13,45 @@ Three steps:
 
 Step 3 carries the coarse-grained parallelism: sub-graphs are
 independent ("coarse-grained asynchronous parallelism among
-sub-graphs"), and the sub-graph is the driver's one work unit: tasks,
-cache keys and journal slots are all keyed by sub-graph index.  One
-BC-phase path, :func:`_compute_units`, runs them.  With ``workers >
-1`` their root slices go largest-first to the execution engine
+sub-graphs"), and cache keys and journal slots are keyed by sub-graph
+index.  One BC-phase path, :func:`_compute_units`, runs them as one
+list of units (:func:`_units`): a large sub-graph is a unit of its
+own, and runs of small ones become *bundles*, each one weighted sweep
+over the block-diagonal union of its members
+(:func:`~repro.core.batched_subgraph.bc_bundle`).  With ``workers >
+1`` the units' root slices go largest-first to the execution engine
 ``backend`` resolves to (:mod:`repro.parallel.backends`: worker
 threads, the supervised shared-memory process pool, or an inline
 loop) and the run attaches its supervision report to
-``BCResult.health``; otherwise an inline loop runs the sub-graphs in
-the same LPT order.  One degradation ladder covers both: engine →
-serial → the plain Brandes baseline (docs/ROBUSTNESS.md).  The
-contribution cache and the run journal are filters in front of that
-one pass: they drop the sub-graphs they can replay and commit every
-recomputed sub-graph through a sink.
+``BCResult.health``; otherwise an inline loop runs the units in the
+same LPT order.  One degradation ladder covers both: engine → serial
+→ the plain Brandes baseline (docs/ROBUSTNESS.md).  The contribution
+cache and the run journal are filters in front of that one pass: they
+drop the sub-graphs they can replay and commit every recomputed
+sub-graph through a sink.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.common import WorkCounter
+from repro.core.batched_subgraph import bc_bundle
 from repro.core.bc_subgraph import bc_subgraph
 from repro.core.config import APGREConfig
 from repro.core.result import APGREStats, BCResult
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import Partition, graph_partition
 from repro.errors import ExecutionError, ReproError
+from repro.graph.batched import (
+    AUTO_WORKSET_BYTES,
+    DEFAULT_MAX_BATCH,
+    row_bytes,
+)
 from repro.graph.csr import CSRGraph
 from repro.parallel.batched_pool import merge_examined
 from repro.parallel.scheduler import lpt_order, task_cost
@@ -100,17 +109,135 @@ def _subgraph_scores(
     )
 
 
+class _Unit(NamedTuple):
+    """Positions ``lo:hi`` of a todo list that run as one unit.
+
+    ``kernel`` is a bundle's kernel (:func:`_units`); ``None`` runs
+    the one sub-graph at ``lo`` on its own.
+    """
+
+    lo: int
+    hi: int
+    kernel: Optional[str] = None
+
+
+def _bundle_kernel(sg, config: APGREConfig) -> Optional[str]:
+    """The kernel ``sg``'s batched weighted sweep runs on, when that
+    kernel keeps its rows apart (``row_tallies``); else ``None``.
+
+    A non-trivial compression plan and the direction-optimizing
+    ``pull`` kernel, whose union-frontier switch couples rows, run
+    alone.
+    """
+    if config.compress:
+        from repro.compress import compression_plan
+
+        plan = compression_plan(
+            sg, eliminate_pendants=config.eliminate_pendants
+        )
+        if plan.nontrivial:
+            return None
+    from repro.graph import kernels as _kernels
+
+    name = _kernels.resolve_kernel_name(config.kernel, graph=sg.graph)
+    return name if _kernels.get_kernel(name).row_tallies else None
+
+
+def _units(run: _Run, todo: List[int]) -> List[_Unit]:
+    """Cut ``todo`` into the BC phase's units, in order.
+
+    Consecutive sub-graphs join one bundle while each one is not the
+    top (so ``top_bc`` keeps meaning the top), runs the batched sweep
+    (not the per-source ``batch_size=None``) on a bundle kernel
+    (:func:`_bundle_kernel`) shared with the others, and the bundle's
+    whole root set still fits one batch: at most
+    :data:`~repro.graph.batched.DEFAULT_MAX_BATCH` roots (or the
+    integer ``batch_size``) whose rows take at most
+    :data:`~repro.graph.batched.AUTO_WORKSET_BYTES` together.  The
+    test is arithmetic on sizes only.  Every other sub-graph, and a
+    bundle left with one member, is a unit of its own.
+    """
+    config = run.config
+    cap = config.batch_size
+    if cap == "auto":
+        cap = DEFAULT_MAX_BATCH
+
+    def fits(roots: int, n: int, m: int) -> bool:
+        return roots <= cap and roots * row_bytes(n, m) <= AUTO_WORKSET_BYTES
+
+    units: List[_Unit] = []
+    lo, kernel, size = 0, None, (0, 0, 0)
+
+    def close(hi: int) -> None:
+        units.append(_Unit(lo, hi, kernel if hi - lo > 1 else None))
+
+    for k, index in enumerate(todo):
+        sg = run.subgraphs[index]
+        mine = (_roots(sg, config).size, sg.num_vertices, sg.num_arcs)
+        name = None
+        if index != 0 and cap is not None and fits(*mine):
+            name = _bundle_kernel(sg, config)
+        grown = tuple(a + b for a, b in zip(size, mine))
+        if name is not None and name == kernel and fits(*grown):
+            size = grown
+            continue
+        if k > lo:
+            close(k)
+        lo, kernel, size = k, name, mine
+    if todo:
+        close(len(todo))
+    return units
+
+
+def _unit_size(sgs: list, unit: _Unit, config: APGREConfig) -> Tuple[int, int]:
+    """A unit's ``(arcs, roots)``."""
+    members = sgs[unit.lo : unit.hi]
+    return (
+        sum(sg.num_arcs for sg in members),
+        sum(_roots(sg, config).size for sg in members),
+    )
+
+
+def _unit_scores(
+    sgs: list,
+    unit: _Unit,
+    config: APGREConfig,
+    lo=None,
+    hi=None,
+    workers: int = 1,
+) -> Tuple[np.ndarray, np.ndarray, WorkCounter]:
+    """Run one unit: ``(local, tallies, tally)``.
+
+    ``local`` holds the members' local vectors end to end, ``tallies``
+    each member's direction-blind examined-edge count and ``tally`` the
+    unit's split.  A lone sub-graph may run the root slice ``[lo,
+    hi)``; a bundle always runs whole.
+    """
+    tally = WorkCounter()
+    if unit.kernel is None:
+        local = _subgraph_scores(sgs[unit.lo], config, tally, lo, hi, workers)
+        return local, np.asarray([tally.examined]), tally
+    local, _offsets, tallies = bc_bundle(
+        sgs[unit.lo : unit.hi],
+        kernel=unit.kernel,
+        eliminate_pendants=config.eliminate_pendants,
+    )
+    tally.add(int(tallies.sum()))
+    return local, tallies, tally
+
+
 def _make_tasks(
     sgs: list,
+    units: List[_Unit],
     config: APGREConfig,
 ) -> Tuple[List[Tuple[int, int, int]], List[float]]:
-    """Split sub-graphs into (position, root_lo, root_hi) chunks + weights.
+    """Split units into (unit, root_lo, root_hi) chunks + weights.
 
-    ``position`` indexes ``sgs``.  Large sub-graphs are cut into
+    ``unit`` indexes ``units``.  Large sub-graphs are cut into
     ~``2 × workers`` root slices so the dominant top sub-graph does not
     serialise the pool (the paper gets the same effect from its
-    fine-grained level); small ones stay whole.  Tasks are returned
-    largest-estimated-work first (LPT) under the
+    fine-grained level); small ones and bundles stay whole.  Tasks are
+    returned largest-estimated-work first (LPT) under the
     :func:`~repro.parallel.scheduler.task_cost` model.  With an
     integer ``batch_size``, chunk boundaries are aligned to a multiple
     of it so workers run full batches (``"auto"`` resolves per
@@ -119,21 +246,25 @@ def _make_tasks(
     batch_size = config.batch_size
     tasks: List[Tuple[int, int, int]] = []
     weights: List[float] = []
-    counts = [_roots(sg, config).size for sg in sgs]
-    chunk_target = max(sum(counts) // max(2 * config.workers, 1), 1)
+    sizes = [_unit_size(sgs, unit, config) for unit in units]
+    chunk_target = max(
+        sum(roots for _arcs, roots in sizes) // max(2 * config.workers, 1), 1
+    )
     if isinstance(batch_size, int) and batch_size > 1:
         chunk_target = max(
             (chunk_target + batch_size - 1) // batch_size * batch_size,
             batch_size,
         )
-    for k, (sg, n_roots) in enumerate(zip(sgs, counts)):
+    for u, (unit, (arcs, n_roots)) in enumerate(zip(units, sizes)):
         if n_roots == 0:
             continue
-        step = max(min(chunk_target, n_roots), 1)
+        step = n_roots
+        if unit.kernel is None:
+            step = max(min(chunk_target, n_roots), 1)
         for lo in range(0, n_roots, step):
             hi = min(lo + step, n_roots)
-            tasks.append((k, lo, hi))
-            weights.append(task_cost(sg.num_arcs, hi - lo))
+            tasks.append((u, lo, hi))
+            weights.append(task_cost(arcs, hi - lo))
     order = lpt_order(weights)
     return [tasks[i] for i in order], [weights[i] for i in order]
 
@@ -261,112 +392,136 @@ def _compute_units(
 ) -> Optional[RunHealth]:
     """Compute the ``todo`` sub-graphs into the scores — the one BC phase.
 
-    ``todo`` indexes ``run.subgraphs``.  With ``workers > 1`` they run
+    ``todo`` indexes ``run.subgraphs``; :func:`_units` cuts it into
+    lone sub-graphs and bundles.  With ``workers > 1`` the units run
     on the engine ``config.backend`` resolves to; otherwise, and as
     the engine's fallback rung, an inline loop runs them.  ``sink``
     receives each sub-graph's complete local vector and its exact
-    direction-blind examined-edge tally, parent-side only (after the
-    engine's poisoned-row recovery or tree reduction), so a worker
-    never touches the store or the journal.  Rungs: engine → serial →
-    Brandes; the lower two engage only with ``config.fallback``, and
-    the Brandes rung clears the replay/resume bookkeeping, since the
-    scores no longer decompose per sub-graph.  Returns ``health``, created
-    for an engine run.
+    direction-blind examined-edge tally, bundled or not, parent-side
+    only (after the engine's poisoned-row recovery or tree reduction),
+    so a worker never touches the store or the journal.  Rungs: engine
+    → serial → Brandes; the lower two engage only with
+    ``config.fallback``, and the Brandes rung clears the
+    replay/resume/bundle bookkeeping, since the scores no longer
+    decompose per sub-graph.  Returns ``health``, created for an
+    engine run.
     """
-    config = run.config
+    config, stats = run.config, run.stats
+    units = _units(run, todo)
+    bundles = [unit for unit in units if unit.kernel is not None]
+    stats.bundles = len(bundles)
+    stats.subgraphs_bundled = sum(unit.hi - unit.lo for unit in bundles)
     if config.workers <= 1:
-        _serial_units(run, todo, sink)
+        _serial_units(run, todo, units, sink)
         return health
     from repro.parallel.backends import resolve_backend
 
     engine = resolve_backend(config.backend)
     health = health if health is not None else RunHealth()
     try:
-        _engine_units(run, todo, sink, engine.contributions, health)
+        _engine_units(run, todo, units, sink, engine.contributions, health)
         return health
     except ExecutionError:
         if not config.fallback:
             raise
     health.fallback_path = "serial"
     try:
-        _serial_units(run, todo, sink)
+        _serial_units(run, todo, units, sink)
     except ReproError:
         from repro.baselines.brandes import brandes_bc
 
         health.fallback_path = "brandes"
         run.bc[:] = brandes_bc(run.graph)
-        stats = run.stats
         stats.edges_replayed = stats.subgraphs_replayed = 0
         stats.edges_resumed = stats.subgraphs_resumed = 0
+        stats.bundles = stats.subgraphs_bundled = 0
     return health
 
 
-def _serial_units(run: _Run, todo: List[int], sink: Optional[_Sink]) -> None:
-    """The inline loop: one sub-graph at a time, largest first (LPT)."""
-    subgraphs, config = run.subgraphs, run.config
-    costs = [
-        task_cost(subgraphs[i].num_arcs, _roots(subgraphs[i], config).size)
-        for i in todo
-    ]
-    for idx in lpt_order(costs):
-        index = todo[idx]
-        sg = subgraphs[index]
-        tally = WorkCounter()
+def _serial_units(
+    run: _Run, todo: List[int], units: List[_Unit], sink: Optional[_Sink]
+) -> None:
+    """The inline loop: one unit at a time, largest first (LPT)."""
+    config = run.config
+    sgs = [run.subgraphs[i] for i in todo]
+    costs = [task_cost(*_unit_size(sgs, unit, config)) for unit in units]
+    for u in lpt_order(costs):
+        unit = units[u]
         t0 = time.perf_counter()
-        local = _subgraph_scores(sg, config, tally)
-        if index == 0:
+        local, tallies, tally = _unit_scores(sgs, unit, config)
+        if todo[unit.lo] == 0:
             run.stats.timings.top_bc += time.perf_counter() - t0
-        if sink is not None:
-            # committed replay tallies are direction-blind totals, so a
-            # later replay reports the same examined count whatever
-            # kernel recomputed the entry
-            sink(index, local, tally.examined)
-        run.bc[sg.vertices] += local
+        at = 0
+        for k in range(unit.lo, unit.hi):
+            part = local[at : at + sgs[k].num_vertices]
+            at += part.size
+            if sink is not None:
+                # committed replay tallies are direction-blind totals,
+                # so a later replay reports the same examined count
+                # whatever kernel recomputed the entry
+                sink(todo[k], part, int(tallies[k - unit.lo]))
+            run.bc[sgs[k].vertices] += part
         _fold_tally(run.counter, tally)
 
 
 def _engine_units(
     run: _Run,
     todo: List[int],
+    units: List[_Unit],
     sink: Optional[_Sink],
     contributions,
     health: RunHealth,
 ) -> None:
-    """Fan the ``todo`` sub-graphs' root slices out over an engine.
+    """Fan the ``todo`` sub-graphs' units out over an engine.
 
-    Sub-graphs are cut into root slices (:func:`_make_tasks`).  Without
-    a sink every slice folds straight into global coordinates, so each
-    engine row costs one ``(n,)`` vector.  A sink needs every
-    sub-graph's complete local vector back, so each one then owns a
-    contiguous slice of a concatenated local space instead.  Per-batch
-    edge tallies come back exactly and are summed per sub-graph, so
-    committed entries replay the tally a serial run counts.  Nothing
-    touches the scores or the counter until the engine returns, so a
-    failed attempt leaves them clean for the serial rung.
+    Units are cut into root slices (:func:`_make_tasks`).  Without a
+    sink every slice folds straight into global coordinates, so each
+    engine row costs one ``(n,)`` vector; a bundle pre-sums the
+    articulation points its members share, because an engine fold
+    (``row[verts] += delta``) keeps only one of repeated indices.  A
+    sink needs every sub-graph's complete local vector back, so each
+    one then owns a contiguous slice of a concatenated local space
+    instead (a bundle's members are consecutive, so it owns one run of
+    them), plus one slot past that space for its examined-edge tally:
+    the engine returns one tally per task, but a bundle task holds
+    several sub-graphs, so the tallies ride in the vector, where
+    integers below 2**53 add exactly in any order.  Nothing touches
+    the scores or the counter until the engine returns, so a failed
+    attempt leaves them clean for the serial rung.
     """
     config = run.config
     sgs = [run.subgraphs[i] for i in todo]
-    tasks, weights = _make_tasks(sgs, config)
+    tasks, weights = _make_tasks(sgs, units, config)
     offsets = None
     n = run.graph.n
     if sink is not None:
         offsets = np.zeros(len(sgs) + 1, dtype=np.int64)
         np.cumsum([sg.num_vertices for sg in sgs], out=offsets[1:])
-        n = int(offsets[-1])
+        n = int(offsets[-1]) + len(sgs)
 
     def compute(task_id: int):
-        k, lo, hi = tasks[task_id]
-        tally = WorkCounter()
-        local = _subgraph_scores(
-            sgs[k], config, tally, lo, hi, workers=config.workers
+        u, lo, hi = tasks[task_id]
+        unit = units[u]
+        local, tallies, tally = _unit_scores(
+            sgs, unit, config, lo, hi, workers=config.workers
         )
-        if offsets is None:
-            verts = sgs[k].vertices
+        if offsets is not None:
+            verts = np.concatenate([
+                np.arange(offsets[unit.lo], offsets[unit.hi]),
+                offsets[-1] + np.arange(unit.lo, unit.hi),
+            ])
+            local = np.concatenate([local, tallies])
+        elif unit.kernel is None:
+            verts = sgs[unit.lo].vertices
         else:
-            verts = np.arange(offsets[k], offsets[k + 1])
+            verts, inv = np.unique(
+                np.concatenate([sg.vertices for sg in sgs[unit.lo : unit.hi]]),
+                return_inverse=True,
+            )
+            local = np.bincount(inv, weights=local, minlength=verts.size)
         return verts, local, _counter_triple(tally)
 
-    total, edge_total, batch_edges = contributions(
+    total, edge_total, _batch_edges = contributions(
         compute,
         weights,
         n=n,
@@ -383,14 +538,10 @@ def _engine_units(
     if offsets is None:
         run.bc += total
         return
-    # batch_edges carries per-batch examined TOTALS (push + pull), so
-    # the committed per-sub-graph replay tallies are direction-blind
-    per_sg = np.zeros(len(sgs), dtype=np.int64)
-    for task_id, (k, _lo, _hi) in enumerate(tasks):
-        per_sg[k] += batch_edges[task_id]
+    tallies = np.rint(total[offsets[-1] :]).astype(np.int64)
     for k, sg in enumerate(sgs):
         local = total[offsets[k] : offsets[k + 1]]
-        sink(todo[k], local, int(per_sg[k]))
+        sink(todo[k], local, int(tallies[k]))
         run.bc[sg.vertices] += local
 
 

@@ -25,11 +25,16 @@ registered kernel — ``spmm`` by default — serves APGRE.
 
 Scores match the per-source path within float64 summation tolerance
 (the merge order differs), and the examined-edge tally is identical.
+
+Small sub-graphs do not each pay a sweep of their own:
+:func:`bc_bundle` stacks several into one block-diagonal graph and runs
+all their roots as the rows of one batch — the paper's coarse-grained
+level, sub-graphs as rows of one sweep.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,9 +46,27 @@ from repro.graph.batched import (
     batched_bc_scores,
     resolve_batch_size,
 )
+from repro.graph.csr import CSRGraph
+from repro.graph.ops import block_diagonal
 from repro.types import SCORE_DTYPE, VERTEX_DTYPE
 
-__all__ = ["bc_subgraph_batched", "sweep_weights"]
+__all__ = ["bc_bundle", "bc_subgraph_batched", "sweep_weights"]
+
+
+def _weights(
+    is_art: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    directed: bool,
+) -> SweepWeights:
+    ext = np.where(is_art, alpha, 0.0)
+    return SweepWeights(
+        ext=ext,
+        scale=1.0 + gamma + np.where(is_art, beta, 0.0),
+        gamma=gamma,
+        shift=ext - (0.0 if directed else 1.0),
+    )
 
 
 def sweep_weights(sg: Subgraph, gamma: np.ndarray) -> SweepWeights:
@@ -52,13 +75,8 @@ def sweep_weights(sg: Subgraph, gamma: np.ndarray) -> SweepWeights:
     ``gamma`` is the pendant multiplicity per root (all zero when
     pendant elimination is off).
     """
-    is_art = sg.is_boundary_art
-    ext = np.where(is_art, sg.alpha, 0.0)
-    return SweepWeights(
-        ext=ext,
-        scale=1.0 + gamma + np.where(is_art, sg.beta, 0.0),
-        gamma=gamma,
-        shift=ext - (0.0 if sg.graph.directed else 1.0),
+    return _weights(
+        sg.is_boundary_art, sg.alpha, sg.beta, gamma, sg.graph.directed
     )
 
 
@@ -135,3 +153,73 @@ def bc_subgraph_batched(
         kernel=kernel,
         weights=sweep_weights(sg, gamma),
     )
+
+
+def bc_bundle(
+    sgs: Sequence[Subgraph],
+    *,
+    kernel: str,
+    eliminate_pendants: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local BC scores of several sub-graphs from one weighted sweep.
+
+    The sub-graphs' CSRs are stacked into one block-diagonal graph
+    (:func:`repro.graph.ops.block_diagonal`), their weights are
+    concatenated, and all their roots run as the rows of a single
+    batch of ``kernel`` — a resolved registry name whose rows never
+    influence each other (``row_tallies``).  The caller sizes the
+    bundle so that one batch fits.  A row never leaves its block, so
+    member ``k`` gets exactly what :func:`bc_subgraph_batched` gives it
+    alone: scores ``local[offsets[k]:offsets[k + 1]]`` (to float64
+    tolerance) and examined-edge tally ``tallies[k]``, summed from the
+    kernel's per-row tallies.  Returns ``(local, offsets, tallies)``.
+    """
+    from repro.graph import kernels as _kernels
+
+    directed = bool(sgs[0].graph.directed)
+    indptr, indices, offsets = block_diagonal(
+        [(sg.graph.out_indptr, sg.graph.out_indices) for sg in sgs]
+    )
+    indices = indices.astype(VERTEX_DTYPE)
+    in_indptr, in_indices = indptr, indices
+    if directed:
+        in_indptr, in_indices, _ = block_diagonal(
+            [(sg.graph.in_indptr, sg.graph.in_indices) for sg in sgs]
+        )
+        in_indices = in_indices.astype(VERTEX_DTYPE)
+    n = int(offsets[-1])
+    graph = CSRGraph(n, indptr, indices, in_indptr, in_indices, directed)
+    if eliminate_pendants:
+        roots = [sg.roots for sg in sgs]
+        gamma = np.concatenate([sg.gamma for sg in sgs])
+    else:
+        roots = [np.arange(sg.num_vertices) for sg in sgs]
+        gamma = np.zeros(n, dtype=SCORE_DTYPE)
+    root_ptr = np.zeros(len(sgs) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in roots], out=root_ptr[1:])
+    if root_ptr[-1] == 0:  # kernels refuse an empty batch
+        tallies = np.zeros(len(sgs), dtype=np.int64)
+        return np.zeros(n, dtype=SCORE_DTYPE), offsets, tallies
+    sources = np.concatenate(
+        [r + off for r, off in zip(roots, offsets[:-1])]
+    ).astype(np.int64)
+    weights = _weights(
+        np.concatenate([sg.is_boundary_art for sg in sgs]),
+        np.concatenate([sg.alpha for sg in sgs]),
+        np.concatenate([sg.beta for sg in sgs]),
+        gamma,
+        directed,
+    )
+    kern = _kernels.get_kernel(kernel)
+    context = (
+        kern.prepare(graph, sources.size) if kern.prepare is not None
+        else None
+    )
+    row_edges = np.zeros(sources.size, dtype=np.int64)
+    local = kern.contributions(
+        graph, sources, context=context, weights=weights,
+        row_edges=row_edges,
+    )
+    cum = np.zeros(sources.size + 1, dtype=np.int64)
+    np.cumsum(row_edges, out=cum[1:])
+    return local, offsets, np.diff(cum[root_ptr])

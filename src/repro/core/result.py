@@ -117,6 +117,13 @@ class APGREStats:
     run's true examined-arc total — both terms are real memory
     traffic and feed TEPS; ``kernel_switches`` is heuristic
     bookkeeping and stays outside it.
+
+    ``bundles`` / ``subgraphs_bundled`` describe the BC phase's
+    coarse-grained level: how many block-diagonal bundle sweeps ran and
+    how many of the sub-graphs this run computed they held between
+    them (small non-top sub-graphs whose roots fit one batch together
+    — docs/ALGORITHM.md §7).  Bundled sub-graphs still replay, resume
+    and tally one by one.
     """
 
     num_subgraphs: int = 0
@@ -132,6 +139,8 @@ class APGREStats:
     subgraphs_replayed: int = 0
     subgraphs_resumed: int = 0
     subgraphs_recomputed: int = 0
+    subgraphs_bundled: int = 0
+    bundles: int = 0
     alpha_beta_pairs: int = 0
     alpha_beta_method: str = ""
     vertices_merged: int = 0

@@ -48,6 +48,7 @@ import numpy as np
 from repro.decompose.partition import Partition
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
+from repro.graph.ops import block_diagonal
 from repro.graph.scc import strongly_connected_components
 from repro.graph.traversal import (
     bfs_blocked,
@@ -138,13 +139,9 @@ def _sweep(
             bits += cells[k]
             k += 1
         batch, i = blocks[i:k], k
-        parts = [csrs[row_sg[r0]] for r0, _r1 in batch]
-        base = np.cumsum([0] + [p[0].size - 1 for p in parts])
-        arc_base = np.cumsum([0] + [p[1].size for p in parts])
-        indptr = np.concatenate(
-            [[0]] + [p[0][1:] + arc_base[b] for b, p in enumerate(parts)]
+        indptr, indices, base = block_diagonal(
+            [csrs[row_sg[r0]] for r0, _r1 in batch]
         )
-        indices = np.concatenate([p[1] + base[b] for b, p in enumerate(parts)])
         rows = np.concatenate([np.arange(r0, r1) for r0, r1 in batch])
         blk = np.repeat(np.arange(len(batch)), [r1 - r0 for r0, r1 in batch])
         bit = rows - np.asarray([r0 for r0, _r1 in batch])[blk]

@@ -27,19 +27,23 @@ After the block walk the partitioner derives, per sub-graph:
   or degree one (undirected), that is not a boundary articulation
   point is removed from the root set and its neighbour's γ is bumped
   ("BUILDSUBGRAPH() will set γ_SGi[] and R_SGi[]", §4).
+
+All sub-graphs are built in one vectorised pass over the concatenation
+of their local vertex spaces (:func:`_build_subgraphs`), so a graph
+that shatters into many small pieces pays no per-piece CSR build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.decompose.articulation import biconnected_components
+from repro.decompose.articulation import BCCResult, biconnected_components
 from repro.decompose.bcc_tree import BlockCutTree, build_block_cut_tree
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _build_csr
 from repro.graph.ops import to_undirected
 from repro.types import SCORE_DTYPE, VERTEX_DTYPE
 
@@ -174,14 +178,15 @@ def _arc_keys(graph: CSRGraph) -> np.ndarray:
 
 def _directed_arcs_for_pairs(
     n: int, keys: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover the original directed arcs for undirected edge pairs.
 
     The block decomposition runs on the undirected shadow; each shadow
     edge ``{u, v}`` corresponds to ``u->v``, ``v->u`` or both in the
     directed input. Membership is tested by binary search in the
     graph's sorted arc keys (:func:`_arc_keys`, built once per
-    partition).
+    partition). Returns ``(src, dst, pair)``: every arc and the index
+    of the pair it came from.
     """
     u = pairs[:, 0].astype(np.int64)
     v = pairs[:, 1].astype(np.int64)
@@ -191,121 +196,27 @@ def _directed_arcs_for_pairs(
     bwd_ok = (bwd < keys.size) & (keys[np.minimum(bwd, keys.size - 1)] == v * n + u)
     out_src = np.concatenate([u[fwd_ok], v[bwd_ok]])
     out_dst = np.concatenate([v[fwd_ok], u[bwd_ok]])
-    return out_src, out_dst
+    pair = np.concatenate([np.flatnonzero(fwd_ok), np.flatnonzero(bwd_ok)])
+    return out_src, out_dst, pair
 
 
-def _build_subgraph(
-    index: int,
-    graph: CSRGraph,
-    edge_arrays: List[np.ndarray],
-    extra_vertices: Optional[np.ndarray] = None,
-    arc_keys: Optional[np.ndarray] = None,
-) -> Subgraph:
-    """Materialise one sub-graph from its undirected edge arrays.
+def _group_blocks(
+    bcc: BCCResult, tree: BlockCutTree, threshold: int
+) -> List[List[np.ndarray]]:
+    """Algorithm 1's block walk: the edge arrays of each finalised group.
 
-    A directed ``graph`` takes its sorted ``arc_keys``
-    (:func:`_arc_keys`); an undirected one ignores them.
-
-    Boundary/root/γ fields are placeholders; they are resolved by
-    :func:`graph_partition` once global boundary information exists.
+    Groups come out in the order the walk finalises them.
     """
-    if edge_arrays:
-        pairs = np.concatenate(edge_arrays, axis=0)
-        verts = np.unique(pairs.ravel())
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-        verts = np.empty(0, dtype=np.int64)
-    if extra_vertices is not None and extra_vertices.size:
-        verts = np.unique(np.concatenate([verts, extra_vertices]))
-    if graph.directed:
-        gsrc, gdst = _directed_arcs_for_pairs(graph.n, arc_keys, pairs)
-    else:
-        gsrc, gdst = pairs[:, 0], pairs[:, 1]
-    # each shadow edge lies in exactly one block, so the arcs are
-    # already distinct; local ids by binary search in the sorted
-    # ``verts`` keep the cost per sub-graph off the graph's size
-    sub = CSRGraph.from_arcs(
-        verts.size,
-        np.searchsorted(verts, gsrc),
-        np.searchsorted(verts, gdst),
-        directed=graph.directed,
-        dedupe=False,
-    )
-    n_local = verts.size
-    return Subgraph(
-        index=index,
-        graph=sub,
-        vertices=verts.astype(VERTEX_DTYPE),
-        is_boundary_art=np.zeros(n_local, dtype=bool),
-        roots=np.arange(n_local, dtype=VERTEX_DTYPE),
-        gamma=np.zeros(n_local, dtype=SCORE_DTYPE),
-        removed=np.empty(0, dtype=VERTEX_DTYPE),
-        alpha=np.zeros(n_local, dtype=SCORE_DTYPE),
-        beta=np.zeros(n_local, dtype=SCORE_DTYPE),
-    )
-
-
-def _resolve_roots_and_gamma(sg: Subgraph) -> None:
-    """Fill ``roots``/``gamma``/``removed`` (the paper's R/γ).
-
-    Directed: removable sources have no in-arcs and exactly one
-    out-arc; undirected: degree-one leaves. Boundary articulation
-    points are never removed ("As u is not an articulation point",
-    proof of Theorem 3).
-    """
-    g = sg.graph
-    if g.directed:
-        removable = (
-            (g.in_degrees() == 0)
-            & (g.out_degrees() == 1)
-            & ~sg.is_boundary_art
-        )
-    else:
-        removable = (g.out_degrees() == 1) & ~sg.is_boundary_art
-    removed = np.flatnonzero(removable).astype(VERTEX_DTYPE)
-    gamma = np.zeros(g.n, dtype=SCORE_DTYPE)
-    if removed.size:
-        targets = g.out_indices[g.out_indptr[removed]]
-        np.add.at(gamma, targets, 1.0)
-    sg.roots = np.flatnonzero(~removable).astype(VERTEX_DTYPE)
-    sg.gamma = gamma
-    sg.removed = removed
-
-
-def graph_partition(
-    graph: CSRGraph, *, threshold: int = DEFAULT_THRESHOLD
-) -> Partition:
-    """Decompose ``graph`` into articulation-point-separated sub-graphs.
-
-    This is the paper's Algorithm 1 (see the module docstring for the
-    one documented deviation on disconnected inputs).
-
-    Parameters
-    ----------
-    graph:
-        Directed or undirected input.
-    threshold:
-        Small-component merge threshold (vertices). ``threshold <= 2``
-        disables all merging except the mandatory single-edge rule.
-    """
-    if threshold < 0:
-        raise PartitionError(f"threshold must be >= 0, got {threshold}")
-    und = to_undirected(graph)
-    bcc = biconnected_components(und)
-    tree = build_block_cut_tree(bcc)
     num_blocks = tree.num_blocks
-
     block_edge_counts = np.asarray(
         [edges.shape[0] for edges in bcc.component_edges], dtype=np.int64
     )
 
-    # group state: edge-array list + vertex set per *live* group root
+    # group state: edge-array list + vertex count per *live* group root
     group_edges: Dict[int, List[np.ndarray]] = {
         c: [bcc.component_edges[c]] for c in range(num_blocks)
     }
-    group_verts: Dict[int, Set[int]] = {
-        c: set(bcc.component_vertices[c].tolist()) for c in range(num_blocks)
-    }
+    group_size = [verts.size for verts in bcc.component_vertices]
 
     visited = np.zeros(num_blocks, dtype=bool)
     finalized: List[int] = []
@@ -373,41 +284,152 @@ def graph_partition(
                 finalized.append(curr)  # the top block itself
                 continue
             prev = stack[-1]
-            size = len(group_verts[curr])
-            if prev != top and size < threshold:
+            size = group_size[curr]
+            if size <= 2 if prev == top else size < threshold:
+                # the two groups are subtrees of the block-cut tree
+                # joined at one cut vertex: it is their only common one
                 group_edges[prev].extend(group_edges.pop(curr))
-                group_verts[prev].update(group_verts.pop(curr))
-            elif prev == top and size <= 2:
-                group_edges[prev].extend(group_edges.pop(curr))
-                group_verts[prev].update(group_verts.pop(curr))
+                group_size[prev] += size - 1
             else:
                 finalized.append(curr)
+    return [group_edges[gid] for gid in finalized]
 
-    # --- materialise sub-graphs ---
-    keys = _arc_keys(graph) if graph.directed else None
-    subgraphs: List[Subgraph] = []
-    for gid in finalized:
-        subgraphs.append(
-            _build_subgraph(
-                len(subgraphs), graph, group_edges[gid], arc_keys=keys
-            )
+
+def _build_subgraphs(
+    graph: CSRGraph,
+    groups: List[List[np.ndarray]],
+    isolated: np.ndarray,
+    articulation_flags: np.ndarray,
+) -> Tuple[List[Subgraph], np.ndarray]:
+    """Materialise every group as a sub-graph, in one pass.
+
+    ``groups[g]`` lists group ``g``'s undirected edge arrays; a
+    non-empty ``isolated`` adds one leftover sub-graph of those
+    vertices. All groups share one concatenated vertex space: one
+    ``np.unique`` over ``(group, vertex)`` keys sorts each group's
+    vertices, and one CSR build (plus its reverse when directed) over
+    that space holds every group's arcs, already in local ids. Degrees,
+    boundary flags, roots, γ and the removed pendants are computed over
+    the whole space, and each sub-graph takes its slices. Returns the
+    sub-graphs, in group order, and the boundary articulation mask.
+    """
+    n, directed = graph.n, graph.directed
+    num = len(groups) + (1 if isolated.size else 0)
+    arrays = [a for edges in groups for a in edges]
+    pairs = np.concatenate(arrays) if arrays else np.empty((0, 2), np.int64)
+    pair_group = np.repeat(
+        np.repeat(
+            np.arange(len(groups), dtype=np.int64),
+            [len(edges) for edges in groups],
+        ),
+        [a.shape[0] for a in arrays],
+    )
+    keys = np.unique(np.concatenate([
+        np.repeat(pair_group, 2) * n + pairs.ravel(),
+        len(groups) * n + isolated.astype(np.int64),
+    ]))
+    vstart = np.searchsorted(keys, np.arange(num + 1, dtype=np.int64) * n)
+    vgroup = np.repeat(np.arange(num, dtype=np.int64), np.diff(vstart))
+    verts = (keys - vgroup * n).astype(VERTEX_DTYPE)
+    total = keys.size
+
+    # each shadow edge lies in exactly one block, so the arcs are
+    # already distinct; a row's heads share its group, so sorting by
+    # local head id sorts each row as the per-group build would
+    if directed:
+        src, dst, pair = _directed_arcs_for_pairs(n, _arc_keys(graph), pairs)
+        arc_group = pair_group[pair]
+    else:
+        src, dst, arc_group = pairs[:, 0], pairs[:, 1], pair_group
+    tail = np.searchsorted(keys, arc_group * n + src)
+    head = np.searchsorted(keys, arc_group * n + dst)
+    base = vstart[arc_group]
+    if directed:
+        out_indptr, out_indices = _build_csr(total, tail, head - base)
+        in_indptr, in_indices = _build_csr(total, head, tail - base)
+    else:  # each undirected edge both ways
+        out_indptr, out_indices = _build_csr(
+            total,
+            np.concatenate([tail, head]),
+            np.concatenate([head - base, tail - base]),
         )
-    if bcc.isolated_vertices.size:
-        subgraphs.append(
-            _build_subgraph(
-                len(subgraphs), graph, [],
-                extra_vertices=bcc.isolated_vertices, arc_keys=keys,
-            )
-        )
+        in_indptr, in_indices = out_indptr, out_indices
+    out_deg = np.diff(out_indptr)
 
     # --- boundary articulation points: shared by >= 2 sub-graphs ---
-    membership = np.zeros(graph.n, dtype=np.int64)
-    for sg in subgraphs:
-        membership[sg.vertices] += 1
-    boundary = (membership >= 2) & bcc.articulation_flags
-    for sg in subgraphs:
-        sg.is_boundary_art = boundary[sg.vertices]
-        _resolve_roots_and_gamma(sg)
+    boundary = (np.bincount(verts, minlength=n) >= 2) & articulation_flags
+    is_art = boundary[verts]
+    # R/γ: a removable source has one out-arc and (directed) no
+    # in-arcs; boundary articulation points are never removed ("As u
+    # is not an articulation point", proof of Theorem 3)
+    removable = (out_deg == 1) & ~is_art
+    if directed:
+        removable &= np.diff(in_indptr) == 0
+    removed = np.flatnonzero(removable)
+    targets = out_indices[out_indptr[removed]] + vstart[vgroup[removed]]
+    gamma = np.bincount(targets, minlength=total).astype(SCORE_DTYPE)
+    roots = np.flatnonzero(~removable)
+    rstart = np.searchsorted(roots, vstart).tolist()
+    dstart = np.searchsorted(removed, vstart).tolist()
+    roots = (roots - vstart[vgroup[roots]]).astype(VERTEX_DTYPE)
+    removed = (removed - vstart[vgroup[removed]]).astype(VERTEX_DTYPE)
+    alpha = np.zeros(total, dtype=SCORE_DTYPE)
+    beta = np.zeros(total, dtype=SCORE_DTYPE)
+
+    subgraphs: List[Subgraph] = []
+    bounds = vstart.tolist()
+    arcs = out_indptr[vstart].tolist()
+    in_arcs = in_indptr[vstart].tolist()
+    for g in range(num):
+        lo, hi = bounds[g], bounds[g + 1]
+        ip = out_indptr[lo : hi + 1] - arcs[g]
+        ix = out_indices[arcs[g] : arcs[g + 1]]
+        if directed:
+            rp = in_indptr[lo : hi + 1] - in_arcs[g]
+            rx = in_indices[in_arcs[g] : in_arcs[g + 1]]
+        else:
+            rp, rx = ip, ix
+        subgraphs.append(Subgraph(
+            index=g,
+            graph=CSRGraph(hi - lo, ip, ix, rp, rx, directed),
+            vertices=verts[lo:hi],
+            is_boundary_art=is_art[lo:hi],
+            roots=roots[rstart[g] : rstart[g + 1]],
+            gamma=gamma[lo:hi],
+            removed=removed[dstart[g] : dstart[g + 1]],
+            alpha=alpha[lo:hi],
+            beta=beta[lo:hi],
+        ))
+    return subgraphs, boundary
+
+
+def graph_partition(
+    graph: CSRGraph, *, threshold: int = DEFAULT_THRESHOLD
+) -> Partition:
+    """Decompose ``graph`` into articulation-point-separated sub-graphs.
+
+    This is the paper's Algorithm 1 (see the module docstring for the
+    one documented deviation on disconnected inputs).
+
+    Parameters
+    ----------
+    graph:
+        Directed or undirected input.
+    threshold:
+        Small-component merge threshold (vertices). ``threshold <= 2``
+        disables all merging except the mandatory single-edge rule.
+    """
+    if threshold < 0:
+        raise PartitionError(f"threshold must be >= 0, got {threshold}")
+    und = to_undirected(graph)
+    bcc = biconnected_components(und)
+    tree = build_block_cut_tree(bcc)
+    subgraphs, boundary = _build_subgraphs(
+        graph,
+        _group_blocks(bcc, tree, threshold),
+        bcc.isolated_vertices,
+        bcc.articulation_flags,
+    )
 
     # top sub-graph first (Table 4 ordering: by edge count)
     subgraphs.sort(key=lambda s: (-s.num_arcs, -s.num_vertices))

@@ -66,6 +66,7 @@ __all__ = [
     "BatchWorkspace",
     "SweepWeights",
     "available_memory_bytes",
+    "row_bytes",
     "auto_batch_size",
     "resolve_batch_size",
     "bfs_sigma_batched",
@@ -128,6 +129,12 @@ def available_memory_bytes() -> int:
         return 1 << 30
 
 
+def row_bytes(n: int, m: int) -> int:
+    """Working set of one batch row on a graph of ``n`` vertices and
+    ``m`` arcs under the ``auto`` model: ``44·n + 20·m`` bytes."""
+    return _BYTES_PER_ROW_VERTEX * n + _BYTES_PER_ROW_ARC * max(m, 1)
+
+
 def auto_batch_size(
     n: int,
     m: int,
@@ -180,7 +187,7 @@ def auto_batch_size(
         # charge it once, before the per-worker split below
         budget = max(budget - csr, 0)
     budget //= max(int(workers), 1)
-    per_row = _BYTES_PER_ROW_VERTEX * n + _BYTES_PER_ROW_ARC * max(m, 1)
+    per_row = row_bytes(n, m)
     if kernel == "pull":
         per_row += _PULL_BYTES_PER_ROW_VERTEX * n
     rows = max(AUTO_WORKSET_BYTES // per_row, AUTO_MIN_BATCH)
@@ -330,12 +337,22 @@ class BatchedBFSResult:
         return self.dist >= 0
 
 
+def _add_row_sums(
+    row_edges: np.ndarray, counts: np.ndarray, indptr: np.ndarray
+) -> None:
+    """``row_edges[i] += counts[indptr[i]:indptr[i + 1]].sum()``, every row."""
+    cum = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
+    row_edges += np.diff(cum[indptr])
+
+
 def bfs_sigma_batched(
     graph: CSRGraph,
     sources,
     *,
     keep_level_arcs: bool = False,
     workspace: Optional[BatchWorkspace] = None,
+    row_edges: Optional[np.ndarray] = None,
 ) -> BatchedBFSResult:
     """Forward BFS with σ counting for a whole batch of sources.
 
@@ -348,7 +365,9 @@ def bfs_sigma_batched(
     With ``workspace`` the ``dist``/``sigma`` matrices are views into
     the workspace's reusable buffers (re-initialised here exactly as
     fresh allocations would be); the returned result then only stays
-    valid until the workspace's next use.
+    valid until the workspace's next use.  ``row_edges`` (int64, one
+    slot per source) receives each row's share of
+    ``edges_traversed``.
     """
     n = graph.n
     srcs = np.asarray(sources, dtype=np.int64).ravel()
@@ -387,6 +406,7 @@ def bfs_sigma_batched(
     indptr_n = indptr.astype(pdtype, copy=False)
     deg = (indptr[1:] - indptr[:-1]).astype(pdtype, copy=False)
     iota = np.arange(min(m, 1024) or 1, dtype=pdtype)
+    row_bounds = np.arange(b + 1, dtype=np.int64) * n
     edges = 0
     level = 0
     while frontier.size:
@@ -396,6 +416,11 @@ def bfs_sigma_batched(
         counts = deg[verts]
         total = int(counts.sum(dtype=np.int64))
         edges += total
+        if row_edges is not None:
+            # the frontier is sorted, so each row's pairs are one run
+            _add_row_sums(
+                row_edges, counts, np.searchsorted(frontier, row_bounds)
+            )
         if total > np.iinfo(pdtype).max:  # pragma: no cover - huge level
             pdtype = np.int64
             indptr_n = indptr.astype(np.int64, copy=False)
@@ -552,6 +577,7 @@ def accumulate_dependencies_batched(
     counter=None,
     workspace: Optional[BatchWorkspace] = None,
     weights: Optional[SweepWeights] = None,
+    row_edges: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Batched backward phase: δ_s(v) for every source in the batch.
 
@@ -559,7 +585,8 @@ def accumulate_dependencies_batched(
     accumulation strategy), with one gather/segmented-sum per level for
     the whole batch.  Returns a ``(B, n)`` dependency matrix whose row
     ``i`` equals the serial ``accumulate_dependencies(..., mode="arcs")``
-    for ``sources[i]``; the examined-edge tally matches it too.
+    for ``sources[i]``; the examined-edge tally matches it too, and
+    ``row_edges`` (one slot per row) receives it row by row.
     ``weights`` seeds the rows first (see :class:`SweepWeights`).
 
     ``workspace`` reuses the workspace's delta buffer (zeroed here);
@@ -578,9 +605,12 @@ def accumulate_dependencies_batched(
         delta_flat.fill(0.0)
     _seed_rows(delta_flat.reshape(b, n), res.sources, weights)
     sigma_flat = res.sigma.reshape(-1)
+    row_bounds = np.arange(b + 1, dtype=np.int64) * n
     for flat_src, flat_dst in reversed(res.level_arcs):
         if counter is not None:
             counter.add(flat_src.size)
+        if row_edges is not None:
+            row_edges += np.diff(np.searchsorted(flat_src, row_bounds))
         if flat_src.size == 0:
             continue
         coef = sigma_flat[flat_src] / sigma_flat[flat_dst]
@@ -700,6 +730,7 @@ def spmm_contributions(
     operands: Optional["_SpmmOperands"] = None,
     workspace: Optional[BatchWorkspace] = None,
     weights: Optional[SweepWeights] = None,
+    row_edges: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Summed BC contributions of one batch via sparse matmuls.
 
@@ -725,6 +756,10 @@ def spmm_contributions(
 
     ``weights`` runs the weighted sweep of :class:`SweepWeights`: δ
     starts from the seeded rows and each level adds to it.
+    ``row_edges`` (int64, one slot per source; implies the counted
+    product) receives that tally row by row: the frontier degree sums
+    and the DAG-arc counts, each summed over the frontier's row
+    bounds ``fp``.
     """
     spmm_tools = _sparsetools()
     if spmm_tools is None:
@@ -742,7 +777,7 @@ def spmm_contributions(
     ):
         ops = _spmm_operands_for(graph, b)
     idx = ops.idx
-    counted = counter is not None
+    counted = counter is not None or row_edges is not None
     fdtype = np.int32 if b * n <= _I32_MAX else np.int64
     if workspace is None:
         dist = np.full(b * n, -1, dtype=np.int32)
@@ -772,8 +807,11 @@ def spmm_contributions(
     dag_arcs = 0
     level = 0
     while True:
-        bound = int(ops.deg_fwd[cols].sum(dtype=np.int64))
+        degs = ops.deg_fwd[cols]
+        bound = int(degs.sum(dtype=np.int64))
         edges += bound
+        if row_edges is not None:
+            _add_row_sums(row_edges, degs, fp)
         if bound == 0:
             break
         cp = np.empty(b + 1, dtype=idx)
@@ -800,12 +838,15 @@ def spmm_contributions(
         if counted:
             sig = np.ascontiguousarray(vals.real)
             dag_arcs += int(round(vals.imag.sum()))
+            if row_edges is not None:
+                # multiplicities are sums of ones: exact integers
+                _add_row_sums(row_edges, vals.imag.astype(np.int64), fp)
             sigma[flat] = sig
             vals = sig + 1.0j
         else:
             sigma[flat] = vals
         levels.append((flat, cols, fp, vals))
-    if counted:
+    if counter is not None:
         counter.add(edges)
         counter.add(dag_arcs)
     # backward: one (B, n) · Aᵀ product per level, deepest first
@@ -846,6 +887,7 @@ def arcs_contributions(
     workspace: Optional[BatchWorkspace] = None,
     context=None,
     weights: Optional[SweepWeights] = None,
+    row_edges: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Summed BC contributions of one batch via the ``"arcs"`` kernel.
 
@@ -853,16 +895,19 @@ def arcs_contributions(
     -identical to the serial per-source path, tally included.
     ``context`` is accepted for kernel-signature uniformity (the arcs
     kernel needs no prepared operands); ``weights`` runs the weighted
-    sweep of :class:`SweepWeights`.
+    sweep of :class:`SweepWeights`; ``row_edges`` (int64, one slot per
+    source) receives the tally row by row.
     """
     srcs = np.asarray(sources, dtype=np.int64).ravel()
     res = bfs_sigma_batched(
-        graph, srcs, keep_level_arcs=True, workspace=workspace
+        graph, srcs, keep_level_arcs=True, workspace=workspace,
+        row_edges=row_edges,
     )
     if counter is not None:
         counter.add(res.edges_traversed)
     delta = accumulate_dependencies_batched(
-        res, counter=counter, workspace=workspace, weights=weights
+        res, counter=counter, workspace=workspace, weights=weights,
+        row_edges=row_edges,
     )
     return merge_rows(delta, res.dist, srcs, weights)
 

@@ -103,6 +103,13 @@ class ComputeKernel:
     optionally builds per-run shared state (SpMM operands, compiled
     functions) handed back as ``context``; ``probe`` must be cheap and
     side-effect free after its first call.
+
+    ``row_tallies`` marks a kernel whose rows never influence each
+    other (a push kernel): its ``contributions`` also take
+    ``row_edges``, an int64 array with one slot per source that
+    receives each row's examined arcs.  APGRE's bundle sweeps
+    (:func:`repro.core.batched_subgraph.bc_bundle`) run only on such
+    kernels.
     """
 
     name: str
@@ -111,6 +118,7 @@ class ComputeKernel:
     unavailable_reason: str
     contributions: Callable[..., np.ndarray]
     prepare: Optional[Callable[[CSRGraph, int], object]] = None
+    row_tallies: bool = False
 
     def available(self) -> bool:
         return bool(self.probe())
@@ -289,21 +297,21 @@ def kernel_report() -> Dict[str, Dict[str, object]]:
 
 def _arcs_kernel_contributions(
     graph, sources, *, counter=None, workspace=None, context=None,
-    weights=None,
+    weights=None, row_edges=None,
 ):
     return arcs_contributions(
         graph, sources, counter=counter, workspace=workspace,
-        weights=weights,
+        weights=weights, row_edges=row_edges,
     )
 
 
 def _spmm_kernel_contributions(
     graph, sources, *, counter=None, workspace=None, context=None,
-    weights=None,
+    weights=None, row_edges=None,
 ):
     return spmm_contributions(
         graph, sources, counter=counter, operands=context,
-        workspace=workspace, weights=weights,
+        workspace=workspace, weights=weights, row_edges=row_edges,
     )
 
 
@@ -313,6 +321,7 @@ register_kernel(ComputeKernel(
     probe=lambda: True,
     unavailable_reason="",
     contributions=_arcs_kernel_contributions,
+    row_tallies=True,
 ))
 
 register_kernel(ComputeKernel(
@@ -322,6 +331,7 @@ register_kernel(ComputeKernel(
     unavailable_reason="scipy.sparse._sparsetools does not load",
     contributions=_spmm_kernel_contributions,
     prepare=_spmm_operands_for,
+    row_tallies=True,
 ))
 
 from repro.graph.kernels import pull as _pull  # noqa: E402

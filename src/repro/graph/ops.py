@@ -8,7 +8,7 @@ for loops" rule).
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "reachable_from",
     "induced_subgraph",
     "edge_subgraph",
+    "block_diagonal",
     "relabel_sorted",
 ]
 
@@ -227,6 +228,32 @@ def edge_subgraph(
     return CSRGraph.from_arcs(
         vertices.size, remap[src], remap[dst], directed=graph.directed
     )
+
+
+def block_diagonal(
+    csrs: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack CSR ``(indptr, indices)`` pairs into one block-diagonal CSR.
+
+    Vertex ``i`` of part ``k`` becomes vertex ``offsets[k] + i`` of the
+    union and keeps its arcs in their order, so a traversal of the
+    union never leaves the part it starts in.  Returns ``(indptr,
+    indices, offsets)``; the int64 ``offsets`` has one entry per part
+    plus the union's vertex count.
+    """
+    offsets = np.zeros(len(csrs) + 1, dtype=np.int64)
+    np.cumsum([p[0].size - 1 for p in csrs], out=offsets[1:])
+    arc_base = np.zeros(len(csrs) + 1, dtype=np.int64)
+    np.cumsum([p[1].size for p in csrs], out=arc_base[1:])
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [p[0][1:] + arc_base[k] for k, p in enumerate(csrs)]
+    )
+    indices = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [p[1] + offsets[k] for k, p in enumerate(csrs)]
+    )
+    return indptr, indices, offsets
 
 
 def relabel_sorted(vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

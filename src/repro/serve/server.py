@@ -219,6 +219,8 @@ class ServerState:
             "edges_replayed": result.stats.edges_replayed,
             "subgraphs_replayed": result.stats.subgraphs_replayed,
             "subgraphs_recomputed": result.stats.subgraphs_recomputed,
+            "subgraphs_bundled": result.stats.subgraphs_bundled,
+            "bundles": result.stats.bundles,
             "degraded": bool(
                 result.health is not None and result.health.degraded
             ),
@@ -279,6 +281,8 @@ class ServerState:
                     "edges_replayed": stats.edges_replayed,
                     "subgraphs_replayed": stats.subgraphs_replayed,
                     "subgraphs_recomputed": stats.subgraphs_recomputed,
+                    "subgraphs_bundled": stats.subgraphs_bundled,
+                    "bundles": stats.bundles,
                     "degraded": False,
                     "delta": True,
                 },

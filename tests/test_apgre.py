@@ -236,6 +236,49 @@ class TestDetailedResult:
         assert full.stats.num_sources >= und_random.n
 
 
+class TestBundles:
+    """Small non-top sub-graphs run as block-diagonal bundle sweeps."""
+
+    def test_stats_pin_the_bundles(self):
+        g = analogue_graph("WikiTalk", scale=0.5)
+        s = apgre_bc_detailed(g).stats
+        assert s.num_subgraphs == 50
+        assert (s.subgraphs_bundled, s.bundles) == (49, 2)
+        assert s.timings.top_bc > 0
+
+    def test_top_is_never_bundled(self):
+        # seven triangles on one hub: every sub-graph, the top included,
+        # would fit one bundle
+        g = from_edges(
+            [e for t in range(7) for e in
+             [(0, 2 * t + 1), (0, 2 * t + 2), (2 * t + 1, 2 * t + 2)]]
+        )
+        res = apgre_bc_detailed(g, APGREConfig(threshold=2))
+        s = res.stats
+        assert s.num_subgraphs == 7
+        assert (s.subgraphs_bundled, s.bundles) == (6, 1)
+        assert s.timings.top_bc > 0
+        np.testing.assert_allclose(res.scores, brandes_bc(g), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"batch_size": None}, {"kernel": "pull"}],
+        ids=["per-source", "pull"],
+    )
+    def test_runs_alone(self, options):
+        g = analogue_graph("WikiTalk", scale=0.5)
+        s = apgre_bc_detailed(g, APGREConfig(**options)).stats
+        assert (s.subgraphs_bundled, s.bundles) == (0, 0)
+
+    def test_integer_batch_caps_the_bundle(self):
+        g = analogue_graph("WikiTalk", scale=0.5)
+        wide = apgre_bc_detailed(g, APGREConfig(batch_size=128)).stats
+        thin = apgre_bc_detailed(g, APGREConfig(batch_size=16)).stats
+        assert wide.bundles == 2
+        assert thin.bundles > wide.bundles
+        assert thin.edges_traversed == wide.edges_traversed
+
+
 class TestBCSubgraphUnits:
     def test_root_subsets_compose(self, und_random):
         partition = graph_partition(und_random)

@@ -15,7 +15,7 @@ from repro.baselines.brandes import brandes_bc, brandes_python_bc
 from repro.baselines.common import WorkCounter, run_per_source
 from repro.baselines.registry import get_algorithm
 from repro.core.apgre import apgre_bc
-from repro.core.batched_subgraph import bc_subgraph_batched
+from repro.core.batched_subgraph import bc_bundle, bc_subgraph_batched
 from repro.core.bc_subgraph import bc_subgraph
 from repro.core.config import APGREConfig
 from repro.decompose.alphabeta import compute_alpha_beta
@@ -32,6 +32,7 @@ from repro.graph.batched import (
     bfs_sigma_batched,
     resolve_batch_size,
 )
+from repro.graph.build import from_edges
 from repro.graph.kernels import get_kernel, kernel_names
 from repro.graph.traversal import bfs_sigma
 
@@ -284,6 +285,47 @@ class TestBatchedSubgraph:
             assert peak <= 2 * AUTO_WORKSET_BYTES, (
                 f"{kernel}: {peak / 2**20:.1f} MiB"
             )
+
+    @pytest.mark.parametrize("eliminate", [True, False])
+    def test_bundle_matches_its_members(self, zoo_entry, eliminate):
+        """One block-diagonal sweep gives every member exactly what its
+        own batched sweep gives it: scores to 1e-9, tally to the arc."""
+        _name, g, _nxg = zoo_entry
+        partition = graph_partition(g, threshold=2)
+        compute_alpha_beta(g, partition)
+        sgs = partition.subgraphs
+        if not sgs:
+            return
+        for kernel in [k for k in KERNELS if get_kernel(k).row_tallies]:
+            local, offsets, tallies = bc_bundle(
+                sgs, kernel=kernel, eliminate_pendants=eliminate
+            )
+            assert offsets.tolist() == np.cumsum(
+                [0] + [sg.num_vertices for sg in sgs]
+            ).tolist()
+            for k, sg in enumerate(sgs):
+                counter = WorkCounter()
+                alone = bc_subgraph_batched(
+                    sg, eliminate_pendants=eliminate, batch_size=1 << 20,
+                    kernel=kernel, counter=counter,
+                )
+                np.testing.assert_allclose(
+                    local[offsets[k] : offsets[k + 1]], alone,
+                    rtol=1e-9, atol=1e-9, err_msg=kernel,
+                )
+                assert tallies[k] == counter.examined, kernel
+
+    def test_bundle_without_roots_commits_zeros(self):
+        # two isolated edges: both ends are removable pendants
+        g = from_edges([(0, 1), (2, 3)])
+        partition = graph_partition(g)
+        compute_alpha_beta(g, partition)
+        sgs = partition.subgraphs
+        assert [sg.roots.size for sg in sgs] == [0, 0]
+        local, offsets, tallies = bc_bundle(sgs, kernel="arcs")
+        assert local.tolist() == [0.0] * 4
+        assert offsets.tolist() == [0, 2, 4]
+        assert tallies.tolist() == [0, 0]
 
     def test_root_subsets_sum(self, zoo_entry):
         _name, g, _nxg = zoo_entry

@@ -6,7 +6,10 @@ run agree with Brandes to 1e-9 and tally exactly the same work, and a
 warm-cache rerun or a journal resume accounts for that work as
 replayed/resumed instead of traversed.  With one worker the three
 first runs execute the identical serial loop, so their scores are
-bit-identical.
+bit-identical.  Besides the ring, two suite analogues run every
+engine: their small sub-graphs run as bundles whose members share
+articulation points, and each bundled sub-graph still commits, replays
+and resumes its own exact tally.
 """
 
 from dataclasses import replace
@@ -18,6 +21,7 @@ from repro.baselines.brandes import brandes_bc
 from repro.cache.store import ContributionStore
 from repro.core.apgre import apgre_bc_detailed
 from repro.core.config import APGREConfig
+from repro.generators.suite import analogue_graph
 from repro.graph.build import from_edges
 
 ENGINES = {
@@ -65,20 +69,26 @@ def work(result) -> int:
     )
 
 
-@pytest.mark.parametrize("compress", [False, True], ids=["full", "compress"])
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_plain_cache_journal_agree(
-    graph, reference, tmp_path, engine, compress
-):
-    base = APGREConfig(threshold=2, compress=compress, **ENGINES[engine])
+#: suite analogues whose small sub-graphs bundle (default threshold):
+#: WikiTalk is directed, Email-Enron undirected
+ANALOGUES = ("WikiTalk", "Email-Enron")
+
+
+@pytest.fixture(scope="module", params=ANALOGUES)
+def analogue(request):
+    g = analogue_graph(request.param, scale=0.5)
+    return g, brandes_bc(g)
+
+
+def check_agree(graph, reference, tmp_path, base):
+    """Plain, cold-cache and journaled runs agree, and a warm rerun
+    and a resume account for the same work as replayed/resumed."""
     store = ContributionStore()
     plain = apgre_bc_detailed(graph, base)
     cold = apgre_bc_detailed(graph, replace(base, cache=store))
     journaled = apgre_bc_detailed(
         graph, replace(base, journal_dir=str(tmp_path))
     )
-    if compress:
-        assert plain.stats.compression_ratio > 1.0
 
     traversed = plain.stats.edges_traversed + plain.stats.edges_pulled
     assert traversed > 0
@@ -87,7 +97,7 @@ def test_plain_cache_journal_agree(
             result.scores, reference, rtol=1e-9, atol=1e-9
         )
         assert work(result) == traversed
-    if engine == "serial":
+    if base.workers == 1:
         # the same inline loop in the same LPT order, three times
         assert np.array_equal(cold.scores, plain.scores)
         assert np.array_equal(journaled.scores, plain.scores)
@@ -105,3 +115,25 @@ def test_plain_cache_journal_agree(
         np.testing.assert_allclose(
             result.scores, reference, rtol=1e-9, atol=1e-9
         )
+    return plain
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["full", "compress"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_plain_cache_journal_agree(
+    graph, reference, tmp_path, engine, compress
+):
+    base = APGREConfig(threshold=2, compress=compress, **ENGINES[engine])
+    plain = check_agree(graph, reference, tmp_path, base)
+    if compress:
+        assert plain.stats.compression_ratio > 1.0
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_plain_cache_journal_agree_bundled(analogue, tmp_path, engine):
+    graph, reference = analogue
+    plain = check_agree(
+        graph, reference, tmp_path, APGREConfig(**ENGINES[engine])
+    )
+    assert plain.stats.bundles >= 1
+    assert plain.stats.subgraphs_bundled > plain.stats.bundles

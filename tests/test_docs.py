@@ -413,12 +413,14 @@ class TestWeightedSweepDocs:
         from repro.graph.kernels import get_kernel, kernel_names
 
         assert batched_subgraph.__all__ == [
-            "bc_subgraph_batched", "sweep_weights"
+            "bc_bundle", "bc_subgraph_batched", "sweep_weights"
         ]
         assert "weights" in inspect.signature(batched_bc_scores).parameters
         for name in kernel_names():
-            params = inspect.signature(get_kernel(name).contributions)
-            assert "weights" in params.parameters, name
+            kernel = get_kernel(name)
+            params = inspect.signature(kernel.contributions).parameters
+            assert "weights" in params, name
+            assert ("row_edges" in params) == kernel.row_tallies, name
 
     def test_changelog_carries_the_note(self):
         text = " ".join((ROOT / "CHANGELOG.md").read_text().split())

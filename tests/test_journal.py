@@ -346,7 +346,8 @@ class TestResumeContract:
 
     def test_resume_under_different_strategy(self, tmp_path, graph,
                                              reference):
-        """A serially journaled run resumes on the pooled path."""
+        """A serially journaled run resumes on the pooled path, and a
+        per-source journal resumes under the default bundled run."""
         apgre_bc_detailed(graph, config_for(tmp_path))
         truncate_to(tmp_path, keep=2)
         resumed = apgre_bc_detailed(
@@ -357,6 +358,20 @@ class TestResumeContract:
         )
         np.testing.assert_allclose(resumed.scores, reference, atol=1e-9)
         assert resumed.stats.subgraphs_resumed == 2
+
+        per_source = tmp_path / "per-source"
+        cold = apgre_bc_detailed(
+            graph, config_for(per_source, batch_size=None)
+        )
+        truncate_to(per_source, keep=2)
+        resumed = apgre_bc_detailed(graph, config_for(per_source, resume=True))
+        np.testing.assert_allclose(resumed.scores, reference, atol=1e-9)
+        assert resumed.stats.subgraphs_resumed == 2
+        assert resumed.stats.bundles >= 1
+        assert (
+            resumed.stats.edges_resumed + resumed.stats.edges_traversed
+            == cold.stats.edges_traversed
+        )
 
     def test_torn_log_tail_is_dropped(self, tmp_path, graph, reference):
         cold = apgre_bc_detailed(graph, config_for(tmp_path))

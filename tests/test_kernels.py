@@ -252,6 +252,32 @@ class TestKernelEquivalence:
             assert counter.pulled == 0
             assert counter.switches == 0
 
+    @pytest.mark.parametrize(
+        "kernel", [k for k in AVAILABLE if get_kernel(k).row_tallies]
+    )
+    def test_row_edges_split_the_tally(self, dense, dir_random, kernel):
+        """``row_edges`` sums to the batch tally, and row ``i`` holds
+        what a one-root run of ``sources[i]`` examines."""
+        kern = get_kernel(kernel)
+        for graph in (dense, dir_random):
+            sources = np.arange(0, graph.n, 7)
+            context = (
+                kern.prepare(graph, sources.size) if kern.prepare else None
+            )
+            counter = WorkCounter()
+            row_edges = np.zeros(sources.size, dtype=np.int64)
+            kern.contributions(
+                graph, sources, counter=counter, context=context,
+                row_edges=row_edges,
+            )
+            assert row_edges.sum() == counter.examined > 0
+            for i in range(sources.size):
+                one = WorkCounter()
+                kern.contributions(
+                    graph, sources[i : i + 1], counter=one, context=context
+                )
+                assert row_edges[i] == one.examined, (kernel, i)
+
     def test_pull_examines_fewer_arcs(self, dense):
         _, (arcs_edges, _, _) = triple(dense, kernel="arcs")
         counter = WorkCounter()

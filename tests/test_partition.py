@@ -6,13 +6,21 @@ import numpy as np
 import networkx as nx
 import pytest
 
+from repro.decompose.articulation import biconnected_components
+from repro.decompose.bcc_tree import build_block_cut_tree
 from repro.decompose.partition import (
     DEFAULT_THRESHOLD,
+    _build_subgraphs,
+    _group_blocks,
     graph_partition,
 )
 from repro.errors import PartitionError
+from repro.generators.suite import analogue_graph, suite_names
 from repro.graph.build import from_edges, from_networkx
+from repro.graph.csr import CSRGraph
+from repro.graph.ops import to_undirected
 from repro.graph.validate import validate_graph
+from repro.types import SCORE_DTYPE, VERTEX_DTYPE
 
 
 class TestPartitionInvariants:
@@ -115,6 +123,76 @@ class TestSubgraphEdges:
         assert partition.num_subgraphs == 0
         with pytest.raises(PartitionError, match="no top"):
             partition.top
+
+
+def per_group_subgraph(graph, edges, extra, boundary):
+    """One group built on its own: its sorted vertex set, one
+    ``CSRGraph.from_arcs`` over its arcs, then R/γ from its degrees."""
+    pairs = np.concatenate(edges) if edges else np.empty((0, 2), np.int64)
+    verts = np.unique(np.concatenate([pairs.ravel(), extra]))
+    u, v = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+    if graph.directed:
+        src, dst = graph.arcs()
+        keys = src.astype(np.int64) * graph.n + dst
+        fwd = np.isin(u * graph.n + v, keys)
+        bwd = np.isin(v * graph.n + u, keys)
+        u, v = (
+            np.concatenate([u[fwd], v[bwd]]),
+            np.concatenate([v[fwd], u[bwd]]),
+        )
+    sub = CSRGraph.from_arcs(
+        verts.size, np.searchsorted(verts, u), np.searchsorted(verts, v),
+        directed=graph.directed, dedupe=False,
+    )
+    is_art = boundary[verts]
+    removable = (sub.out_degrees() == 1) & ~is_art
+    if graph.directed:
+        removable &= sub.in_degrees() == 0
+    removed = np.flatnonzero(removable).astype(VERTEX_DTYPE)
+    gamma = np.zeros(verts.size, dtype=SCORE_DTYPE)
+    np.add.at(gamma, sub.out_indices[sub.out_indptr[removed]], 1.0)
+    zeros = np.zeros(verts.size, dtype=SCORE_DTYPE)
+    return [
+        sub.out_indptr, sub.out_indices, sub.in_indptr, sub.in_indices,
+        verts.astype(VERTEX_DTYPE), is_art,
+        np.flatnonzero(~removable).astype(VERTEX_DTYPE), gamma, removed,
+        zeros, zeros,
+    ]
+
+
+def assert_one_pass_matches_per_group(graph, threshold=DEFAULT_THRESHOLD):
+    bcc = biconnected_components(to_undirected(graph))
+    groups = _group_blocks(bcc, build_block_cut_tree(bcc), threshold)
+    subgraphs, boundary = _build_subgraphs(
+        graph, groups, bcc.isolated_vertices, bcc.articulation_flags
+    )
+    extras = [np.empty(0, np.int64)] * len(groups)
+    if bcc.isolated_vertices.size:
+        groups, extras = groups + [[]], extras + [bcc.isolated_vertices]
+    assert len(subgraphs) == len(groups)
+    for sg, edges, extra in zip(subgraphs, groups, extras):
+        g = sg.graph
+        got = [
+            g.out_indptr, g.out_indices, g.in_indptr, g.in_indices,
+            sg.vertices, sg.is_boundary_art, sg.roots, sg.gamma,
+            sg.removed, sg.alpha, sg.beta,
+        ]
+        want = per_group_subgraph(graph, edges, extra, boundary)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+class TestOnePassBuild:
+    """Building every sub-graph in one pass changes no byte of any."""
+
+    @pytest.mark.parametrize("threshold", [2, DEFAULT_THRESHOLD])
+    def test_zoo(self, zoo_entry, threshold):
+        assert_one_pass_matches_per_group(zoo_entry[1], threshold)
+
+    @pytest.mark.parametrize("name", suite_names())
+    def test_suite_analogues(self, name):
+        assert_one_pass_matches_per_group(analogue_graph(name))
 
 
 class TestRootsAndGamma:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.baselines.brandes import brandes_bc
 from repro.baselines.common import per_source_delta
-from repro.core.apgre import apgre_bc
+from repro.core.apgre import apgre_bc, apgre_bc_detailed
+from repro.core.config import APGREConfig
 from repro.core.dependencies import accumulate_four_dependencies
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.articulation import biconnected_components
@@ -96,6 +97,20 @@ def test_apgre_without_pendant_elimination(g):
         rtol=1e-8,
         atol=1e-8,
     )
+
+
+@given(random_graphs(), st.integers(min_value=0, max_value=8), st.booleans())
+@settings(**SETTINGS)
+def test_default_run_equals_per_source_reference(g, threshold, eliminate):
+    """The default run (bundles and batches) == the per-source
+    reference, tally included."""
+    options = dict(threshold=threshold, eliminate_pendants=eliminate)
+    default = apgre_bc_detailed(g, APGREConfig(**options))
+    reference = apgre_bc_detailed(g, APGREConfig(batch_size=None, **options))
+    np.testing.assert_allclose(
+        default.scores, reference.scores, rtol=1e-9, atol=1e-9
+    )
+    assert default.stats.edges_traversed == reference.stats.edges_traversed
 
 
 @given(random_graphs())

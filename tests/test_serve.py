@@ -363,6 +363,8 @@ class TestEndpoints:
         assert np.array_equal(
             np.asarray(payload["scores"]), local.scores
         ), "served full vector differs from a local run"
+        for field in ("subgraphs_bundled", "bundles"):
+            assert payload["meta"][field] == getattr(local.stats, field)
 
     def test_vertex_matches_full_vector(self, served):
         full = np.asarray(served.client.bc(full=True)["scores"])
