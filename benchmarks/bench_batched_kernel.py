@@ -45,6 +45,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.common import WorkCounter, run_per_source
+from repro.bench.persistence import environment_provenance
 from repro.bench.workloads import get_graph
 from repro.generators.powerlaw import barabasi_albert_graph
 from repro.graph.kernels import get_kernel
@@ -195,6 +196,7 @@ def test_batched_kernel_smoke(results_dir):
         "bench": "bench_batched_kernel",
         "seed": SEED,
         "repeat": REPEAT,
+        "environment": environment_provenance(),
         "workloads": rows,
     }
     out = results_dir / "bench_batched_kernel.json"
@@ -251,7 +253,9 @@ def main(argv=None):
             return 0
     rows = [r for w in workloads for r in measure_workload(*w)]
     print(json.dumps({"bench": "bench_batched_kernel", "quick": args.quick,
-                      "kernel": args.kernel, "workloads": rows}, indent=2))
+                      "kernel": args.kernel,
+                      "environment": environment_provenance(),
+                      "workloads": rows}, indent=2))
     check_rows(rows, quick=args.quick)
     return 0
 

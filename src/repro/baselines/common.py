@@ -223,29 +223,26 @@ def run_per_source(
             raise AlgorithmError(
                 "batch_size requires the default bfs_sigma forward"
             )
-    if batch_size is not None and kernel is not None:
-        # price the RAM model against the kernel that will actually
-        # run (resolution of an explicit name is stable; "auto" here
-        # is only a sizing hint — the engines re-resolve per batch)
+        # price the RAM model against the kernel that will actually run
         from repro.graph import kernels as _kernels
 
         kernel = _kernels.resolve_kernel_name(kernel, graph=graph)
+        source_list = list(source_list)
     if batch_size is not None and (workers > 1 or backend is not None):
-        from repro.graph.batched import resolve_batch_size
         from repro.parallel.backends import resolve_backend
 
         engine = resolve_backend(backend)
-        batch = resolve_batch_size(
+        batch = _kernels.resolve_kernel_batch(
             batch_size,
-            n,
-            graph.num_arcs,
+            graph,
+            len(source_list),
+            kernel=kernel,
             workers=workers,
             shared_csr=engine.shared_csr,
-            kernel=kernel,
         )
         return engine.scores(
             graph,
-            list(source_list),
+            source_list,
             batch=batch,
             workers=workers,
             steal=steal,
@@ -267,13 +264,10 @@ def run_per_source(
             health=health,
         )
     if batch_size is not None:
-        from repro.graph.batched import (
-            batched_bc_scores,
-            resolve_batch_size,
-        )
+        from repro.graph.batched import batched_bc_scores
 
-        batch = resolve_batch_size(
-            batch_size, n, graph.num_arcs, kernel=kernel
+        batch = _kernels.resolve_kernel_batch(
+            batch_size, graph, len(source_list), kernel=kernel
         )
         return batched_bc_scores(
             graph, source_list, batch=batch, counter=counter,

@@ -41,11 +41,7 @@ import numpy as np
 from repro.baselines.common import WorkCounter
 from repro.decompose.partition import Subgraph
 from repro.errors import AlgorithmError
-from repro.graph.batched import (
-    SweepWeights,
-    batched_bc_scores,
-    resolve_batch_size,
-)
+from repro.graph.batched import SweepWeights, batched_bc_scores
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import block_diagonal
 from repro.types import SCORE_DTYPE, VERTEX_DTYPE
@@ -97,7 +93,9 @@ def bc_subgraph_batched(
     subsets from different calls still sum to the full sub-graph
     scores), with roots processed ``batch_size`` at a time; ``"auto"``
     sizes the batch to a ~4 MiB working set from the sub-graph's own n
-    and m, under a RAM ceiling divided by ``workers`` — pass the
+    and m (spmm: its widest level, see
+    :func:`~repro.graph.kernels.resolve_kernel_batch`), under a RAM
+    ceiling divided by ``workers`` — pass the
     pool's worker count when several of these calls run concurrently,
     so they share one RAM budget instead of each claiming all of it.
     ``compress=True`` routes through the structural compression kernel
@@ -140,8 +138,8 @@ def bc_subgraph_batched(
     from repro.graph import kernels as _kernels
 
     kernel = _kernels.resolve_kernel_name(kernel, graph=g)
-    batch = resolve_batch_size(
-        batch_size, n, g.num_arcs, workers=workers, kernel=kernel
+    batch = _kernels.resolve_kernel_batch(
+        batch_size, g, roots.size, kernel=kernel, workers=workers
     )
     if batch is None:
         raise AlgorithmError("bc_subgraph_batched needs a batch size")

@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -86,9 +87,8 @@ __all__ = [
 DEFAULT_MAX_BATCH = 128
 
 #: Working set ``"auto"`` sizes a batch to.  On the road analogue's
-#: top sub-graph, rows past ~16 (about this many bytes under the
-#: per-row model below) buy little time while peak RSS keeps climbing
-#: with every one (docs/PERFORMANCE.md §6).
+#: top sub-graph, peak RSS climbs with every row while the time each
+#: extra row saves keeps shrinking (docs/PERFORMANCE.md §6).
 AUTO_WORKSET_BYTES = 4 << 20
 
 #: Fewest rows ``"auto"`` picks while the RAM ceiling allows them: on
@@ -99,7 +99,9 @@ AUTO_MIN_BATCH = 8
 # Rough per-batch-row memory model used by the ``auto`` heuristic:
 # dist (int32) + sigma (float64) + up to three dependency matrices
 # (float64) per vertex, and two flattened int64 DAG-arc arrays plus
-# gather temporaries per arc.
+# gather temporaries per arc.  The spmm kernel records no DAG arcs:
+# its arc term holds only one level's product, so its working set is
+# priced at the widest level's arcs instead of ``m``.
 _BYTES_PER_ROW_VERTEX = 44
 _BYTES_PER_ROW_ARC = 20
 
@@ -144,14 +146,19 @@ def auto_batch_size(
     workers: int = 1,
     shared_csr: bool = False,
     kernel: Optional[str] = None,
+    level_arcs: Optional[int] = None,
 ) -> int:
     """Pick a batch size whose ``(B, n)`` working set stays small.
 
     Sizes the batch to :data:`AUTO_WORKSET_BYTES` under a conservative
     per-row estimate of ``44·n + 20·m`` bytes (state matrices plus
     recorded DAG arcs), with a floor of :data:`AUTO_MIN_BATCH` rows.
+    ``level_arcs`` estimates the arcs of a kernel's widest level
+    product when it stores no DAG (spmm): the working set then prices
+    a row at ``44·n + 20·min(m, level_arcs)``.
     A quarter of available memory (capped at 2 GiB) stays the
-    ceiling, and the result is clamped to ``[1, max_batch]``.
+    ceiling, priced by the base model, and the result is clamped to
+    ``[1, max_batch]``.
     ``workers`` divides that ceiling: in a parallel run every
     concurrent worker materialises its own ``(B, n)`` working set, so
     sizing each against the full budget would oversubscribe RAM
@@ -188,9 +195,11 @@ def auto_batch_size(
         budget = max(budget - csr, 0)
     budget //= max(int(workers), 1)
     per_row = row_bytes(n, m)
+    work_row = row_bytes(n, m if level_arcs is None else min(m, level_arcs))
     if kernel == "pull":
         per_row += _PULL_BYTES_PER_ROW_VERTEX * n
-    rows = max(AUTO_WORKSET_BYTES // per_row, AUTO_MIN_BATCH)
+        work_row += _PULL_BYTES_PER_ROW_VERTEX * n
+    rows = max(AUTO_WORKSET_BYTES // work_row, AUTO_MIN_BATCH)
     return int(max(1, min(rows, budget // per_row, max_batch)))
 
 
@@ -210,25 +219,28 @@ def resolve_batch_size(
     number of concurrent ``workers`` sharing the RAM budget, the
     backend's address-space model (``shared_csr``), and the compute
     ``kernel``'s extra working set (see :func:`auto_batch_size`); a
-    positive int is validated and returned as-is (an explicit size is
-    the caller's statement that it fits).
+    positive integer (numpy integers included) is validated and
+    returned as an int (an explicit size is the caller's statement
+    that it fits).  Bools and non-integral numbers are rejected rather
+    than truncated.
     """
     if batch_size is None:
         return None
-    if isinstance(batch_size, str):
-        if batch_size == "auto":
-            return auto_batch_size(
-                n, m, workers=workers, shared_csr=shared_csr,
-                kernel=kernel,
-            )
+    if isinstance(batch_size, str) and batch_size == "auto":
+        return auto_batch_size(
+            n, m, workers=workers, shared_csr=shared_csr, kernel=kernel
+        )
+    # bool subclasses int, but True is no batch width
+    if isinstance(batch_size, bool) or not isinstance(
+        batch_size, numbers.Integral
+    ):
         raise AlgorithmError(
             f"batch_size must be 'auto', a positive int or None, "
             f"got {batch_size!r}"
         )
-    b = int(batch_size)
-    if b < 1:
+    if batch_size < 1:
         raise AlgorithmError(f"batch_size must be >= 1, got {batch_size}")
-    return b
+    return int(batch_size)
 
 
 class BatchWorkspace:
@@ -739,10 +751,11 @@ def spmm_contributions(
     deduplicates and σ-sums every candidate arc in a single call, and
     the output is pre-sized by the frontier degree sum (exactly the
     serial examined-edge tally, so no sizing pass is needed).  Fresh
-    vertices are those still undiscovered in ``dist``; their per-row
-    survivor counts (a cumsum of the mask sampled at the row bounds)
-    become the next frontier's indptr without any sort.  The backward
-    sweep mirrors it: one ``W · Aᵀ`` product per level with
+    vertices are those still undiscovered in ``dist``; one search of
+    their flat indices over the row bounds gives the next frontier's
+    indptr without any sort.  A level keeps only its ``(flat, cols,
+    fp)`` frontier: its σ lives in the ``(B, n)`` σ matrix.  The
+    backward sweep mirrors it: one ``W · Aᵀ`` product per level with
     ``W = (1 + δ)/σ`` over the deeper frontier, masked to the vertices
     one level up — δ lands in the same level order as the serial
     ``"arcs"`` replay, differing only in summation association, so
@@ -752,7 +765,9 @@ def spmm_contributions(
     part carries per-arc multiplicities: summing it over fresh
     candidates recovers the shortest-path-DAG arc count, making the
     tally (forward examinations + DAG replays) *identical* to the
-    serial per-source path at the cost of one wider product.
+    serial per-source path at the cost of one wider product.  The
+    imaginary part is reset to 1 in place for the next level's
+    product, so counted and uncounted runs give bit-identical scores.
 
     ``weights`` runs the weighted sweep of :class:`SweepWeights`: δ
     starts from the seeded rows and each level adds to it.
@@ -787,11 +802,14 @@ def spmm_contributions(
         dist, sigma, delta_buf = workspace.arrays(b, n)
         dist.fill(-1)
         sigma.fill(0.0)
-    rows = np.arange(b, dtype=np.int64)
-    # flattened row bases pre-multiplied once: candidate indices then
-    # need a single add per arc instead of a multiply-add
-    rowbase = (rows * n).astype(fdtype)
-    flat = (rows * n + srcs).astype(fdtype)
+    # flattened row bounds pre-multiplied once: candidate indices then
+    # need a single add per arc instead of a multiply-add, and a
+    # frontier's row pointer is one search over them (rows own
+    # disjoint, ordered flat ranges, so the search's predicate is
+    # monotone even where a row's own entries are unsorted)
+    row_bounds = (np.arange(b + 1, dtype=np.int64) * n).astype(fdtype)
+    rowbase = row_bounds[:-1]
+    flat = rowbase + srcs.astype(fdtype)
     dist[flat] = 0
     sigma[flat] = 1.0
     cols = srcs.astype(idx)
@@ -802,13 +820,16 @@ def spmm_contributions(
     else:
         ap, aj, ax = ops.fwd
         vals = np.ones(b, dtype=SCORE_DTYPE)
-    levels = [(flat, cols, fp, vals)]
+    # one (flat, cols, fp) per level; its σ stays in the sigma matrix,
+    # and bounds[k] is level k's forward degree sum
+    levels = [(flat, cols, fp)]
+    bounds: List[int] = []
     edges = 0
-    dag_arcs = 0
-    level = 0
+    dag_arcs = 0.0
     while True:
         degs = ops.deg_fwd[cols]
         bound = int(degs.sum(dtype=np.int64))
+        bounds.append(bound)
         edges += bound
         if row_edges is not None:
             _add_row_sums(row_edges, degs, fp)
@@ -819,7 +840,7 @@ def spmm_contributions(
         cx = np.empty(bound, dtype=vals.dtype)
         spmm_tools.csr_matmat(b, n, fp, cols, vals, ap, aj, ax, cp, cj, cx)
         nnz = int(cp[b])
-        cand = np.repeat(rowbase, np.diff(cp))
+        cand = rowbase.repeat(cp[1:] - cp[:-1])
         cand += cj[:nnz]
         fresh = dist[cand] < 0
         flat = cand[fresh]
@@ -827,28 +848,22 @@ def spmm_contributions(
             break
         cols = cj[:nnz][fresh]
         vals = cx[:nnz][fresh]
-        # next frontier indptr: per-row survivor counts via one cumsum
-        # sampled at the candidate row bounds (empty rows collapse)
-        cum = np.empty(nnz + 1, dtype=idx)
-        cum[0] = 0
-        np.cumsum(fresh, dtype=idx, out=cum[1:])
-        fp = cum[cp]
-        level += 1
-        dist[flat] = level
+        fp = np.searchsorted(flat, row_bounds).astype(idx, copy=False)
+        dist[flat] = len(levels)
         if counted:
-            sig = np.ascontiguousarray(vals.real)
-            dag_arcs += int(round(vals.imag.sum()))
+            # multiplicities are sums of ones: exact integers
+            arcs = vals.imag
+            dag_arcs += arcs.sum()
             if row_edges is not None:
-                # multiplicities are sums of ones: exact integers
-                _add_row_sums(row_edges, vals.imag.astype(np.int64), fp)
-            sigma[flat] = sig
-            vals = sig + 1.0j
+                _add_row_sums(row_edges, arcs.astype(np.int64), fp)
+            sigma[flat] = vals.real
+            arcs.fill(1.0)
         else:
             sigma[flat] = vals
-        levels.append((flat, cols, fp, vals))
+        levels.append((flat, cols, fp))
     if counter is not None:
         counter.add(edges)
-        counter.add(dag_arcs)
+        counter.add(int(dag_arcs))
     # backward: one (B, n) · Aᵀ product per level, deepest first
     if delta_buf is None:
         delta = np.zeros(b * n, dtype=SCORE_DTYPE)
@@ -858,24 +873,30 @@ def spmm_contributions(
     _seed_rows(delta.reshape(b, n), srcs, weights)
     bp, bj, bx = ops.bwd
     for lvl in range(len(levels) - 1, 0, -1):
-        flat, cols, fp, vals = levels[lvl]
-        sig = np.ascontiguousarray(vals.real) if counted else vals
-        w = (1.0 + delta[flat]) / sig
-        bound = int(ops.deg_bwd[cols].sum(dtype=np.int64))
+        flat, cols, fp = levels[lvl]
+        if ops.bwd is ops.fwd:  # undirected: the forward bound holds
+            bound = bounds[lvl]
+        else:
+            bound = int(ops.deg_bwd[cols].sum(dtype=np.int64))
         if bound == 0:
             continue
+        w = delta[flat]
+        w += 1.0
+        w /= sigma[flat]
         cp = np.empty(b + 1, dtype=idx)
         cj = np.empty(bound, dtype=idx)
         cx = np.empty(bound, dtype=SCORE_DTYPE)
         spmm_tools.csr_matmat(b, n, fp, cols, w, bp, bj, bx, cp, cj, cx)
         nnz = int(cp[b])
-        cand = np.repeat(rowbase, np.diff(cp))
+        cand = rowbase.repeat(cp[1:] - cp[:-1])
         cand += cj[:nnz]
         up = dist[cand] == lvl - 1
         tgt = cand[up]
         # a vertex collects its whole δ at its own level (candidates
         # one level up are unique per row) on top of its seed
-        delta[tgt] += sigma[tgt] * cx[:nnz][up]
+        contrib = cx[:nnz][up]
+        contrib *= sigma[tgt]
+        delta[tgt] += contrib
     return merge_rows(delta.reshape(b, n), dist.reshape(b, n), srcs, weights)
 
 

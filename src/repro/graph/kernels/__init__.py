@@ -41,7 +41,7 @@ import os
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from repro.errors import AlgorithmError
 from repro.graph.batched import (
     _spmm_operands_for,
     arcs_contributions,
+    auto_batch_size,
+    resolve_batch_size,
     spmm_available,
     spmm_contributions,
 )
@@ -66,6 +68,8 @@ __all__ = [
     "select_kernel",
     "kernel_features",
     "kernel_report",
+    "SPMM_LEVEL_MARGIN",
+    "resolve_kernel_batch",
 ]
 
 #: Environment override consulted when no explicit kernel is passed
@@ -87,6 +91,13 @@ AUTO_PULL_MIN_AVG_DEG = 10.0
 AUTO_PULL_MIN_REACHED = 0.5
 AUTO_PULL_MIN_BATCH = 8
 AUTO_MIN_VERTICES = 256
+
+#: An ``"auto"`` spmm batch prices its rows at this many times the
+#: probe's widest level (:attr:`KernelFeatures.peak_level_arcs`): across
+#: the 12 suite analogues at scale 1 and the three end-to-end top
+#: sub-graphs, the widest level seen from ~200 sampled roots was at
+#: most 1.9x the probe's (on the road shapes; 1.01-1.46x elsewhere).
+SPMM_LEVEL_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,10 @@ class KernelFeatures:
     #: saturate (the regime where bottom-up probing re-pays the whole
     #: unreachable in-arc mass every level)
     reached: float = 1.0
+    #: out-arcs of the widest BFS level (counted in arcs) seen in
+    #: either sweep: about what one row's widest spmm level product
+    #: expands (other roots see wider levels: :data:`SPMM_LEVEL_MARGIN`)
+    peak_level_arcs: int = 0
 
 
 # features are a pure function of the CSR, so one two-sweep BFS per
@@ -183,7 +198,8 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
     (:func:`repro.graph.traversal.bfs`): BFS from vertex 0's
     component, re-BFS from the farthest vertex, take the depth — a
     classic lower bound that is tight on the road/social shapes the
-    suite covers.
+    suite covers.  The same two sweeps give the coverage and the
+    widest level's out-arcs.
     """
     cached = _FEATURE_CACHE.get(graph)
     if cached is not None:
@@ -201,12 +217,18 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
         reached = max(
             int((d0 >= 0).sum()), int((dist >= 0).sum())
         ) / n
+        deg = graph.out_indptr[1:] - graph.out_indptr[:-1]
+        peak = max(
+            int(np.bincount(d[d >= 0], weights=deg[d >= 0]).max())
+            for d in (d0, dist)
+        )
         feats = KernelFeatures(
             n=n,
             m=m,
             avg_degree=m / n,
             est_diameter=int(dist.max(initial=0)),
             reached=reached,
+            peak_level_arcs=peak,
         )
     _FEATURE_CACHE[graph] = feats
     return feats
@@ -252,9 +274,11 @@ def resolve_kernel_name(
     :func:`default_kernel_name` — never to ``"auto"``, whose feature
     probe would run once per fresh graph (every sub-graph of an APGRE
     run).  ``"auto"`` selects per (graph, batch) via
-    :func:`select_kernel`.  A known but unavailable kernel degrades to
-    :func:`default_kernel_name` with a :class:`RuntimeWarning`; an
-    unknown name raises.
+    :func:`select_kernel`.  The probe also sizes ``"auto"`` spmm
+    batches (:func:`resolve_kernel_batch`), but only on graphs whose
+    roots exceed one batch at the base width.  A known but
+    unavailable kernel degrades to :func:`default_kernel_name` with a
+    :class:`RuntimeWarning`; an unknown name raises.
     """
     if name is None:
         name = os.environ.get(KERNEL_ENV_VAR, "").strip()
@@ -274,6 +298,41 @@ def resolve_kernel_name(
         )
         return fallback
     return name
+
+
+def resolve_kernel_batch(
+    batch_size: Union[int, str, None],
+    graph: CSRGraph,
+    roots: int,
+    *,
+    kernel: str,
+    workers: int = 1,
+    shared_csr: bool = False,
+) -> Optional[int]:
+    """:func:`~repro.graph.batched.resolve_batch_size` for ``roots``
+    sources on ``graph`` under the resolved ``kernel``.
+
+    The spmm kernel stores no DAG arcs, so an ``"auto"`` spmm batch
+    whose roots exceed one batch at the base width is priced by its
+    widest level instead: ``SPMM_LEVEL_MARGIN × peak_level_arcs``
+    when the probe's sweeps reached every vertex (else by ``m``, the
+    base model).  The probe counts only, so the width is a function
+    of the graph and the RAM ceiling.
+    """
+    n, m = graph.n, graph.num_arcs
+    batch = resolve_batch_size(
+        batch_size, n, m, workers=workers, shared_csr=shared_csr,
+        kernel=kernel,
+    )
+    if batch_size != "auto" or kernel != "spmm" or roots <= batch:
+        return batch
+    feats = kernel_features(graph)
+    if feats.reached < 1.0:
+        return batch
+    return auto_batch_size(
+        n, m, workers=workers, shared_csr=shared_csr, kernel=kernel,
+        level_arcs=SPMM_LEVEL_MARGIN * feats.peak_level_arcs,
+    )
 
 
 def kernel_report() -> Dict[str, Dict[str, object]]:

@@ -33,7 +33,14 @@ from repro.graph.batched import (
     resolve_batch_size,
 )
 from repro.graph.build import from_edges
-from repro.graph.kernels import get_kernel, kernel_names
+from repro.graph.kernels import (
+    _FEATURE_CACHE,
+    SPMM_LEVEL_MARGIN,
+    get_kernel,
+    kernel_features,
+    kernel_names,
+    resolve_kernel_batch,
+)
 from repro.graph.traversal import bfs_sigma
 
 from tests.conftest import nx_betweenness
@@ -121,11 +128,47 @@ class TestBatchSizing:
             resolve_batch_size(-3, 10, 10)
         with pytest.raises(AlgorithmError):
             resolve_batch_size("large", 10, 10)
+        # numpy integers are widths; bools and fractions are not
+        width = resolve_batch_size(np.int64(7), 10, 10)
+        assert width == 7 and type(width) is int
+        for bad in (True, False, 2.5, 2.7, 3.0, np.float64(4.0)):
+            with pytest.raises(AlgorithmError):
+                resolve_batch_size(bad, 10, 10)
+        with pytest.raises(AlgorithmError):
+            brandes_bc(from_edges([(0, 1), (1, 2)]), batch_size=True)
 
     def test_auto_working_set_pins(self):
         ram = 1 << 34  # the RAM ceiling does not bind
         # road-cold's top sub-graph: 17 rows fill the working set
         assert auto_batch_size(2113, 7282, available_bytes=ram) == 17
+        # ... or 41 spmm rows priced by its widest level (177 arcs);
+        # a level estimate of m or more is the base model
+        assert (
+            auto_batch_size(
+                2113, 7282, available_bytes=ram,
+                level_arcs=SPMM_LEVEL_MARGIN * 177,
+            )
+            == 41
+        )
+        for level_arcs in (7282, 10**6):
+            assert (
+                auto_batch_size(
+                    2113, 7282, available_bytes=ram, level_arcs=level_arcs
+                )
+                == 17
+            )
+        # the probe finds that level on road-cold's graph
+        top = graph_partition(
+            analogue_graph("USA-roadBAY", scale=2.0, seed=1)
+        ).top.graph
+        assert (top.n, top.num_arcs) == (2113, 7282)
+        # roots that fit one base-width batch never run the probe
+        assert resolve_kernel_batch("auto", top, 17, kernel="spmm") == 17
+        assert top not in _FEATURE_CACHE
+        assert resolve_kernel_batch("auto", top, 18, kernel="arcs") == 17
+        assert top not in _FEATURE_CACHE
+        assert resolve_kernel_batch("auto", top, 18, kernel="spmm") == 41
+        assert kernel_features(top).peak_level_arcs == 177
         # the 55k-vertex road bench graph sits on the row floor
         assert (
             auto_batch_size(55_375, 199_824, available_bytes=ram)
@@ -285,6 +328,11 @@ class TestBatchedSubgraph:
             assert peak <= 2 * AUTO_WORKSET_BYTES, (
                 f"{kernel}: {peak / 2**20:.1f} MiB"
             )
+            if kernel == "spmm":
+                # sized by its widest level, spmm fits the working set
+                assert peak <= AUTO_WORKSET_BYTES, (
+                    f"{kernel}: {peak / 2**20:.1f} MiB"
+                )
 
     @pytest.mark.parametrize("eliminate", [True, False])
     def test_bundle_matches_its_members(self, zoo_entry, eliminate):

@@ -24,7 +24,10 @@ import networkx as nx
 from repro.baselines.brandes import brandes_bc, brandes_python_bc
 from repro.baselines.common import WorkCounter, run_per_source
 from repro.core.apgre import apgre_bc, apgre_bc_detailed
+from repro.core.batched_subgraph import sweep_weights
 from repro.core.config import APGREConfig
+from repro.decompose.alphabeta import compute_alpha_beta
+from repro.decompose.partition import graph_partition
 from repro.errors import AlgorithmError
 from repro.graph import batched
 from repro.graph.batched import auto_batch_size, bfs_sigma_batched
@@ -217,6 +220,24 @@ class TestAutoSelection:
         graph = from_networkx(nx.empty_graph(0), n=0)
         assert kernel_features(graph) == KernelFeatures(0, 0, 0.0, 0, 0.0)
 
+    def test_peak_level_arcs_exact(self, und_random, dir_random):
+        """The widest level's out-arcs over both probe sweeps, against
+        networkx's BFS layers."""
+        for graph in (und_random, dir_random):
+            src, dst = graph.arcs()
+            nxg = nx.DiGraph()
+            nxg.add_nodes_from(range(graph.n))
+            nxg.add_edges_from(zip(src.tolist(), dst.tolist()))
+            first = nx.single_source_shortest_path_length(nxg, 0)
+            far = max(sorted(first), key=first.get)
+            peak = max(
+                sum(nxg.out_degree(v) for v in layer)
+                for root in (0, far)
+                for layer in nx.bfs_layers(nxg, root)
+            )
+            assert peak > 0
+            assert kernel_features(graph).peak_level_arcs == peak
+
 
 class TestKernelEquivalence:
     """Every kernel × engine matches Brandes with exact tallies."""
@@ -277,6 +298,33 @@ class TestKernelEquivalence:
                     graph, sources[i : i + 1], counter=one, context=context
                 )
                 assert row_edges[i] == one.examined, (kernel, i)
+
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    def test_spmm_counted_scores_bit_identical(self, dense, dir_random):
+        """The counted product (complex, imaginary part reset in place
+        each level) leaves every score bit-identical to the plain one,
+        weighted sweeps included."""
+        kern = get_kernel("spmm")
+        for graph in (dense, dir_random):
+            partition = graph_partition(graph)
+            compute_alpha_beta(graph, partition)
+            top = partition.top
+            sources = np.arange(0, top.num_vertices, 3)
+            context = kern.prepare(top.graph, sources.size)
+            for weights in (None, sweep_weights(top, top.gamma)):
+                runs = [
+                    kern.contributions(
+                        top.graph, sources, context=context,
+                        weights=weights, **tally,
+                    )
+                    for tally in (
+                        {},
+                        {"counter": WorkCounter()},
+                        {"row_edges": np.zeros(sources.size, np.int64)},
+                    )
+                ]
+                for scores in runs[1:]:
+                    assert np.array_equal(scores, runs[0])
 
     def test_pull_examines_fewer_arcs(self, dense):
         _, (arcs_edges, _, _) = triple(dense, kernel="arcs")
