@@ -25,6 +25,13 @@ the tally); each kernel's MTEPS denominator comes from one counted run
 of that kernel, because the pull kernel genuinely examines fewer arcs
 (see docs/KERNELS.md for the tally contract).
 
+Every row also records ``spmm_layout``: the level layout
+:func:`repro.graph.kernels.spmm_layout` picks for that graph and
+source count (``"dense"`` on shallow graphs, else ``"sparse"``).  The
+``--quick`` check pins it on the two regimes that sit either side of
+the rule (:data:`QUICK_LAYOUTS`), so a broken rule fails the job even
+where no timed row runs spmm.
+
 Honest numbers note: the historical serial-vs-batched rows keep their
 achieved ~1.5-1.9x single-core level (per-source numpy BFS is
 dispatch-bound).  The pull-vs-arcs gate on ``social-core`` asserts
@@ -48,7 +55,7 @@ from repro.baselines.common import WorkCounter, run_per_source
 from repro.bench.persistence import environment_provenance
 from repro.bench.workloads import get_graph
 from repro.generators.powerlaw import barabasi_albert_graph
-from repro.graph.kernels import get_kernel
+from repro.graph.kernels import get_kernel, spmm_layout
 from repro.metrics.teps import examined_mteps
 
 pytestmark = pytest.mark.benchmarks
@@ -70,6 +77,9 @@ QUICK_WORKLOADS = [
     ("WikiTalk", 8.0, 32, ("arcs", "spmm")),
     ("social-core", 2.0, 32, ("arcs", "pull")),
 ]
+#: the spmm layout the quick workloads must get: the dense core is
+#: shallow, the road grid deep (docs/KERNELS.md, the layout rule)
+QUICK_LAYOUTS = {"social-core": "dense", "USA-roadBAY": "sparse"}
 SEED = 42
 REPEAT = 2  # best-of: absorbs one-off scheduler noise
 
@@ -113,6 +123,7 @@ def measure_workload(name, scale, n_sources, kernels=("arcs",)):
     )
     rows = []
     arcs_seconds = None
+    layout = spmm_layout(graph, len(sources))
     for kern in kernels:
         if not get_kernel(kern).available():
             continue  # e.g. spmm on hosts without scipy: clean miss
@@ -137,6 +148,7 @@ def measure_workload(name, scale, n_sources, kernels=("arcs",)):
             "m": graph.num_arcs,
             "sources": len(sources),
             "kernel": kern,
+            "spmm_layout": layout,
             "edges_examined": counter.examined,
             "edges_pulled": counter.pulled,
             "serial_seconds": round(t_serial, 4),
@@ -187,6 +199,13 @@ def check_rows(rows, *, quick=False):
             )
             assert row["edges_pulled"] > 0, (
                 "pull kernel never went bottom-up on the dense core"
+            )
+    if quick:
+        for row in rows:
+            want = QUICK_LAYOUTS.get(row["graph"])
+            assert want is None or row["spmm_layout"] == want, (
+                f"spmm layout rule regressed on {row['graph']}: "
+                f"{row['spmm_layout']} (want {want})"
             )
 
 

@@ -93,11 +93,12 @@ def bc_subgraph_batched(
     subsets from different calls still sum to the full sub-graph
     scores), with roots processed ``batch_size`` at a time; ``"auto"``
     sizes the batch to a ~4 MiB working set from the sub-graph's own n
-    and m (spmm: its widest level, see
-    :func:`~repro.graph.kernels.resolve_kernel_batch`), under a RAM
-    ceiling divided by ``workers`` — pass the
-    pool's worker count when several of these calls run concurrently,
-    so they share one RAM budget instead of each claiming all of it.
+    and m (spmm: its widest level, or its dense form's row on shallow
+    sub-graphs, see :func:`~repro.graph.kernels.resolve_kernel_batch`
+    and :func:`~repro.graph.kernels.spmm_layout`), under a RAM ceiling
+    divided by ``workers`` — pass the pool's worker count when several
+    of these calls run concurrently, so they share one RAM budget
+    instead of each claiming all of it.
     ``compress=True`` routes through the structural compression kernel
     when any reduction rule fires (the shrunken core does not benefit
     from SpMM batching); trivial plans stay on the batched path.
@@ -209,6 +210,9 @@ def bc_bundle(
         directed,
     )
     kern = _kernels.get_kernel(kernel)
+    # no root count, so no layout choice: spmm keeps the sparse form,
+    # whose rows touch only their own block (the dense form would sweep
+    # every member's vertices in every row)
     context = (
         kern.prepare(graph, sources.size) if kern.prepare is not None
         else None

@@ -33,7 +33,9 @@ Two kernels implement the batched contraction:
   the default for score computation when scipy is importable; scores
   agree with the per-source path to float64 tolerance and the examined
   -edge tally is still identical (counted runs carry the arc
-  multiplicities in the imaginary part of a complex matmul).
+  multiplicities in the imaginary part of a complex matmul).  Shallow
+  graphs run it in a *dense form*: vertex-major ``(n, B)`` state and
+  one sparse×dense product per level over every vertex.
 
 Every kernel also runs the *weighted* sweep APGRE's sub-graph step
 needs (:class:`SweepWeights`): rows seeded with external mass at the
@@ -60,6 +62,7 @@ from repro.graph.csr import CSRGraph
 from repro.types import SCORE_DTYPE
 
 __all__ = [
+    "AUTO_DENSE_WORKSET_BYTES",
     "AUTO_MIN_BATCH",
     "AUTO_WORKSET_BYTES",
     "DEFAULT_MAX_BATCH",
@@ -68,6 +71,7 @@ __all__ = [
     "SweepWeights",
     "available_memory_bytes",
     "row_bytes",
+    "dense_row_bytes",
     "auto_batch_size",
     "resolve_batch_size",
     "bfs_sigma_batched",
@@ -96,6 +100,14 @@ AUTO_WORKSET_BYTES = 4 << 20
 #: most of the per-level dispatch that a single row pays in full.
 AUTO_MIN_BATCH = 8
 
+#: Working set ``"auto"`` sizes a dense-form spmm batch to.  Every
+#: dense level streams four float64 ``(n, B)`` matrices through the
+#: cache.  On the web-cold and serve tops (docs/PERFORMANCE.md §6) this
+#: budget's widths, 19 and 41 rows, ran within 6% of the best measured
+#: width; the 4 MiB rule's, 39 and 83, ran 4-10% slower (26-29% in an
+#: earlier session) at twice the peak memory.
+AUTO_DENSE_WORKSET_BYTES = 2 << 20
+
 # Rough per-batch-row memory model used by the ``auto`` heuristic:
 # dist (int32) + sigma (float64) + up to three dependency matrices
 # (float64) per vertex, and two flattened int64 DAG-arc arrays plus
@@ -104,6 +116,14 @@ AUTO_MIN_BATCH = 8
 # priced at the widest level's arcs instead of ``m``.
 _BYTES_PER_ROW_VERTEX = 44
 _BYTES_PER_ROW_ARC = 20
+
+# Per-row model of the dense spmm form, per vertex: the workspace's
+# int32 dist buffer (its front holds the one-byte levels), σ, δ and
+# the two product operands (float64) and two boolean masks; per arc,
+# the two one-byte gathers of its DAG-arc count.  tracemalloc puts the
+# per-row slope on the web-cold and serve tops within 1% of it.
+_DENSE_BYTES_PER_ROW_VERTEX = 38
+_DENSE_BYTES_PER_ROW_ARC = 2
 
 # CSR footprint model for the shared-address-space correction: int64
 # indptr + indices, counted for both directions (out + in).
@@ -137,6 +157,11 @@ def row_bytes(n: int, m: int) -> int:
     return _BYTES_PER_ROW_VERTEX * n + _BYTES_PER_ROW_ARC * max(m, 1)
 
 
+def dense_row_bytes(n: int, m: int) -> int:
+    """Working set of one dense-form spmm row: ``38·n + 2·m`` bytes."""
+    return _DENSE_BYTES_PER_ROW_VERTEX * n + _DENSE_BYTES_PER_ROW_ARC * m
+
+
 def auto_batch_size(
     n: int,
     m: int,
@@ -147,6 +172,7 @@ def auto_batch_size(
     shared_csr: bool = False,
     kernel: Optional[str] = None,
     level_arcs: Optional[int] = None,
+    dense: bool = False,
 ) -> int:
     """Pick a batch size whose ``(B, n)`` working set stays small.
 
@@ -155,7 +181,9 @@ def auto_batch_size(
     recorded DAG arcs), with a floor of :data:`AUTO_MIN_BATCH` rows.
     ``level_arcs`` estimates the arcs of a kernel's widest level
     product when it stores no DAG (spmm): the working set then prices
-    a row at ``44·n + 20·min(m, level_arcs)``.
+    a row at ``44·n + 20·min(m, level_arcs)``.  ``dense`` sizes a
+    dense-form spmm batch instead: :func:`dense_row_bytes` per row
+    against :data:`AUTO_DENSE_WORKSET_BYTES`.
     A quarter of available memory (capped at 2 GiB) stays the
     ceiling, priced by the base model, and the result is clamped to
     ``[1, max_batch]``.
@@ -199,7 +227,10 @@ def auto_batch_size(
     if kernel == "pull":
         per_row += _PULL_BYTES_PER_ROW_VERTEX * n
         work_row += _PULL_BYTES_PER_ROW_VERTEX * n
-    rows = max(AUTO_WORKSET_BYTES // work_row, AUTO_MIN_BATCH)
+    workset = AUTO_WORKSET_BYTES
+    if dense:
+        work_row, workset = dense_row_bytes(n, m), AUTO_DENSE_WORKSET_BYTES
+    rows = max(workset // work_row, AUTO_MIN_BATCH)
     return int(max(1, min(rows, budget // per_row, max_batch)))
 
 
@@ -695,13 +726,15 @@ class _SpmmOperands:
     BC run in the narrowest dtype the worst-case level expansion
     (``B * m`` candidate arcs) allows.  For undirected graphs the
     stored arc set is symmetric and the backward operand aliases the
-    forward one.
+    forward one.  ``dense`` selects the dense level layout (see
+    :func:`spmm_contributions`).
     """
 
-    __slots__ = ("idx", "fwd", "bwd", "deg_fwd", "deg_bwd", "_ones_c")
+    __slots__ = ("idx", "fwd", "bwd", "deg_fwd", "deg_bwd", "_ones_c", "dense")
 
-    def __init__(self, graph: CSRGraph, idx=np.int32):
+    def __init__(self, graph: CSRGraph, idx=np.int32, dense: bool = False):
         self.idx = np.dtype(idx)
+        self.dense = dense
         ones = np.ones(graph.num_arcs, dtype=SCORE_DTYPE)
         self.fwd = (
             graph.out_indptr.astype(self.idx, copy=False),
@@ -728,10 +761,114 @@ class _SpmmOperands:
         return self.fwd[0], self.fwd[1], self._ones_c
 
 
-def _spmm_operands_for(graph: CSRGraph, batch: int) -> "_SpmmOperands":
+def _spmm_operands_for(
+    graph: CSRGraph, batch: int, dense: bool = False
+) -> "_SpmmOperands":
     """Operands wide enough for ``batch``-row level expansions."""
     wide = batch * max(int(graph.num_arcs), 1) > _I32_MAX
-    return _SpmmOperands(graph, np.int64 if wide else np.int32)
+    return _SpmmOperands(graph, np.int64 if wide else np.int32, dense)
+
+
+#: ``dist`` of a vertex the dense form has not reached: below -1, so an
+#: unreached tail's ``dist + 1`` never equals a head's level
+_DENSE_UNREACHED = -2
+
+
+def _dense_dag_tally(dist: np.ndarray, ops: "_SpmmOperands") -> np.ndarray:
+    """Per-row examined arcs of a finished dense forward sweep.
+
+    The out-arcs of every reached vertex (the forward examinations)
+    plus the arcs ``u → w`` with ``dist(w) == dist(u) + 1`` (the DAG
+    replays): exactly the sparse form's and the per-source tally.
+    """
+    n, b = dist.shape
+    # each vertex's row of levels as one opaque item, so the per-arc
+    # gathers copy one item per arc instead of indexing B elements
+    rows = dist.view(np.dtype((np.void, b * dist.itemsize))).reshape(n)
+    shape = (ops.fwd[1].size, b)
+    tails = np.repeat(rows, ops.deg_fwd).view(dist.dtype).reshape(shape)
+    heads = np.take(rows, ops.fwd[1]).view(dist.dtype).reshape(shape)
+    tails += 1
+    # a one-byte dist compares in place, into a bool view of the gather
+    out = heads.view(np.bool_) if heads.itemsize == 1 else None
+    dag = np.equal(heads, tails, out=out).view(np.uint8)
+    per_row = np.einsum("ij->j", dag, dtype=np.int64)
+    forward = ops.deg_fwd.astype(np.float64) @ (dist >= 0)
+    per_row += forward.astype(np.int64)
+    return per_row
+
+
+def _spmm_dense(
+    tools,
+    graph: CSRGraph,
+    srcs: np.ndarray,
+    ops: "_SpmmOperands",
+    counter,
+    workspace: Optional[BatchWorkspace],
+    weights: Optional[SweepWeights],
+    row_edges: Optional[np.ndarray],
+) -> np.ndarray:
+    """The dense form of :func:`spmm_contributions`: ``(n, B)`` state,
+    one sparse×dense product (``csr_matvecs``) per level."""
+    n, b = graph.n, srcs.size
+    if workspace is None:
+        workspace = BatchWorkspace()
+    dist_buf, sigma_buf, delta_buf = workspace.arrays(b, n)
+    # vertex-major views; the one-byte levels fill the front of the
+    # int32 dist buffer
+    dist = dist_buf.view(np.int8)[: b * n].reshape(n, b)
+    sigma = sigma_buf.reshape(n, b)
+    delta = delta_buf.reshape(n, b)
+    dist.fill(_DENSE_UNREACHED)
+    sigma.fill(0.0)
+    delta.fill(0.0)
+    cols = np.arange(b)
+    sigma[srcs, cols] = 1.0
+    dist[srcs, cols] = 0
+    y = np.empty((n, b), dtype=SCORE_DTYPE)
+    # forward over in-arcs: an unreached vertex's only in-neighbours
+    # with σ > 0 sit on the current frontier (one on an earlier level
+    # would have reached it sooner), so the product over the whole σ
+    # matrix sums exactly its frontier parents
+    ip, ij, ix = ops.bwd
+    level = 0
+    while True:
+        y.fill(0.0)
+        tools.csr_matvecs(n, n, b, ip, ij, ix, sigma, y)
+        y *= sigma == 0
+        fresh = y > 0
+        if not fresh.any():
+            break
+        level += 1
+        if level == np.iinfo(dist.dtype).max:
+            # keep dist + 1 representable for the DAG-arc count
+            dist = dist.astype(np.int32)
+        sigma += y
+        np.copyto(dist, level, where=fresh)
+    if counter is not None or row_edges is not None:
+        per_row = _dense_dag_tally(dist, ops)
+        if counter is not None:
+            counter.add(int(per_row.sum()))
+        if row_edges is not None:
+            row_edges += per_row
+    _seed_rows(delta.T, srcs, weights)
+    # any finite σ at unreached vertices keeps their masked terms zero
+    np.copyto(sigma, 1.0, where=sigma == 0)
+    # backward over out-arcs, level d feeding level d - 1
+    op, oj, ox = ops.fwd
+    x = np.empty((n, b), dtype=SCORE_DTYPE)
+    at = dist == level
+    for d in range(level, 0, -1):
+        np.add(delta, 1.0, out=x)
+        x /= sigma
+        x *= at
+        y.fill(0.0)
+        tools.csr_matvecs(n, n, b, op, oj, ox, x, y)
+        np.equal(dist, d - 1, out=at)
+        y *= sigma
+        y *= at
+        delta += y
+    return merge_rows(delta.T, dist.T, srcs, weights)
 
 
 def spmm_contributions(
@@ -775,6 +912,18 @@ def spmm_contributions(
     product) receives that tally row by row: the frontier degree sums
     and the DAG-arc counts, each summed over the frontier's row
     bounds ``fp``.
+
+    Operands prepared with ``dense=True`` run the *dense form*
+    instead, for shallow graphs: σ, δ and ``dist`` are vertex-major
+    ``(n, B)`` matrices and each level is one sparse×dense product
+    over every vertex (``csr_matvecs``) with no frontier lists.
+    Forward, ``Y = A_in · σ`` (row ``v`` sums its in-neighbours' σ)
+    masked to the unreached vertices is exactly the next level's σ;
+    backward, ``A_out · ((1 + δ)/σ at level d)`` times σ lands on
+    level ``d − 1``.
+    Its tally is counted once per batch from the final ``dist`` (out
+    -arcs of reached vertices plus arcs one level apart), so it equals
+    the sparse form's exactly; scores agree to float64 rounding.
     """
     spmm_tools = _sparsetools()
     if spmm_tools is None:
@@ -790,7 +939,12 @@ def spmm_contributions(
     if ops is None or (
         ops.idx == np.int32 and b * max(graph.num_arcs, 1) > _I32_MAX
     ):
-        ops = _spmm_operands_for(graph, b)
+        ops = _spmm_operands_for(graph, b, ops is not None and ops.dense)
+    if ops.dense:
+        return _spmm_dense(
+            spmm_tools, graph, srcs, ops, counter, workspace, weights,
+            row_edges,
+        )
     idx = ops.idx
     counted = counter is not None or row_edges is not None
     fdtype = np.int32 if b * n <= _I32_MAX else np.int64
@@ -982,7 +1136,8 @@ def batched_bc_scores(
     The chunk loop behind ``run_per_source(..., batch_size=...)`` and
     APGRE's sub-graph step: resolves ``kernel`` through
     :mod:`repro.graph.kernels` once, then shares the kernel's prepared
-    context (SpMM operands, ...) and one reusable
+    context (SpMM operands and their level layout, chosen for the
+    whole root set) and one reusable
     :class:`BatchWorkspace` across all chunks so per-chunk setup and
     state allocation are amortised over the whole run.  ``weights``
     runs every chunk as the weighted sweep of :class:`SweepWeights`.
@@ -998,7 +1153,7 @@ def batched_bc_scores(
     )
     kern = _kernels.get_kernel(name)
     ctx = (
-        kern.prepare(graph, min(batch, src_arr.size))
+        kern.prepare(graph, min(batch, src_arr.size), roots=src_arr.size)
         if kern.prepare is not None
         else None
     )

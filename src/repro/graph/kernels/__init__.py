@@ -12,9 +12,13 @@ a capability probe, so optional dependencies degrade to a clean miss
     (:func:`repro.graph.batched.arcs_contributions`) — always
     available, per-row bit-identical to the serial per-source path.
 ``"spmm"``
-    The scipy ``csr_matmat`` level kernel
+    The scipy sparse-product level kernel
     (:func:`repro.graph.batched.spmm_contributions`) — the default
-    whenever scipy's sparsetools extension loads.
+    whenever scipy's sparsetools extension loads.  It runs each graph
+    in one of two level layouts (:func:`spmm_layout`): the *sparse
+    form* (frontier lists, one ``csr_matmat`` per level) or, on
+    shallow graphs, the *dense form* (``(n, B)`` state, one
+    ``csr_matvecs`` per level).
 ``"pull"``
     The direction-optimizing (push/pull) kernel
     (:mod:`repro.graph.kernels.pull`): Beamer-style top-down /
@@ -31,8 +35,9 @@ wins, then the ``REPRO_KERNEL`` environment variable, then the host
 default (:func:`default_kernel_name`).  ``"auto"``, by name only,
 picks per sub-graph from cheap structural features (density,
 two-sweep estimated diameter, BFS coverage, batch width) and **never**
-selects an unavailable kernel.  Explicitly requesting an unavailable kernel
-degrades to the default with a :class:`RuntimeWarning`.
+selects an unavailable kernel; with spmm available it is spmm.
+Explicitly requesting an unavailable kernel degrades to the default
+with a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -69,7 +74,10 @@ __all__ = [
     "kernel_features",
     "kernel_report",
     "SPMM_LEVEL_MARGIN",
+    "SPMM_DENSE_MAX_DIAMETER",
+    "SPMM_DENSE_MIN_REACHED",
     "resolve_kernel_batch",
+    "spmm_layout",
 ]
 
 #: Environment override consulted when no explicit kernel is passed
@@ -84,8 +92,10 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 # Sparse or partially-reachable graphs keep unvisited in-arc mass high
 # for many levels and re-probe it each one, so the thresholds are
 # deliberately strict (measured on the bench workloads: dense
-# BA/G(n,p) shapes win 1.5-3.5x, an 8.7-avg-degree directed social
-# analogue loses ~30%).
+# BA/G(n,p) shapes win 1.5-3.5x over arcs, an 8.7-avg-degree directed
+# social analogue loses ~30%).  They apply only where ``arcs`` is the
+# default: every top sub-graph in that regime ran slower on pull than
+# on spmm, in either layout (docs/KERNELS.md).
 AUTO_PULL_MAX_DIAMETER = 8
 AUTO_PULL_MIN_AVG_DEG = 10.0
 AUTO_PULL_MIN_REACHED = 0.5
@@ -99,6 +109,17 @@ AUTO_MIN_VERTICES = 256
 #: most 1.9x the probe's (on the road shapes; 1.01-1.46x elsewhere).
 SPMM_LEVEL_MARGIN = 2
 
+#: spmm runs a graph in the dense form when the probe's two-sweep
+#: diameter is at most this and its sweeps reached at least
+#: :data:`SPMM_DENSE_MIN_REACHED` of the vertices.  Every dense level
+#: costs a product over the whole graph, so the form wins only while
+#: levels are few: 2.0-2.4x on the small-world suite and e2e tops
+#: (diameter 3-5), 1.4x at diameter 11, 1.1x at 19 and 0.8x at 24 on
+#: Watts-Strogatz graphs, 0.4-0.7x on the road tops (41-86)
+#: (docs/KERNELS.md).
+SPMM_DENSE_MAX_DIAMETER = 12
+SPMM_DENSE_MIN_REACHED = 0.5
+
 
 @dataclass(frozen=True)
 class ComputeKernel:
@@ -110,9 +131,11 @@ class ComputeKernel:
     zeroed — the contract of
     :func:`repro.graph.batched.batched_contributions` — or, with
     ``weights``, the weighted merge of
-    :class:`~repro.graph.batched.SweepWeights`.  ``prepare``
-    optionally builds per-run shared state (SpMM operands, compiled
-    functions) handed back as ``context``; ``probe`` must be cheap and
+    :class:`~repro.graph.batched.SweepWeights`.  ``prepare(graph,
+    batch, roots=None)`` optionally builds per-run shared state (SpMM
+    operands and their level layout) handed back as ``context``;
+    ``roots`` is the run's whole source count, ``None`` for a run that
+    is one batch and chooses nothing.  ``probe`` must be cheap and
     side-effect free after its first call.
 
     ``row_tallies`` marks a kernel whose rows never influence each
@@ -128,7 +151,7 @@ class ComputeKernel:
     probe: Callable[[], bool]
     unavailable_reason: str
     contributions: Callable[..., np.ndarray]
-    prepare: Optional[Callable[[CSRGraph, int], object]] = None
+    prepare: Optional[Callable[..., object]] = None
     row_tallies: bool = False
 
     def available(self) -> bool:
@@ -198,8 +221,10 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
     (:func:`repro.graph.traversal.bfs`): BFS from vertex 0's
     component, re-BFS from the farthest vertex, take the depth — a
     classic lower bound that is tight on the road/social shapes the
-    suite covers.  The same two sweeps give the coverage and the
-    widest level's out-arcs.
+    suite covers.  When vertex 0 reaches under half the vertices (a
+    directed sink, say) the first sweep starts instead from the vertex
+    with the most out-arcs.  The same two sweeps give the coverage and
+    the widest level's out-arcs.
     """
     cached = _FEATURE_CACHE.get(graph)
     if cached is not None:
@@ -211,13 +236,15 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
     else:
         from repro.graph.traversal import bfs
 
+        deg = graph.out_indptr[1:] - graph.out_indptr[:-1]
         d0 = bfs(graph, 0)
+        if 2 * int((d0 >= 0).sum()) < n:
+            d0 = bfs(graph, int(np.argmax(deg)))
         far = int(np.argmax(d0))
         dist = bfs(graph, far)
         reached = max(
             int((d0 >= 0).sum()), int((dist >= 0).sum())
         ) / n
-        deg = graph.out_indptr[1:] - graph.out_indptr[:-1]
         peak = max(
             int(np.bincount(d[d >= 0], weights=deg[d >= 0]).max())
             for d in (d0, dist)
@@ -239,16 +266,19 @@ def select_kernel(
 ) -> str:
     """``auto`` selection: pick a kernel from structural features.
 
-    Dense, small-diameter, mostly-reachable sub-graphs with a wide
-    enough batch go to the direction-optimizing ``pull`` kernel (its
-    bottom-up passes win exactly when most arcs sit in one or two
-    saturated frontiers); everything else — deep road-like graphs,
-    sparse social analogues, partially-reachable directed graphs, thin
-    batches, tiny sub-graphs — stays on the spmm/arcs default.  Only
-    available kernels are ever returned.
+    With spmm available, ``auto`` is spmm: it ran faster than ``pull``
+    on every top sub-graph in pull's regime, shallow ones in its dense
+    form.  On the ``arcs`` default, dense, small-diameter,
+    mostly-reachable sub-graphs with a wide enough batch go to the
+    direction-optimizing ``pull`` kernel (its bottom-up passes win
+    exactly when most arcs sit in one or two saturated frontiers);
+    everything else — deep road-like graphs, sparse social analogues,
+    partially-reachable directed graphs, thin batches, tiny sub-graphs
+    — stays on arcs.  Only available kernels are ever returned.
     """
-    if graph is None:
-        return default_kernel_name()
+    default = default_kernel_name()
+    if graph is None or default == "spmm":
+        return default
     feats = kernel_features(graph)
     if (
         _REGISTRY["pull"].available()
@@ -259,7 +289,7 @@ def select_kernel(
         and (batch is None or batch >= AUTO_PULL_MIN_BATCH)
     ):
         return "pull"
-    return default_kernel_name()
+    return default
 
 
 def resolve_kernel_name(
@@ -314,10 +344,12 @@ def resolve_kernel_batch(
 
     The spmm kernel stores no DAG arcs, so an ``"auto"`` spmm batch
     whose roots exceed one batch at the base width is priced by its
-    widest level instead: ``SPMM_LEVEL_MARGIN × peak_level_arcs``
-    when the probe's sweeps reached every vertex (else by ``m``, the
-    base model).  The probe counts only, so the width is a function
-    of the graph and the RAM ceiling.
+    layout instead (:func:`spmm_layout`): the dense form's own row
+    against :data:`~repro.graph.batched.AUTO_DENSE_WORKSET_BYTES`, else
+    the widest level, ``SPMM_LEVEL_MARGIN × peak_level_arcs``, when
+    the probe's sweeps reached every vertex (else by ``m``, the base
+    model).  The probe counts only, so the width is a function of the
+    graph and the RAM ceiling.
     """
     n, m = graph.n, graph.num_arcs
     batch = resolve_batch_size(
@@ -326,6 +358,11 @@ def resolve_kernel_batch(
     )
     if batch_size != "auto" or kernel != "spmm" or roots <= batch:
         return batch
+    if spmm_layout(graph, roots) == "dense":
+        return auto_batch_size(
+            n, m, workers=workers, shared_csr=shared_csr, kernel=kernel,
+            dense=True,
+        )
     feats = kernel_features(graph)
     if feats.reached < 1.0:
         return batch
@@ -333,6 +370,29 @@ def resolve_kernel_batch(
         n, m, workers=workers, shared_csr=shared_csr, kernel=kernel,
         level_arcs=SPMM_LEVEL_MARGIN * feats.peak_level_arcs,
     )
+
+
+def spmm_layout(graph: CSRGraph, roots: int) -> str:
+    """The level layout spmm runs ``roots`` sources of ``graph`` in.
+
+    ``"dense"`` when the probe (:func:`kernel_features`) finds the
+    graph shallow and mostly reachable — est. diameter at most
+    :data:`SPMM_DENSE_MAX_DIAMETER`, coverage at least
+    :data:`SPMM_DENSE_MIN_REACHED` — else ``"sparse"``.  Roots that
+    fit one batch at the base ``"auto"`` width never run the probe and
+    keep the sparse form.  The width resolution
+    (:func:`resolve_kernel_batch`) and the kernel's ``prepare`` both
+    ask this function, so a batch's width and layout agree.
+    """
+    if roots <= auto_batch_size(graph.n, graph.num_arcs, kernel="spmm"):
+        return "sparse"
+    feats = kernel_features(graph)
+    if (
+        feats.est_diameter <= SPMM_DENSE_MAX_DIAMETER
+        and feats.reached >= SPMM_DENSE_MIN_REACHED
+    ):
+        return "dense"
+    return "sparse"
 
 
 def kernel_report() -> Dict[str, Dict[str, object]]:
@@ -383,13 +443,21 @@ register_kernel(ComputeKernel(
     row_tallies=True,
 ))
 
+def _spmm_prepare(graph, batch, roots=None):
+    dense = roots is not None and spmm_layout(graph, roots) == "dense"
+    return _spmm_operands_for(graph, batch, dense)
+
+
 register_kernel(ComputeKernel(
     name="spmm",
-    description="scipy csr_matmat level products (C-compiled expansion)",
+    description=(
+        "scipy sparse level products (csr_matmat frontiers, or "
+        "csr_matvecs over every vertex on shallow graphs)"
+    ),
     probe=spmm_available,
     unavailable_reason="scipy.sparse._sparsetools does not load",
     contributions=_spmm_kernel_contributions,
-    prepare=_spmm_operands_for,
+    prepare=_spmm_prepare,
     row_tallies=True,
 ))
 

@@ -593,7 +593,9 @@ def batched_pool_bc_scores(
                 key = (ops_token, os.getpid())
                 ctx = _OPS_CACHE.get(key)
                 if ctx is None:
-                    ctx = kern.prepare(shared_graph, batch)
+                    ctx = kern.prepare(
+                        shared_graph, batch, roots=srcs.size
+                    )
                     _OPS_CACHE[key] = ctx
             delta = kern.contributions(
                 shared_graph, chunk, counter=tally, context=ctx

@@ -617,7 +617,7 @@ def threaded_bc_scores(
     # once in the parent: threads share the address space, so every
     # worker reads the same structures concurrently
     ctx = (
-        kern.prepare(graph, min(batch, srcs.size))
+        kern.prepare(graph, min(batch, srcs.size), roots=srcs.size)
         if kern.prepare is not None
         else None
     )

@@ -22,7 +22,9 @@ from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import graph_partition
 from repro.errors import AlgorithmError
 from repro.generators.suite import analogue_graph, paper_suite
+from repro.graph import batched
 from repro.graph.batched import (
+    AUTO_DENSE_WORKSET_BYTES,
     AUTO_MIN_BATCH,
     AUTO_WORKSET_BYTES,
     DEFAULT_MAX_BATCH,
@@ -30,6 +32,7 @@ from repro.graph.batched import (
     batched_bc_scores,
     batched_contributions,
     bfs_sigma_batched,
+    dense_row_bytes,
     resolve_batch_size,
 )
 from repro.graph.build import from_edges
@@ -40,6 +43,7 @@ from repro.graph.kernels import (
     kernel_features,
     kernel_names,
     resolve_kernel_batch,
+    spmm_layout,
 )
 from repro.graph.traversal import bfs_sigma
 
@@ -169,6 +173,20 @@ class TestBatchSizing:
         assert top not in _FEATURE_CACHE
         assert resolve_kernel_batch("auto", top, 18, kernel="spmm") == 41
         assert kernel_features(top).peak_level_arcs == 177
+        # dense-form rows: web-cold's top 19, the serve graph's 41
+        for (n, m), rows in {(2186, 11466): 19, (865, 8658): 41}.items():
+            assert AUTO_DENSE_WORKSET_BYTES // dense_row_bytes(n, m) == rows
+            assert (
+                auto_batch_size(n, m, available_bytes=ram, dense=True)
+                == rows
+            )
+        serve = graph_partition(
+            analogue_graph("Email-Enron", scale=2.0, seed=1)
+        ).top.graph
+        assert (serve.n, serve.num_arcs) == (865, 8658)
+        assert resolve_kernel_batch("auto", serve, 19, kernel="spmm") == 19
+        assert resolve_kernel_batch("auto", serve, 20, kernel="spmm") == 41
+        assert resolve_kernel_batch("auto", serve, 20, kernel="arcs") == 19
         # the 55k-vertex road bench graph sits on the row floor
         assert (
             auto_batch_size(55_375, 199_824, available_bytes=ram)
@@ -329,9 +347,27 @@ class TestBatchedSubgraph:
                 f"{kernel}: {peak / 2**20:.1f} MiB"
             )
             if kernel == "spmm":
-                # sized by its widest level, spmm fits the working set
+                # sized by its widest level or its dense row, spmm fits
+                # the working set, counted (the DAG-arc gather) or not
                 assert peak <= AUTO_WORKSET_BYTES, (
                     f"{kernel}: {peak / 2**20:.1f} MiB"
+                )
+                layout = spmm_layout(top.graph, roots.size)
+                assert layout == (
+                    "sparse" if name == "USA-roadBAY" else "dense"
+                )
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    bc_subgraph_batched(
+                        top, batch_size="auto", roots=roots,
+                        kernel=kernel, counter=WorkCounter(),
+                    )
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert peak <= AUTO_WORKSET_BYTES, (
+                    f"counted {layout} spmm: {peak / 2**20:.1f} MiB"
                 )
 
     @pytest.mark.parametrize("eliminate", [True, False])
@@ -362,6 +398,38 @@ class TestBatchedSubgraph:
                     rtol=1e-9, atol=1e-9, err_msg=kernel,
                 )
                 assert tallies[k] == counter.examined, kernel
+
+    @pytest.mark.skipif("spmm" not in KERNELS, reason="needs scipy")
+    def test_bundle_keeps_the_sparse_form(self, monkeypatch):
+        """A bundle's rows each touch one block: even members that
+        would take the dense form alone run the sparse one bundled."""
+        sgs = []
+        for name in ("Email-Enron", "com-youtube"):  # both undirected
+            g = analogue_graph(name, scale=1.0, seed=1)
+            partition = graph_partition(g)
+            compute_alpha_beta(g, partition)
+            sgs.append(partition.top)
+        for sg in sgs:
+            assert spmm_layout(sg.graph, sg.roots.size) == "dense"
+        calls = []
+        real = batched._spmm_dense
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batched, "_spmm_dense", spy)
+        local, offsets, tallies = bc_bundle(sgs, kernel="spmm")
+        assert not calls
+        for k, sg in enumerate(sgs):
+            counter = WorkCounter()
+            alone = bc_subgraph_batched(sg, kernel="spmm", counter=counter)
+            np.testing.assert_allclose(
+                local[offsets[k] : offsets[k + 1]], alone,
+                rtol=1e-9, atol=1e-9,
+            )
+            assert tallies[k] == counter.examined
+        assert calls  # alone, each takes the dense form
 
     def test_bundle_without_roots_commits_zeros(self):
         # two isolated edges: both ends are removable pendants

@@ -29,13 +29,19 @@ from repro.core.config import APGREConfig
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import graph_partition
 from repro.errors import AlgorithmError
+from repro.generators.suite import analogue_graph
 from repro.graph import batched
-from repro.graph.batched import auto_batch_size, bfs_sigma_batched
+from repro.graph.batched import (
+    auto_batch_size,
+    bfs_sigma_batched,
+    spmm_contributions,
+)
 from repro.graph.build import from_networkx
 from repro.graph.kernels import (
     AUTO_MIN_VERTICES,
     AUTO_PULL_MIN_BATCH,
     KERNEL_ENV_VAR,
+    SPMM_DENSE_MAX_DIAMETER,
     _FEATURE_CACHE,
     _REGISTRY,
     KernelFeatures,
@@ -47,6 +53,7 @@ from repro.graph.kernels import (
     register_kernel,
     resolve_kernel_name,
     select_kernel,
+    spmm_layout,
 )
 from repro.graph.kernels.pull import (
     PULL_ALPHA,
@@ -57,6 +64,13 @@ from repro.parallel.supervisor import RunHealth
 from repro.parallel.threaded import threaded_bc_scores
 
 WORKERS = 2
+
+#: the 12 Table-1 suite analogues
+SUITE = [
+    "Email-Enron", "Email-EuAll", "NotroDame", "Slashdot0811",
+    "USA-roadBAY", "USA-roadNY", "WikiTalk", "com-youtube", "dblp-2010",
+    "soc-DouBan", "web-BerkStan", "web-Google",
+]
 
 #: every kernel the host can actually run; "auto" rides along as the
 #: selection path
@@ -77,6 +91,63 @@ def dense():
 @pytest.fixture(scope="module")
 def dense_oracle(dense):
     return brandes_bc(dense)
+
+
+@pytest.fixture
+def arcs_default(monkeypatch):
+    """A host without scipy's extension: spmm unavailable, arcs the
+    default."""
+    monkeypatch.setitem(
+        _REGISTRY, "spmm",
+        dataclasses.replace(get_kernel("spmm"), probe=lambda: False),
+    )
+    assert default_kernel_name() == "arcs"
+
+
+def suite_top(name, scale=1.0):
+    """A suite analogue's top sub-graph, α/β filled."""
+    g = analogue_graph(name, scale=scale, seed=1)
+    partition = graph_partition(g)
+    compute_alpha_beta(g, partition)
+    return partition.top
+
+
+def spmm_layouts(graph, sources, weights=None):
+    """One batch through both spmm layouts, each run plain, with a
+    counter and with ``row_edges``: per layout ``(scores, edges,
+    row_edges)``.  Within a layout the three runs' scores are
+    bit-identical."""
+    out = []
+    for dense in (False, True):
+        ops = batched._spmm_operands_for(graph, sources.size, dense)
+        counter = WorkCounter()
+        row_edges = np.zeros(sources.size, dtype=np.int64)
+        runs = [
+            spmm_contributions(
+                graph, sources, operands=ops, weights=weights, **tally
+            )
+            for tally in (
+                {}, {"counter": counter}, {"row_edges": row_edges},
+            )
+        ]
+        for scores in runs[1:]:
+            assert np.array_equal(scores, runs[0])
+        out.append((runs[0], counter.edges, row_edges))
+    return out
+
+
+def assert_layouts_agree(graph, sources, weights=None):
+    """Dense form == sparse form: tallies to the arc, row by row, and
+    scores within 1e-12 relative."""
+    (sparse, edges, rows), (dense, dense_edges, dense_rows) = spmm_layouts(
+        graph, sources, weights
+    )
+    assert dense_edges == edges
+    assert np.array_equal(dense_rows, rows)
+    scale = max(float(np.abs(sparse).max()), 1.0)
+    np.testing.assert_allclose(
+        dense, sparse, rtol=1e-12, atol=1e-12 * scale
+    )
 
 
 def spy_on_kernels(monkeypatch):
@@ -153,7 +224,7 @@ class TestKernelRegistry:
         finally:
             del _REGISTRY["ghost"]
 
-    def test_auto_never_selects_unavailable(self, dense):
+    def test_auto_never_selects_unavailable(self, dense, arcs_default):
         real = get_kernel("pull")
         assert select_kernel(dense) == "pull"  # the regime fixture fits
         register_kernel(dataclasses.replace(real, probe=lambda: False))
@@ -177,7 +248,7 @@ class TestKernelRegistry:
 
 
 class TestAutoSelection:
-    def test_dense_regime_selects_pull(self, dense):
+    def test_dense_regime_selects_pull(self, dense, arcs_default):
         feats = kernel_features(dense)
         assert feats.avg_degree >= 10
         assert 0 < feats.est_diameter <= 8
@@ -185,7 +256,21 @@ class TestAutoSelection:
         assert select_kernel(dense) == "pull"
         assert select_kernel(dense, batch=64) == "pull"
 
-    def test_thin_batch_stays_on_default(self, dense):
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    def test_pull_only_where_it_beats_the_default(self, monkeypatch):
+        """Slashdot0811's top sits in pull's regime: pull beat arcs
+        there (0.12 s vs 0.17 s) but lost to spmm's dense form (0.03
+        s), so ``auto`` picks pull only on the arcs default."""
+        top = suite_top("Slashdot0811").graph
+        assert select_kernel(top) == "spmm"
+        assert spmm_layout(top, top.n) == "dense"
+        monkeypatch.setitem(
+            _REGISTRY, "spmm",
+            dataclasses.replace(get_kernel("spmm"), probe=lambda: False),
+        )
+        assert select_kernel(top) == "pull"
+
+    def test_thin_batch_stays_on_default(self, dense, arcs_default):
         assert (
             select_kernel(dense, batch=AUTO_PULL_MIN_BATCH - 1)
             == default_kernel_name()
@@ -201,7 +286,7 @@ class TestAutoSelection:
         assert kernel_features(graph).est_diameter > 8
         assert select_kernel(graph) == default_kernel_name()
 
-    def test_low_reachability_stays_on_default(self, dense):
+    def test_low_reachability_stays_on_default(self, dense, arcs_default):
         # seed the feature cache with a partially-reachable profile:
         # the guard, not the measurement, is under test here
         feats = kernel_features(dense)
@@ -219,6 +304,31 @@ class TestAutoSelection:
     def test_empty_graph_features(self):
         graph = from_networkx(nx.empty_graph(0), n=0)
         assert kernel_features(graph) == KernelFeatures(0, 0, 0.0, 0, 0.0)
+
+    def test_probe_restarts_away_from_a_sink(self):
+        """Vertex 0 is a sink fed from a 199-arc directed cycle: the
+        first sweep restarts from the busiest vertex, so the probe sees
+        the cycle's depth, and the graph keeps the sparse form."""
+        nxg = nx.DiGraph()
+        nxg.add_edges_from((v, v % 199 + 1) for v in range(1, 200))
+        nxg.add_edge(5, 0)
+        graph = from_networkx(nxg, n=200)
+        feats = kernel_features(graph)
+        assert feats.reached == 1.0
+        assert feats.est_diameter >= 198
+        assert spmm_layout(graph, graph.n) == "sparse"
+
+    def test_layout_pins(self):
+        """Shallow Email-Enron@1's top takes the dense form, deep
+        USA-roadBAY@1's keeps the sparse one; roots that fit one
+        base-width batch never run the probe."""
+        enron = suite_top("Email-Enron").graph
+        assert spmm_layout(enron, 40) == "sparse"
+        assert enron not in _FEATURE_CACHE
+        assert spmm_layout(enron, 41) == "dense"
+        road = suite_top("USA-roadBAY").graph
+        assert spmm_layout(road, road.n) == "sparse"
+        assert kernel_features(road).est_diameter > SPMM_DENSE_MAX_DIAMETER
 
     def test_peak_level_arcs_exact(self, und_random, dir_random):
         """The widest level's out-arcs over both probe sweeps, against
@@ -325,6 +435,69 @@ class TestKernelEquivalence:
                 ]
                 for scores in runs[1:]:
                     assert np.array_equal(scores, runs[0])
+
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    def test_dense_form_matches_sparse(self, zoo_entry):
+        """Both spmm layouts on every zoo graph: the plain sweep over
+        all vertices and the weighted sweep of the top sub-graph."""
+        _name, graph, _nxg = zoo_entry
+        if graph.num_arcs == 0:
+            return
+        assert_layouts_agree(graph, np.arange(graph.n))
+        partition = graph_partition(graph)
+        compute_alpha_beta(graph, partition)
+        top = partition.top
+        if top.roots.size:
+            assert_layouts_agree(
+                top.graph, top.roots, sweep_weights(top, top.gamma)
+            )
+
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    @pytest.mark.parametrize("name", SUITE)
+    def test_dense_form_matches_sparse_on_suite_tops(self, name):
+        top = suite_top(name)
+        sources = top.roots[:48].astype(np.int64)
+        assert_layouts_agree(top.graph, sources)
+        assert_layouts_agree(
+            top.graph, sources, sweep_weights(top, top.gamma)
+        )
+
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    def test_dense_form_widens_deep_levels(self):
+        """Levels past the one-byte ``dist`` (300-vertex paths) widen
+        it instead of wrapping."""
+        for directed in (False, True):
+            nxg = nx.path_graph(
+                300, create_using=nx.DiGraph if directed else nx.Graph
+            )
+            graph = from_networkx(nxg, n=300)
+            assert_layouts_agree(graph, np.array([0, 1, 150, 299]))
+            np.testing.assert_allclose(
+                spmm_contributions(
+                    graph, np.arange(300),
+                    operands=batched._spmm_operands_for(graph, 300, True),
+                ),
+                brandes_bc(graph), rtol=1e-12,
+            )
+
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    def test_default_runs_bit_identical(self, monkeypatch):
+        """Two fresh default runs (new graph objects, so the probe runs
+        again) give bit-identical scores, the dense form included."""
+        calls = []
+        real = batched._spmm_dense
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batched, "_spmm_dense", spy)
+        runs = [
+            apgre_bc(analogue_graph("Email-Enron", scale=1.0, seed=1))
+            for _ in range(2)
+        ]
+        assert calls
+        assert np.array_equal(runs[0], runs[1])
 
     def test_pull_examines_fewer_arcs(self, dense):
         _, (arcs_edges, _, _) = triple(dense, kernel="arcs")
