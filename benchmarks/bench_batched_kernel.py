@@ -35,11 +35,12 @@ where no timed row runs spmm.
 Honest numbers note: the historical serial-vs-batched rows keep their
 achieved ~1.5-1.9x single-core level (per-source numpy BFS is
 dispatch-bound).  The pull-vs-arcs gate on ``social-core`` asserts
->= 1.3x against a measured ~3.5x on a single core — the win is an
-algorithmic examined-arc reduction (bottom-up levels probe the small
-unvisited in-mass instead of pushing the saturated frontier), not a
-parallelism artifact, so it is not core-count gated; the floor sits
-well under the measurement to absorb scheduler noise.
+>= 1.3x against a measured 2.5x full-size (2.9-3.2x quick-size) on a
+2-vCPU host — the win is an algorithmic examined-arc reduction
+(bottom-up levels probe the small unvisited in-mass instead of
+pushing the saturated frontier), not a parallelism artifact, so it is
+not core-count gated; the floor sits well under the measurement to
+absorb scheduler noise.
 """
 
 import argparse
@@ -84,9 +85,14 @@ SEED = 42
 REPEAT = 2  # best-of: absorbs one-off scheduler noise
 
 #: pull must beat arcs by this factor on the dense core (measured
-#: ~3.5x full-size / ~2x quick-size on one core; see module docstring)
+#: 2.5x full-size / 2.9-3.2x quick-size on a 2-vCPU host; see module
+#: docstring)
 PULL_VS_ARCS_FLOOR = 1.3
 PULL_VS_ARCS_FLOOR_QUICK = 1.15
+#: the default kernel must not fall behind the numpy-only fallback in
+#: the deep regime: spmm's sparse form over arcs on the quick road grid
+#: (measured 1.5-1.8x on a 2-vCPU host)
+SPMM_VS_ARCS_FLOOR_QUICK = 1.0
 
 
 def workload_graph(name, scale):
@@ -195,7 +201,7 @@ def check_rows(rows, *, quick=False):
             assert row["speedup_vs_arcs"] >= pull_floor, (
                 f"pull kernel lost its edge on the dense core: "
                 f"{row['speedup_vs_arcs']}x vs arcs "
-                f"(floor {pull_floor}x, measured ~3.5x)"
+                f"(floor {pull_floor}x, measured ~2.5x)"
             )
             assert row["edges_pulled"] > 0, (
                 "pull kernel never went bottom-up on the dense core"
@@ -207,6 +213,13 @@ def check_rows(rows, *, quick=False):
                 f"spmm layout rule regressed on {row['graph']}: "
                 f"{row['spmm_layout']} (want {want})"
             )
+            # no spmm row where scipy's extension is missing: no check
+            if row["graph"] == "USA-roadBAY" and row["kernel"] == "spmm":
+                assert row["speedup_vs_arcs"] >= SPMM_VS_ARCS_FLOOR_QUICK, (
+                    f"spmm fell behind arcs on the deep road grid: "
+                    f"{row['speedup_vs_arcs']}x (floor "
+                    f"{SPMM_VS_ARCS_FLOOR_QUICK}x)"
+                )
 
 
 def test_batched_kernel_smoke(results_dir):

@@ -417,9 +417,6 @@ def bfs_sigma_batched(
     b = srcs.size
     if b == 0:
         raise AlgorithmError("batched BFS needs at least one source")
-    # flattened (row, vertex) indices live in [0, b*n); the narrow
-    # dtype keeps the per-level sort/gather traffic at half width
-    fdtype = np.int32 if b * n <= np.iinfo(np.int32).max else np.int64
     if workspace is None:
         dist = np.full((b, n), -1, dtype=np.int32)
         sigma = np.zeros((b, n), dtype=SCORE_DTYPE)
@@ -431,10 +428,13 @@ def bfs_sigma_batched(
         sigma = sigma_buf.reshape(b, n)
     dist_flat = dist.reshape(-1)
     sigma_flat = sigma.reshape(-1)
-    rows0 = np.arange(b, dtype=np.int64)
-    # sorted ascending (one pair per row) — and every later frontier is
-    # a np.unique output, so the sortedness invariant holds throughout
-    frontier = (rows0 * n + srcs).astype(fdtype)
+    # flattened (row, vertex) indices live in [0, b*n) and stay intp,
+    # the dtype numpy's gathers and scatters take without a conversion
+    # pass (docs/PERFORMANCE.md §1).  Sorted ascending (one pair per
+    # row), and every later frontier is a np.unique output, so the
+    # sortedness invariant holds throughout
+    row_bounds = np.arange(b + 1, dtype=np.intp) * n
+    frontier = row_bounds[:-1] + srcs
     dist_flat[frontier] = 0
     sigma_flat[frontier] = 1.0
     level_arcs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = (
@@ -449,14 +449,13 @@ def bfs_sigma_batched(
     indptr_n = indptr.astype(pdtype, copy=False)
     deg = (indptr[1:] - indptr[:-1]).astype(pdtype, copy=False)
     iota = np.arange(min(m, 1024) or 1, dtype=pdtype)
-    row_bounds = np.arange(b + 1, dtype=np.int64) * n
     edges = 0
     level = 0
     while frontier.size:
         # shared CSR gather over the union frontier (cf. expand_frontier)
         verts = frontier % n
-        starts = indptr_n[verts]
-        counts = deg[verts]
+        starts = indptr_n.take(verts)
+        counts = deg.take(verts)
         total = int(counts.sum(dtype=np.int64))
         edges += total
         if row_edges is not None:
@@ -469,10 +468,10 @@ def bfs_sigma_batched(
             indptr_n = indptr.astype(np.int64, copy=False)
             deg = deg.astype(np.int64)
             iota = np.arange(total, dtype=np.int64)
-            starts = indptr_n[verts]
-            counts = deg[verts]
+            starts = indptr_n.take(verts)
+            counts = deg.take(verts)
         if total == 0:
-            empty = np.empty(0, dtype=fdtype)
+            empty = np.empty(0, dtype=np.intp)
             if level_arcs is not None:
                 level_arcs.append((empty, empty))
             break
@@ -481,24 +480,25 @@ def bfs_sigma_batched(
         # arc positions: per-pair run starts shifted into one iota span
         cum = np.cumsum(counts)
         pos = iota[:total] + np.repeat(starts - cum + counts, counts)
-        dst = indices[pos]
+        dst = indices.take(pos)
         flat_src = np.repeat(frontier, counts)
         flat_dst = np.repeat(frontier - verts, counts) + dst
         # an arc is a tree arc iff its head is undiscovered before this
-        # level (a head at dist == level+1 can only have got there now)
-        dmask = dist_flat[flat_dst] < 0
-        t_src = flat_src[dmask]
-        t_dst = flat_dst[dmask]
+        # level (a head at dist == level+1 can only have got there now);
+        # one index list selects from both arc arrays
+        tree = np.flatnonzero(dist_flat.take(flat_dst) < 0)
+        t_src = flat_src.take(tree)
+        t_dst = flat_dst.take(tree)
         if t_dst.size:
             nxt, inv = np.unique(t_dst, return_inverse=True)
             dist_flat[nxt] = level + 1
             # fresh vertices carry sigma == 0, so the per-bin ordered
             # sum equals the serial np.add.at bit for bit
             sigma_flat[nxt] = np.bincount(
-                inv, weights=sigma_flat[t_src], minlength=nxt.size
+                inv, weights=sigma_flat.take(t_src), minlength=nxt.size
             )
         else:
-            nxt = np.empty(0, dtype=fdtype)
+            nxt = np.empty(0, dtype=np.intp)
         if level_arcs is not None:
             level_arcs.append((t_src, t_dst))
         if nxt.size == 0:
@@ -529,7 +529,7 @@ def arc_segments(flat_src: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     seg[0] = True
     np.not_equal(flat_src[1:], flat_src[:-1], out=seg[1:])
     starts = np.flatnonzero(seg)
-    return flat_src[starts], starts
+    return flat_src.take(starts), starts
 
 
 @dataclass(frozen=True)
@@ -656,13 +656,13 @@ def accumulate_dependencies_batched(
             row_edges += np.diff(np.searchsorted(flat_src, row_bounds))
         if flat_src.size == 0:
             continue
-        coef = sigma_flat[flat_src] / sigma_flat[flat_dst]
+        coef = sigma_flat.take(flat_src) / sigma_flat.take(flat_dst)
         tails, runs = arc_segments(flat_src)
         # a vertex only receives contributions at its own level, so
         # delta[tails] still holds its seed (zero in a plain sweep) and
         # the segmented sum equals the serial np.add.at bit for bit
         delta_flat[tails] += np.add.reduceat(
-            coef * (1.0 + delta_flat[flat_dst]), runs
+            coef * (1.0 + delta_flat.take(flat_dst)), runs
         )
     return delta_flat.reshape(b, n)
 
@@ -888,15 +888,19 @@ def spmm_contributions(
     deduplicates and σ-sums every candidate arc in a single call, and
     the output is pre-sized by the frontier degree sum (exactly the
     serial examined-edge tally, so no sizing pass is needed).  Fresh
-    vertices are those still undiscovered in ``dist``; one search of
-    their flat indices over the row bounds gives the next frontier's
-    indptr without any sort.  A level keeps only its ``(flat, cols,
-    fp)`` frontier: its σ lives in the ``(B, n)`` σ matrix.  The
-    backward sweep mirrors it: one ``W · Aᵀ`` product per level with
-    ``W = (1 + δ)/σ`` over the deeper frontier, masked to the vertices
-    one level up — δ lands in the same level order as the serial
-    ``"arcs"`` replay, differing only in summation association, so
-    scores match within float64 tolerance.
+    vertices are those still undiscovered in ``dist``: one
+    ``np.flatnonzero`` of that test indexes the product's columns,
+    values and flat ``row·n + v`` indices alike (intp, like every index
+    the level glue gathers or scatters through; docs/PERFORMANCE.md
+    §1), and one search of the fresh flat indices over the row bounds
+    gives the next frontier's indptr without any sort.  A level keeps
+    only its ``(flat, cols, fp)`` frontier: its σ lives in the
+    ``(B, n)`` σ matrix.  The backward sweep mirrors it: one
+    ``W · Aᵀ`` product per level with ``W = (1 + δ)/σ`` over the
+    deeper frontier, its candidates selected the same way down to the
+    vertices one level up — δ lands in the same level order as the
+    serial ``"arcs"`` replay, differing only in summation association,
+    so scores match within float64 tolerance.
 
     With ``counter`` the matmul runs on complex data whose imaginary
     part carries per-arc multiplicities: summing it over fresh
@@ -947,7 +951,6 @@ def spmm_contributions(
         )
     idx = ops.idx
     counted = counter is not None or row_edges is not None
-    fdtype = np.int32 if b * n <= _I32_MAX else np.int64
     if workspace is None:
         dist = np.full(b * n, -1, dtype=np.int32)
         sigma = np.zeros(b * n, dtype=SCORE_DTYPE)
@@ -960,10 +963,12 @@ def spmm_contributions(
     # need a single add per arc instead of a multiply-add, and a
     # frontier's row pointer is one search over them (rows own
     # disjoint, ordered flat ranges, so the search's predicate is
-    # monotone even where a row's own entries are unsorted)
-    row_bounds = (np.arange(b + 1, dtype=np.int64) * n).astype(fdtype)
+    # monotone even where a row's own entries are unsorted).  Flat
+    # indices stay intp, the dtype numpy's gathers and scatters take
+    # without a conversion pass (docs/PERFORMANCE.md §1).
+    row_bounds = np.arange(b + 1, dtype=np.intp) * n
     rowbase = row_bounds[:-1]
-    flat = rowbase + srcs.astype(fdtype)
+    flat = rowbase + srcs
     dist[flat] = 0
     sigma[flat] = 1.0
     cols = srcs.astype(idx)
@@ -981,7 +986,7 @@ def spmm_contributions(
     edges = 0
     dag_arcs = 0.0
     while True:
-        degs = ops.deg_fwd[cols]
+        degs = ops.deg_fwd.take(cols)
         bound = int(degs.sum(dtype=np.int64))
         bounds.append(bound)
         edges += bound
@@ -996,12 +1001,14 @@ def spmm_contributions(
         nnz = int(cp[b])
         cand = rowbase.repeat(cp[1:] - cp[:-1])
         cand += cj[:nnz]
-        fresh = dist[cand] < 0
-        flat = cand[fresh]
-        if flat.size == 0:
+        # one index list selects from all three arrays (a boolean mask
+        # would be rescanned per array)
+        fresh = np.flatnonzero(dist.take(cand) < 0)
+        if fresh.size == 0:
             break
-        cols = cj[:nnz][fresh]
-        vals = cx[:nnz][fresh]
+        flat = cand.take(fresh)
+        cols = cj.take(fresh)
+        vals = cx.take(fresh)
         fp = np.searchsorted(flat, row_bounds).astype(idx, copy=False)
         dist[flat] = len(levels)
         if counted:
@@ -1031,12 +1038,12 @@ def spmm_contributions(
         if ops.bwd is ops.fwd:  # undirected: the forward bound holds
             bound = bounds[lvl]
         else:
-            bound = int(ops.deg_bwd[cols].sum(dtype=np.int64))
+            bound = int(ops.deg_bwd.take(cols).sum(dtype=np.int64))
         if bound == 0:
             continue
-        w = delta[flat]
+        w = delta.take(flat)
         w += 1.0
-        w /= sigma[flat]
+        w /= sigma.take(flat)
         cp = np.empty(b + 1, dtype=idx)
         cj = np.empty(bound, dtype=idx)
         cx = np.empty(bound, dtype=SCORE_DTYPE)
@@ -1044,12 +1051,12 @@ def spmm_contributions(
         nnz = int(cp[b])
         cand = rowbase.repeat(cp[1:] - cp[:-1])
         cand += cj[:nnz]
-        up = dist[cand] == lvl - 1
-        tgt = cand[up]
+        up = np.flatnonzero(dist.take(cand) == lvl - 1)
+        tgt = cand.take(up)
         # a vertex collects its whole δ at its own level (candidates
         # one level up are unique per row) on top of its seed
-        contrib = cx[:nnz][up]
-        contrib *= sigma[tgt]
+        contrib = cx.take(up)
+        contrib *= sigma.take(tgt)
         delta[tgt] += contrib
     return merge_rows(delta.reshape(b, n), dist.reshape(b, n), srcs, weights)
 

@@ -366,3 +366,48 @@ class TestParallelBenchSmoke:
         row = payload["workloads"][0]
         assert row["speedup"] > 0
         assert row["health"].startswith("ok")
+
+
+class TestBatchedKernelBenchChecks:
+    """``bench_batched_kernel.check_rows``' quick guards on fixed rows."""
+
+    @staticmethod
+    def _bench():
+        import importlib.util
+        from pathlib import Path
+
+        script = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks"
+            / "bench_batched_kernel.py"
+        )
+        spec = importlib.util.spec_from_file_location(
+            "bench_batched_kernel_checks", script
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    @staticmethod
+    def _road_rows(spmm_vs_arcs):
+        rows = [{
+            "graph": "USA-roadBAY", "kernel": "arcs", "speedup": 3.0,
+            "spmm_layout": "sparse", "speedup_vs_arcs": 1.0,
+        }]
+        if spmm_vs_arcs is not None:
+            rows.append({
+                "graph": "USA-roadBAY", "kernel": "spmm",
+                "speedup": 3.0 * spmm_vs_arcs, "spmm_layout": "sparse",
+                "speedup_vs_arcs": spmm_vs_arcs,
+            })
+        return rows
+
+    def test_spmm_must_keep_its_lead_on_the_road_grid(self):
+        mod = self._bench()
+        mod.check_rows(self._road_rows(1.7), quick=True)
+        # a host without scipy's extension has no spmm row to check
+        mod.check_rows(self._road_rows(None), quick=True)
+        with pytest.raises(AssertionError, match="spmm fell behind arcs"):
+            mod.check_rows(self._road_rows(0.9), quick=True)
+        # the full-size run keeps its committed-baseline guard instead
+        mod.check_rows(self._road_rows(0.9), quick=False)

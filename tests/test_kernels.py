@@ -481,6 +481,46 @@ class TestKernelEquivalence:
             )
 
     @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
+    @pytest.mark.parametrize(
+        "dense_form", [False, True], ids=["sparse", "dense"]
+    )
+    def test_wide_operands_match_narrow(
+        self, und_random, dir_random, dense_form
+    ):
+        """int64 operands, which ``_spmm_operands_for`` builds once
+        ``batch·m`` passes 2³¹−1, give the int32 operands' scores bit
+        for bit and the same tallies: a plain counted sweep of every
+        vertex and the top sub-graph's weighted sweep with
+        ``row_edges``."""
+        for graph in (und_random, dir_random):
+            partition = graph_partition(graph)
+            compute_alpha_beta(graph, partition)
+            top = partition.top
+            assert top.roots.size
+            cases = [
+                (graph, np.arange(graph.n), None),
+                (top.graph, top.roots.astype(np.int64),
+                 sweep_weights(top, top.gamma)),
+            ]
+            for g, sources, weights in cases:
+                runs = []
+                for idx in (np.int32, np.int64):
+                    ops = batched._SpmmOperands(g, idx, dense_form)
+                    assert ops.fwd[0].dtype == ops.bwd[1].dtype == idx
+                    counter = WorkCounter()
+                    row_edges = np.zeros(sources.size, dtype=np.int64)
+                    scores = spmm_contributions(
+                        g, sources, operands=ops, weights=weights,
+                        counter=counter,
+                        row_edges=None if weights is None else row_edges,
+                    )
+                    runs.append((scores, counter.edges, row_edges))
+                (narrow, edges, rows), (wide, wide_edges, wide_rows) = runs
+                assert np.array_equal(wide, narrow)
+                assert wide_edges == edges > 0
+                assert np.array_equal(wide_rows, rows)
+
+    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
     def test_default_runs_bit_identical(self, monkeypatch):
         """Two fresh default runs (new graph objects, so the probe runs
         again) give bit-identical scores, the dense form included."""
