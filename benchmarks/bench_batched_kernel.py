@@ -5,42 +5,32 @@ kernel (:mod:`repro.graph.batched`) and the compute-kernel registry
 (:mod:`repro.graph.kernels`): each workload fixes a graph and a sorted
 source sample, measures serial per-source (``mode="arcs"``) once, then
 times ``batch_size="auto"`` under every kernel on the workload's axis —
-wall-clock seconds, examined-edge MTEPS (each kernel's *own* examined
-tally: ``edges + pulled``) and the speedup over serial.  Results land
-in ``benchmarks/results/bench_batched_kernel.json`` each run; the
+wall-clock seconds, examined-edge MTEPS and the speedup over serial.
+Full runs write ``benchmarks/results/bench_batched_kernel.json``; the
 recorded numbers are committed as ``benchmarks/BENCH_baseline.json`` so
 later PRs have a per-kernel perf trajectory to compare against.
 
 Workloads cover three frontier regimes: a deep road grid and a shallow
-sparse social analogue (where the top-down kernels are the right
-answer), plus ``social-core`` — a dense small-diameter powerlaw core
-(Barabási–Albert, avg degree 32, two-sweep diameter ~3), the regime the
-real com-youtube/Slashdot *cores* occupy.  The suite analogues are
-deliberately sparse (satellite chains dominate), so none of them
-exercises the direction-optimizing ``pull`` kernel; ``social-core`` is
-where its bottom-up levels pay off and where ``auto`` selects it.
+sparse social analogue, plus ``social-core`` — a dense small-diameter
+powerlaw core (Barabási–Albert, avg degree 32, two-sweep diameter ~3),
+the regime the real com-youtube/Slashdot *cores* occupy and the one
+where spmm's dense form runs.
 
 Wall-clock is measured on uncounted runs (instrumented runs pay for
 the tally); each kernel's MTEPS denominator comes from one counted run
-of that kernel, because the pull kernel genuinely examines fewer arcs
-(see docs/KERNELS.md for the tally contract).
+of that kernel (see docs/KERNELS.md for the tally contract).
 
 Every row also records ``spmm_layout``: the level layout
 :func:`repro.graph.kernels.spmm_layout` picks for that graph and
 source count (``"dense"`` on shallow graphs, else ``"sparse"``).  The
 ``--quick`` check pins it on the two regimes that sit either side of
-the rule (:data:`QUICK_LAYOUTS`), so a broken rule fails the job even
-where no timed row runs spmm.
+the rule (:data:`QUICK_LAYOUTS`), and gates ``spmm`` against ``arcs``
+in both: the sparse form on the deep road grid, the dense form on the
+dense core.
 
 Honest numbers note: the historical serial-vs-batched rows keep their
 achieved ~1.5-1.9x single-core level (per-source numpy BFS is
-dispatch-bound).  The pull-vs-arcs gate on ``social-core`` asserts
->= 1.3x against a measured 2.5x full-size (2.9-3.2x quick-size) on a
-2-vCPU host — the win is an algorithmic examined-arc reduction
-(bottom-up levels probe the small unvisited in-mass instead of
-pushing the saturated frontier), not a parallelism artifact, so it is
-not core-count gated; the floor sits well under the measurement to
-absorb scheduler noise.
+dispatch-bound).
 """
 
 import argparse
@@ -65,18 +55,18 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
 
 #: (graph, scale, sources, kernel axis) — the two >= 50k-vertex suite
 #: regimes (deep grid, shallow social analogue) plus the dense
-#: small-diameter core where the pull kernel's bottom-up levels win.
+#: small-diameter core.
 WORKLOADS = [
     ("USA-roadBAY", 10.5, 128, ("arcs", "spmm")),
     ("WikiTalk", 49.0, 128, ("arcs", "spmm")),
-    ("social-core", 10.0, 64, ("arcs", "spmm", "pull")),
+    ("social-core", 10.0, 64, ("arcs", "spmm")),
 ]
 #: shrunken workloads for ``--quick`` (the CI smoke job): same three
 #: regimes, sizes that keep the job under a minute
 QUICK_WORKLOADS = [
     ("USA-roadBAY", 2.0, 32, ("arcs", "spmm")),
     ("WikiTalk", 8.0, 32, ("arcs", "spmm")),
-    ("social-core", 2.0, 32, ("arcs", "pull")),
+    ("social-core", 2.0, 32, ("arcs", "spmm")),
 ]
 #: the spmm layout the quick workloads must get: the dense core is
 #: shallow, the road grid deep (docs/KERNELS.md, the layout rule)
@@ -84,15 +74,14 @@ QUICK_LAYOUTS = {"social-core": "dense", "USA-roadBAY": "sparse"}
 SEED = 42
 REPEAT = 2  # best-of: absorbs one-off scheduler noise
 
-#: pull must beat arcs by this factor on the dense core (measured
-#: 2.5x full-size / 2.9-3.2x quick-size on a 2-vCPU host; see module
-#: docstring)
-PULL_VS_ARCS_FLOOR = 1.3
-PULL_VS_ARCS_FLOOR_QUICK = 1.15
 #: the default kernel must not fall behind the numpy-only fallback in
 #: the deep regime: spmm's sparse form over arcs on the quick road grid
 #: (measured 1.5-1.8x on a 2-vCPU host)
 SPMM_VS_ARCS_FLOOR_QUICK = 1.0
+#: ... and must keep the dense form's edge in the dense regime: spmm
+#: over arcs on the quick dense core (measured 3.95-4.34x on a 2-vCPU
+#: host)
+SPMM_VS_ARCS_DENSE_FLOOR_QUICK = 2.0
 
 
 def workload_graph(name, scale):
@@ -156,7 +145,6 @@ def measure_workload(name, scale, n_sources, kernels=("arcs",)):
             "kernel": kern,
             "spmm_layout": layout,
             "edges_examined": counter.examined,
-            "edges_pulled": counter.pulled,
             "serial_seconds": round(t_serial, 4),
             "batched_seconds": round(t_batched, 4),
             "serial_mteps": round(
@@ -180,11 +168,10 @@ def check_rows(rows, *, quick=False):
     the claim is "batched with the right kernel beats serial", and some
     rows exist only as comparison baselines (on the dense core the arcs
     kernel's sort-based dedup over ~m-sized candidate arrays is
-    serial-or-worse; that is exactly why pull exists there).
+    serial-or-worse).
     """
     # small graphs are dispatch-bound, so quick runs only check >= 1.0x
     floor = 1.0 if quick else 1.2
-    pull_floor = PULL_VS_ARCS_FLOOR_QUICK if quick else PULL_VS_ARCS_FLOOR
     best = {}
     for row in rows:
         prev = best.get(row["graph"])
@@ -196,16 +183,6 @@ def check_rows(rows, *, quick=False):
             f"{row['kernel']} at {row['speedup']}x vs serial "
             f"(floor {floor}x)"
         )
-    for row in rows:
-        if row["graph"] == "social-core" and row["kernel"] == "pull":
-            assert row["speedup_vs_arcs"] >= pull_floor, (
-                f"pull kernel lost its edge on the dense core: "
-                f"{row['speedup_vs_arcs']}x vs arcs "
-                f"(floor {pull_floor}x, measured ~2.5x)"
-            )
-            assert row["edges_pulled"] > 0, (
-                "pull kernel never went bottom-up on the dense core"
-            )
     if quick:
         for row in rows:
             want = QUICK_LAYOUTS.get(row["graph"])
@@ -219,6 +196,13 @@ def check_rows(rows, *, quick=False):
                     f"spmm fell behind arcs on the deep road grid: "
                     f"{row['speedup_vs_arcs']}x (floor "
                     f"{SPMM_VS_ARCS_FLOOR_QUICK}x)"
+                )
+            if row["graph"] == "social-core" and row["kernel"] == "spmm":
+                floor_dense = SPMM_VS_ARCS_DENSE_FLOOR_QUICK
+                assert row["speedup_vs_arcs"] >= floor_dense, (
+                    f"spmm lost its dense-form edge on the dense core: "
+                    f"{row['speedup_vs_arcs']}x vs arcs (floor "
+                    f"{floor_dense}x)"
                 )
 
 
@@ -257,35 +241,16 @@ def main(argv=None):
 
     ``--quick`` runs the shrunken workloads with a correctness check
     and lenient floors (small graphs are dispatch-bound, so the
-    full-size guards would be noise there); ``--kernel`` restricts the
-    run to the workloads that list that kernel on their axis, keeping
-    ``arcs`` alongside it as the comparison row.
+    full-size guards would be noise there).
     """
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="CI smoke workloads"
     )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "arcs", "spmm", "pull"),
-        default=None,
-        help="restrict to one compute kernel's workloads",
-    )
     args = parser.parse_args(argv)
     workloads = QUICK_WORKLOADS if args.quick else WORKLOADS
-    if args.kernel is not None and args.kernel != "auto":
-        workloads = [
-            (name, scale, nsrc,
-             tuple(k for k in axis if k in ("arcs", args.kernel)))
-            for name, scale, nsrc, axis in workloads
-            if args.kernel in axis
-        ]
-        if not workloads:
-            print(f"no workload lists kernel {args.kernel!r}; nothing to do")
-            return 0
     rows = [r for w in workloads for r in measure_workload(*w)]
     print(json.dumps({"bench": "bench_batched_kernel", "quick": args.quick,
-                      "kernel": args.kernel,
                       "environment": environment_provenance(),
                       "workloads": rows}, indent=2))
     check_rows(rows, quick=args.quick)

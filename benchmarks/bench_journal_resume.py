@@ -170,7 +170,11 @@ def measure_workload(name, scale):
 
 
 def run_bench(quick=False, out_path=None):
-    """Measure every workload; returns (payload, path written)."""
+    """Measure every workload; returns (payload, path written or None).
+
+    A quick run writes only to an explicit ``out_path``, so it never
+    rewrites the committed ``results/`` file.
+    """
     workloads = QUICK_WORKLOADS if quick else WORKLOADS
     rows = [measure_workload(*w) for w in workloads]
     payload = {
@@ -180,11 +184,13 @@ def run_bench(quick=False, out_path=None):
         "environment": environment_provenance(),
         "workloads": rows,
     }
-    if out_path is None:
+    if out_path is None and not quick:
         RESULTS_DIR.mkdir(exist_ok=True)
         out_path = RESULTS_DIR / "bench_journal_resume.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload, Path(out_path)
+    if out_path is not None:
+        out_path = Path(out_path)
+        out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload, out_path
 
 
 def check_rows(rows, *, quick=False):
@@ -232,13 +238,17 @@ def main(argv=None):
         help="one small graph — the CI smoke configuration",
     )
     parser.add_argument(
-        "--out", default=None, help="output JSON path (default: results/)"
+        "--out",
+        default=None,
+        help="output JSON path (default: results/ on a full run; a "
+        "--quick run writes only to an explicit --out)",
     )
     args = parser.parse_args(argv)
     payload, out_path = run_bench(quick=args.quick, out_path=args.out)
     print(json.dumps(payload, indent=2))
     check_rows(payload["workloads"], quick=args.quick)
-    print(f"wrote {out_path}")
+    if out_path is not None:
+        print(f"wrote {out_path}")
     return 0
 
 

@@ -184,7 +184,11 @@ def available_backend_names():
 
 
 def run_bench(quick=False, out_path=None, workers=None, backends=None):
-    """Measure every workload x backend; returns (payload, path)."""
+    """Measure every workload x backend; returns (payload, path or None).
+
+    A quick run writes only to an explicit ``out_path``, so it never
+    rewrites the committed ``results/`` file.
+    """
     workloads = QUICK_WORKLOADS if quick else WORKLOADS
     if workers is None:
         workers = QUICK_WORKERS if quick else WORKERS
@@ -204,11 +208,13 @@ def run_bench(quick=False, out_path=None, workers=None, backends=None):
         ),
         "workloads": rows,
     }
-    if out_path is None:
+    if out_path is None and not quick:
         RESULTS_DIR.mkdir(exist_ok=True)
         out_path = RESULTS_DIR / "bench_parallel_batched.json"
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload, Path(out_path)
+    if out_path is not None:
+        out_path = Path(out_path)
+        out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload, out_path
 
 
 def check_rows(rows, *, quick=False, min_speedup=None):
@@ -280,7 +286,10 @@ def main(argv=None):
         help="small graph, 2 workers — the CI smoke configuration",
     )
     parser.add_argument(
-        "--out", default=None, help="output JSON path (default: results/)"
+        "--out",
+        default=None,
+        help="output JSON path (default: results/ on a full run; a "
+        "--quick run writes only to an explicit --out)",
     )
     parser.add_argument(
         "--backend",
@@ -317,7 +326,8 @@ def main(argv=None):
     check_rows(
         payload["workloads"], quick=args.quick, min_speedup=args.min_speedup
     )
-    print(f"wrote {out_path}")
+    if out_path is not None:
+        print(f"wrote {out_path}")
     return 0
 
 

@@ -44,31 +44,19 @@ __all__ = [
 class WorkCounter:
     """Mutable tally of edges examined by an algorithm run.
 
-    ``edges`` counts top-down (push) probes and backward-sweep replays;
-    ``pulled`` counts the direction-optimizing kernel's bottom-up
-    probes (:mod:`repro.graph.kernels.pull`).  Both are arcs actually
-    examined — ``examined`` is their sum and is the quantity behind
-    TEPS.  ``switches`` counts push↔pull direction flips: heuristic
-    bookkeeping, *outside* TEPS.
+    ``edges`` counts forward probes and backward-sweep replays: every
+    arc examined, the quantity behind TEPS.
     """
 
     edges: int = 0
-    pulled: int = 0
-    switches: int = 0
 
     def add(self, k: int) -> None:
         self.edges += int(k)
 
-    def add_pulled(self, k: int) -> None:
-        self.pulled += int(k)
-
-    def add_switch(self, k: int = 1) -> None:
-        self.switches += int(k)
-
     @property
     def examined(self) -> int:
-        """Total arcs examined either direction (the TEPS numerator)."""
-        return self.edges + self.pulled
+        """Total arcs examined (the TEPS numerator): ``edges``."""
+        return self.edges
 
 
 def accumulate_dependencies(
@@ -200,8 +188,8 @@ def run_per_source(
     instrumenting.
 
     ``kernel`` names the compute kernel the batched paths traverse
-    with (:mod:`repro.graph.kernels`: ``"auto"`` / ``"arcs"`` /
-    ``"spmm"`` / ``"pull"``); ``None`` defers to
+    with (:mod:`repro.graph.kernels`: ``"arcs"`` / ``"spmm"``, or
+    ``"auto"`` for the host default); ``None`` defers to
     ``REPRO_KERNEL`` and then the host default.  It requires a
     batched run, so passing it without ``batch_size`` implies
     ``batch_size="auto"`` (like ``backend``).
@@ -226,7 +214,7 @@ def run_per_source(
         # price the RAM model against the kernel that will actually run
         from repro.graph import kernels as _kernels
 
-        kernel = _kernels.resolve_kernel_name(kernel, graph=graph)
+        kernel = _kernels.resolve_kernel_name(kernel)
         source_list = list(source_list)
     if batch_size is not None and (workers > 1 or backend is not None):
         from repro.parallel.backends import resolve_backend

@@ -143,13 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument(
         "--kernel",
-        choices=("auto", "arcs", "spmm", "pull"),
+        choices=("auto", "arcs", "spmm"),
         default=None,
         help="compute kernel for the batched traversals: pure-numpy "
-        "scatters, scipy sparse-matmul levels, direction-optimizing "
-        "push/pull, or 'auto' (per-sub-graph structural selection); "
-        "unset: REPRO_KERNEL, else spmm when scipy's extension "
-        "loads, else arcs; "
+        "scatters, scipy sparse-matmul levels, or 'auto' (the host "
+        "default); unset: REPRO_KERNEL, else spmm when scipy's "
+        "extension loads, else arcs; "
         "implies --batch-size auto unless one is given; an "
         "unavailable kernel degrades to the default with a warning",
     )
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--kernel",
-        choices=("auto", "arcs", "spmm", "pull"),
+        choices=("auto", "arcs", "spmm"),
         default=None,
         help="default compute kernel (requests may override via "
         "?kernel=)",
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help="extra query parameter (repeatable): backend=threads, "
-        "kernel=pull, compress=1, fresh=1, version=3, ...",
+        "kernel=arcs, compress=1, fresh=1, version=3, ...",
     )
     p_query.add_argument(
         "--timeout",

@@ -53,26 +53,11 @@ from repro.graph.batched import (
     row_bytes,
 )
 from repro.graph.csr import CSRGraph
-from repro.parallel.batched_pool import merge_examined
 from repro.parallel.scheduler import lpt_order, task_cost
 from repro.parallel.supervisor import RunHealth, SupervisorConfig
 from repro.types import SCORE_DTYPE
 
 __all__ = ["apgre_bc", "apgre_bc_detailed"]
-
-
-def _counter_triple(tally: WorkCounter) -> Tuple[int, int, int]:
-    """One task's ``(edges, pulled, switches)`` engine commit row."""
-    return (tally.edges, tally.pulled, tally.switches)
-
-
-def _fold_tally(counter: WorkCounter, tally: WorkCounter) -> None:
-    """Fold a task-local tally's full split into the run counter."""
-    counter.add(tally.edges)
-    if tally.pulled:
-        counter.add_pulled(tally.pulled)
-    if tally.switches:
-        counter.add_switch(tally.switches)
 
 
 def _roots(sg, config: APGREConfig) -> np.ndarray:
@@ -85,6 +70,7 @@ def _roots(sg, config: APGREConfig) -> np.ndarray:
 def _subgraph_scores(
     sg,
     config: APGREConfig,
+    kernel: Optional[str],
     counter=None,
     lo=None,
     hi=None,
@@ -94,8 +80,8 @@ def _subgraph_scores(
     the root slice ``[lo, hi)``.
 
     Routes through :func:`bc_subgraph` (honouring
-    ``batch_size``/``compress``/``kernel``); ``workers`` concurrent
-    callers share the auto batch's RAM budget.
+    ``batch_size``/``compress``) on the run's resolved ``kernel``;
+    ``workers`` concurrent callers share the auto batch's RAM budget.
     """
     return bc_subgraph(
         sg,
@@ -104,7 +90,7 @@ def _subgraph_scores(
         roots=None if lo is None else _roots(sg, config)[lo:hi],
         batch_size=config.batch_size,
         compress=config.compress,
-        kernel=config.kernel,
+        kernel=kernel,
         workers=workers,
     )
 
@@ -112,35 +98,25 @@ def _subgraph_scores(
 class _Unit(NamedTuple):
     """Positions ``lo:hi`` of a todo list that run as one unit.
 
-    ``kernel`` is a bundle's kernel (:func:`_units`); ``None`` runs
-    the one sub-graph at ``lo`` on its own.
+    ``bundle`` marks a bundle (:func:`_units`); otherwise the one
+    sub-graph at ``lo`` runs on its own.
     """
 
     lo: int
     hi: int
-    kernel: Optional[str] = None
+    bundle: bool = False
 
 
-def _bundle_kernel(sg, config: APGREConfig) -> Optional[str]:
-    """The kernel ``sg``'s batched weighted sweep runs on, when that
-    kernel keeps its rows apart (``row_tallies``); else ``None``.
+def _bundles(sg, config: APGREConfig) -> bool:
+    """Whether ``sg`` may join a bundle: a non-trivial compression plan
+    runs alone."""
+    if not config.compress:
+        return True
+    from repro.compress import compression_plan
 
-    A non-trivial compression plan and the direction-optimizing
-    ``pull`` kernel, whose union-frontier switch couples rows, run
-    alone.
-    """
-    if config.compress:
-        from repro.compress import compression_plan
-
-        plan = compression_plan(
-            sg, eliminate_pendants=config.eliminate_pendants
-        )
-        if plan.nontrivial:
-            return None
-    from repro.graph import kernels as _kernels
-
-    name = _kernels.resolve_kernel_name(config.kernel, graph=sg.graph)
-    return name if _kernels.get_kernel(name).row_tallies else None
+    return not compression_plan(
+        sg, eliminate_pendants=config.eliminate_pendants
+    ).nontrivial
 
 
 def _units(run: _Run, todo: List[int]) -> List[_Unit]:
@@ -148,8 +124,8 @@ def _units(run: _Run, todo: List[int]) -> List[_Unit]:
 
     Consecutive sub-graphs join one bundle while each one is not the
     top (so ``top_bc`` keeps meaning the top), runs the batched sweep
-    (not the per-source ``batch_size=None``) on a bundle kernel
-    (:func:`_bundle_kernel`) shared with the others, and the bundle's
+    (not the per-source ``batch_size=None``) uncompressed
+    (:func:`_bundles`), and the bundle's
     whole root set still fits one batch: at most
     :data:`~repro.graph.batched.DEFAULT_MAX_BATCH` roots (or the
     integer ``batch_size``) whose rows take at most
@@ -166,24 +142,25 @@ def _units(run: _Run, todo: List[int]) -> List[_Unit]:
         return roots <= cap and roots * row_bytes(n, m) <= AUTO_WORKSET_BYTES
 
     units: List[_Unit] = []
-    lo, kernel, size = 0, None, (0, 0, 0)
+    lo, bundle, size = 0, False, (0, 0, 0)
 
     def close(hi: int) -> None:
-        units.append(_Unit(lo, hi, kernel if hi - lo > 1 else None))
+        units.append(_Unit(lo, hi, bundle and hi - lo > 1))
 
     for k, index in enumerate(todo):
         sg = run.subgraphs[index]
         mine = (_roots(sg, config).size, sg.num_vertices, sg.num_arcs)
-        name = None
-        if index != 0 and cap is not None and fits(*mine):
-            name = _bundle_kernel(sg, config)
+        joins = (
+            index != 0 and cap is not None and fits(*mine)
+            and _bundles(sg, config)
+        )
         grown = tuple(a + b for a, b in zip(size, mine))
-        if name is not None and name == kernel and fits(*grown):
+        if joins and bundle and fits(*grown):
             size = grown
             continue
         if k > lo:
             close(k)
-        lo, kernel, size = k, name, mine
+        lo, bundle, size = k, joins, mine
     if todo:
         close(len(todo))
     return units
@@ -202,28 +179,29 @@ def _unit_scores(
     sgs: list,
     unit: _Unit,
     config: APGREConfig,
+    kernel: Optional[str],
     lo=None,
     hi=None,
     workers: int = 1,
-) -> Tuple[np.ndarray, np.ndarray, WorkCounter]:
-    """Run one unit: ``(local, tallies, tally)``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run one unit on ``kernel``: ``(local, tallies)``.
 
-    ``local`` holds the members' local vectors end to end, ``tallies``
-    each member's direction-blind examined-edge count and ``tally`` the
-    unit's split.  A lone sub-graph may run the root slice ``[lo,
-    hi)``; a bundle always runs whole.
+    ``local`` holds the members' local vectors end to end and
+    ``tallies`` each member's examined-edge count.  A lone sub-graph
+    may run the root slice ``[lo, hi)``; a bundle always runs whole.
     """
-    tally = WorkCounter()
-    if unit.kernel is None:
-        local = _subgraph_scores(sgs[unit.lo], config, tally, lo, hi, workers)
-        return local, np.asarray([tally.examined]), tally
+    if not unit.bundle:
+        tally = WorkCounter()
+        local = _subgraph_scores(
+            sgs[unit.lo], config, kernel, tally, lo, hi, workers
+        )
+        return local, np.asarray([tally.examined])
     local, _offsets, tallies = bc_bundle(
         sgs[unit.lo : unit.hi],
-        kernel=unit.kernel,
+        kernel=kernel,
         eliminate_pendants=config.eliminate_pendants,
     )
-    tally.add(int(tallies.sum()))
-    return local, tallies, tally
+    return local, tallies
 
 
 def _make_tasks(
@@ -259,7 +237,7 @@ def _make_tasks(
         if n_roots == 0:
             continue
         step = n_roots
-        if unit.kernel is None:
+        if not unit.bundle:
             step = max(min(chunk_target, n_roots), 1)
         for lo in range(0, n_roots, step):
             hi = min(lo + step, n_roots)
@@ -275,6 +253,9 @@ class _Run:
 
     graph: CSRGraph
     config: APGREConfig
+    #: the compute kernel every batched sweep runs, resolved once;
+    #: ``None`` for the per-source reference (``batch_size=None``)
+    kernel: Optional[str]
     subgraphs: list
     bc: np.ndarray
     counter: WorkCounter
@@ -354,9 +335,15 @@ def apgre_bc_detailed(
         )
 
     bc = np.zeros(graph.n, dtype=SCORE_DTYPE)
+    kernel = None
+    if config.batch_size is not None:
+        from repro.graph import kernels as _kernels
+
+        kernel = _kernels.resolve_kernel_name(config.kernel)
     run = _Run(
         graph=graph,
         config=config,
+        kernel=kernel,
         subgraphs=subgraphs,
         bc=bc,
         counter=counter,
@@ -379,8 +366,6 @@ def apgre_bc_detailed(
     timings.rest_bc = time.perf_counter() - t0 - timings.top_bc
 
     stats.edges_traversed = counter.edges
-    stats.edges_pulled = counter.pulled
-    stats.kernel_switches = counter.switches
     return BCResult(scores=bc, stats=stats, health=health)
 
 
@@ -397,7 +382,7 @@ def _compute_units(
     on the engine ``config.backend`` resolves to; otherwise, and as
     the engine's fallback rung, an inline loop runs them.  ``sink``
     receives each sub-graph's complete local vector and its exact
-    direction-blind examined-edge tally, bundled or not, parent-side
+    examined-edge tally, bundled or not, parent-side
     only (after the engine's poisoned-row recovery or tree reduction),
     so a worker never touches the store or the journal.  Rungs: engine
     → serial → Brandes; the lower two engage only with
@@ -408,7 +393,7 @@ def _compute_units(
     """
     config, stats = run.config, run.stats
     units = _units(run, todo)
-    bundles = [unit for unit in units if unit.kernel is not None]
+    bundles = [unit for unit in units if unit.bundle]
     stats.bundles = len(bundles)
     stats.subgraphs_bundled = sum(unit.hi - unit.lo for unit in bundles)
     if config.workers <= 1:
@@ -448,7 +433,7 @@ def _serial_units(
     for u in lpt_order(costs):
         unit = units[u]
         t0 = time.perf_counter()
-        local, tallies, tally = _unit_scores(sgs, unit, config)
+        local, tallies = _unit_scores(sgs, unit, config, run.kernel)
         if todo[unit.lo] == 0:
             run.stats.timings.top_bc += time.perf_counter() - t0
         at = 0
@@ -456,12 +441,9 @@ def _serial_units(
             part = local[at : at + sgs[k].num_vertices]
             at += part.size
             if sink is not None:
-                # committed replay tallies are direction-blind totals,
-                # so a later replay reports the same examined count
-                # whatever kernel recomputed the entry
                 sink(todo[k], part, int(tallies[k - unit.lo]))
             run.bc[sgs[k].vertices] += part
-        _fold_tally(run.counter, tally)
+        run.counter.add(int(tallies.sum()))
 
 
 def _engine_units(
@@ -502,8 +484,8 @@ def _engine_units(
     def compute(task_id: int):
         u, lo, hi = tasks[task_id]
         unit = units[u]
-        local, tallies, tally = _unit_scores(
-            sgs, unit, config, lo, hi, workers=config.workers
+        local, tallies = _unit_scores(
+            sgs, unit, config, run.kernel, lo, hi, workers=config.workers
         )
         if offsets is not None:
             verts = np.concatenate([
@@ -511,7 +493,7 @@ def _engine_units(
                 offsets[-1] + np.arange(unit.lo, unit.hi),
             ])
             local = np.concatenate([local, tallies])
-        elif unit.kernel is None:
+        elif not unit.bundle:
             verts = sgs[unit.lo].vertices
         else:
             verts, inv = np.unique(
@@ -519,7 +501,7 @@ def _engine_units(
                 return_inverse=True,
             )
             local = np.bincount(inv, weights=local, minlength=verts.size)
-        return verts, local, _counter_triple(tally)
+        return verts, local, int(tallies.sum())
 
     total, edge_total, _batch_edges = contributions(
         compute,
@@ -534,7 +516,7 @@ def _engine_units(
         ),
         health=health,
     )
-    merge_examined(run.counter, edge_total)
+    run.counter.add(edge_total)
     if offsets is None:
         run.bc += total
         return

@@ -104,11 +104,10 @@ def bc_subgraph_batched(
     from SpMM batching); trivial plans stay on the batched path.
 
     ``kernel`` names the registered compute kernel every batch runs
-    (:mod:`repro.graph.kernels`): ``"arcs"``, ``"spmm"``, ``"pull"``,
-    or ``"auto"`` to select from this sub-graph's structure.  ``None``
-    reads ``REPRO_KERNEL`` and otherwise runs the host default
-    (``spmm`` when scipy's sparsetools extension loads, else
-    ``arcs``).
+    (:mod:`repro.graph.kernels`): ``"arcs"``, ``"spmm"``, or
+    ``"auto"`` for the host default.  ``None`` reads ``REPRO_KERNEL``
+    and otherwise runs the host default (``spmm`` when scipy's
+    sparsetools extension loads, else ``arcs``).
     """
     if compress:
         from repro.compress import bc_subgraph_compressed, compression_plan
@@ -138,7 +137,7 @@ def bc_subgraph_batched(
         return np.zeros(n, dtype=SCORE_DTYPE)
     from repro.graph import kernels as _kernels
 
-    kernel = _kernels.resolve_kernel_name(kernel, graph=g)
+    kernel = _kernels.resolve_kernel_name(kernel)
     batch = _kernels.resolve_kernel_batch(
         batch_size, g, roots.size, kernel=kernel, workers=workers
     )
@@ -165,8 +164,8 @@ def bc_bundle(
     The sub-graphs' CSRs are stacked into one block-diagonal graph
     (:func:`repro.graph.ops.block_diagonal`), their weights are
     concatenated, and all their roots run as the rows of a single
-    batch of ``kernel`` — a resolved registry name whose rows never
-    influence each other (``row_tallies``).  The caller sizes the
+    batch of ``kernel``, a resolved registry name (rows never
+    influence each other).  The caller sizes the
     bundle so that one batch fits.  A row never leaves its block, so
     member ``k`` gets exactly what :func:`bc_subgraph_batched` gives it
     alone: scores ``local[offsets[k]:offsets[k + 1]]`` (to float64

@@ -12,7 +12,7 @@ __all__ = ["APGREConfig"]
 
 _AB_METHODS = ("auto", "bfs", "tree")
 _BACKENDS = ("auto", "serial", "threads", "processes")
-_KERNELS = ("auto", "arcs", "spmm", "pull")
+_KERNELS = ("auto", "arcs", "spmm")
 _FLAGS = ("eliminate_pendants", "fallback", "steal", "compress", "resume")
 
 
@@ -133,14 +133,13 @@ class APGREConfig:
         Compute kernel every sub-graph batch runs
         (:mod:`repro.graph.kernels`; each one runs Algorithm 2 as one
         weighted sweep): ``"arcs"`` (pure numpy), ``"spmm"`` (scipy
-        sparse-matmul levels), ``"pull"`` (direction-optimizing
-        push/pull), or ``"auto"`` (per-sub-graph selection from
-        structural features).  ``None`` (default) defers to the
-        ``REPRO_KERNEL`` environment variable and then the host
-        default: ``"spmm"`` when scipy's sparsetools extension loads,
-        else ``"arcs"``.  Kernels run inside the batched paths, so a
-        kernel needs a batch size; requesting an unavailable kernel
-        degrades to the default with a ``RuntimeWarning``.
+        sparse-matmul levels), or ``"auto"`` (the host default).
+        ``None`` (default) defers to the ``REPRO_KERNEL`` environment
+        variable and then the host default: ``"spmm"`` when scipy's
+        sparsetools extension loads, else ``"arcs"``.  Kernels run
+        inside the batched paths, so a kernel needs a batch size;
+        requesting an unavailable kernel degrades to the default with
+        a ``RuntimeWarning``.
     """
 
     threshold: int = DEFAULT_THRESHOLD

@@ -109,15 +109,6 @@ class APGREStats:
     off or nothing fired).  Like ``edges_replayed``, these never feed
     TEPS — they describe work *avoided*, not performed.
 
-    ``edges_pulled`` / ``kernel_switches`` describe the direction-
-    optimizing compute kernel (docs/KERNELS.md): arcs examined by
-    bottom-up (pull) passes and the number of push↔pull direction
-    flips.  ``edges_traversed`` counts top-down probes and backward
-    replays, so ``edges_traversed + edges_pulled`` is a kernelled
-    run's true examined-arc total — both terms are real memory
-    traffic and feed TEPS; ``kernel_switches`` is heuristic
-    bookkeeping and stays outside it.
-
     ``bundles`` / ``subgraphs_bundled`` describe the BC phase's
     coarse-grained level: how many block-diagonal bundle sweeps ran and
     how many of the sub-graphs this run computed they held between
@@ -132,8 +123,6 @@ class APGREStats:
     num_removed_pendants: int = 0
     num_sources: int = 0
     edges_traversed: int = 0
-    edges_pulled: int = 0
-    kernel_switches: int = 0
     edges_replayed: int = 0
     edges_resumed: int = 0
     subgraphs_replayed: int = 0

@@ -130,11 +130,6 @@ _DENSE_BYTES_PER_ROW_ARC = 2
 _CSR_BYTES_PER_VERTEX = 16
 _CSR_BYTES_PER_ARC = 16
 
-# Extra per-row working set of the direction-optimizing pull kernel:
-# the materialised unvisited candidate list (one flat index per still
-# -undiscovered vertex, int32/int64) plus its boolean masks.
-_PULL_BYTES_PER_ROW_VERTEX = 12
-
 
 def available_memory_bytes() -> int:
     """Best-effort available physical memory (fallback: 1 GiB)."""
@@ -170,7 +165,6 @@ def auto_batch_size(
     max_batch: int = DEFAULT_MAX_BATCH,
     workers: int = 1,
     shared_csr: bool = False,
-    kernel: Optional[str] = None,
     level_arcs: Optional[int] = None,
     dense: bool = False,
 ) -> int:
@@ -200,14 +194,6 @@ def auto_batch_size(
     remainder divides by ``workers`` — the process model instead
     leaves per-worker duplication to the quartered headroom, which on
     arc-heavy graphs misprices what each thread may actually use.
-
-    ``kernel`` refines the model per compute kernel: ``"pull"`` needs
-    the CSR transpose resident for its bottom-up gathers — charged
-    *once* against the pooled budget exactly like ``shared_csr`` (the
-    transpose is process-wide shared structure, not per-row state) —
-    plus ~:data:`_PULL_BYTES_PER_ROW_VERTEX` bytes per row-vertex for
-    the materialised unvisited candidate list and its masks.  Other
-    kernel names (and ``None``) use the base model.
     """
     if n <= 0:
         return 1
@@ -217,16 +203,9 @@ def auto_batch_size(
     csr = _CSR_BYTES_PER_VERTEX * n + _CSR_BYTES_PER_ARC * max(m, 1)
     if shared_csr:
         budget = max(budget - csr, 0)
-    if kernel == "pull":
-        # the transpose CSR is shared across all rows and workers:
-        # charge it once, before the per-worker split below
-        budget = max(budget - csr, 0)
     budget //= max(int(workers), 1)
     per_row = row_bytes(n, m)
     work_row = row_bytes(n, m if level_arcs is None else min(m, level_arcs))
-    if kernel == "pull":
-        per_row += _PULL_BYTES_PER_ROW_VERTEX * n
-        work_row += _PULL_BYTES_PER_ROW_VERTEX * n
     workset = AUTO_WORKSET_BYTES
     if dense:
         work_row, workset = dense_row_bytes(n, m), AUTO_DENSE_WORKSET_BYTES
@@ -241,15 +220,13 @@ def resolve_batch_size(
     *,
     workers: int = 1,
     shared_csr: bool = False,
-    kernel: Optional[str] = None,
 ) -> Optional[int]:
     """Normalise a ``batch_size`` option to an int (or ``None``).
 
     ``None`` means "per-source path" and passes through; ``"auto"``
     resolves via :func:`auto_batch_size` for the given graph size, the
-    number of concurrent ``workers`` sharing the RAM budget, the
-    backend's address-space model (``shared_csr``), and the compute
-    ``kernel``'s extra working set (see :func:`auto_batch_size`); a
+    number of concurrent ``workers`` sharing the RAM budget and the
+    backend's address-space model (``shared_csr``); a
     positive integer (numpy integers included) is validated and
     returned as an int (an explicit size is the caller's statement
     that it fits).  Bools and non-integral numbers are rejected rather
@@ -259,7 +236,7 @@ def resolve_batch_size(
         return None
     if isinstance(batch_size, str) and batch_size == "auto":
         return auto_batch_size(
-            n, m, workers=workers, shared_csr=shared_csr, kernel=kernel
+            n, m, workers=workers, shared_csr=shared_csr
         )
     # bool subclasses int, but True is no batch width
     if isinstance(batch_size, bool) or not isinstance(
@@ -344,17 +321,8 @@ class BatchedBFSResult:
         as flattened ``(row * n + src, row * n + dst)`` index pairs —
         ready to replay against flattened ``(B, n)`` matrices.
     edges_traversed:
-        Arcs examined top-down (push), summed over the batch.  For the
-        push-only kernels this equals the sum of the serial per-source
-        tallies; for the direction-optimizing kernel the true examined
-        total is ``edges_traversed + edges_pulled``.
-    edges_pulled:
-        Arcs examined bottom-up (pull) by the direction-optimizing
-        kernel — real memory traffic, inside TEPS.  Zero for push-only
-        kernels.
-    direction_switches:
-        Push↔pull direction flips taken by the direction-optimizing
-        kernel — heuristic bookkeeping, *outside* TEPS.
+        Arcs examined, summed over the batch: the sum of the serial
+        per-source tallies.
     """
 
     sources: np.ndarray
@@ -362,8 +330,6 @@ class BatchedBFSResult:
     sigma: np.ndarray
     level_arcs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
     edges_traversed: int = 0
-    edges_pulled: int = 0
-    direction_switches: int = 0
 
     @property
     def batch(self) -> int:
@@ -1109,20 +1075,17 @@ def batched_contributions(
     ``per_source_delta(graph, s, mode="arcs")`` over the batch.
 
     ``kernel`` names any registered compute kernel
-    (:mod:`repro.graph.kernels`): ``"arcs"``, ``"spmm"``, ``"pull"``,
-    or ``"auto"`` to select from the graph's structure;
-    ``None`` resolves through the registry too (``REPRO_KERNEL``,
-    then the availability default).  Every kernel produces the exact
+    (:mod:`repro.graph.kernels`): ``"arcs"``, ``"spmm"``, or
+    ``"auto"`` for the host default; ``None`` resolves through the
+    registry too (``REPRO_KERNEL``, then the host default).  Every
+    kernel produces the exact
     examined-edge tally.  The returned ``(n,)`` sum never aliases
     ``workspace``.
     """
     from repro.graph import kernels as _kernels
 
     srcs = np.asarray(sources, dtype=np.int64).ravel()
-    name = _kernels.resolve_kernel_name(
-        kernel, graph=graph, batch=srcs.size
-    )
-    kern = _kernels.get_kernel(name)
+    kern = _kernels.get_kernel(_kernels.resolve_kernel_name(kernel))
     return kern.contributions(
         graph, srcs, counter=counter, workspace=workspace, context=None
     )
@@ -1155,10 +1118,7 @@ def batched_bc_scores(
     bc = np.zeros(graph.n, dtype=SCORE_DTYPE)
     if src_arr.size == 0:
         return bc
-    name = _kernels.resolve_kernel_name(
-        kernel, graph=graph, batch=min(batch, src_arr.size)
-    )
-    kern = _kernels.get_kernel(name)
+    kern = _kernels.get_kernel(_kernels.resolve_kernel_name(kernel))
     ctx = (
         kern.prepare(graph, min(batch, src_arr.size), roots=src_arr.size)
         if kern.prepare is not None

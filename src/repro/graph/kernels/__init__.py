@@ -19,12 +19,6 @@ a capability probe, so optional dependencies degrade to a clean miss
     form* (frontier lists, one ``csr_matmat`` per level) or, on
     shallow graphs, the *dense form* (``(n, B)`` state, one
     ``csr_matvecs`` per level).
-``"pull"``
-    The direction-optimizing (push/pull) kernel
-    (:mod:`repro.graph.kernels.pull`): Beamer-style top-down /
-    bottom-up switching on union-frontier density, pure numpy, always
-    available.  Bottom-up probes are tallied separately
-    (``edges_pulled``) but stay inside TEPS.
 
 Every kernel serves both Brandes and APGRE's sub-graph step: the
 contract's ``weights`` (:class:`repro.graph.batched.SweepWeights`)
@@ -32,10 +26,7 @@ turn the plain batched sweep into the weighted one.
 
 ``resolve_kernel_name`` mirrors ``resolve_backend``: an explicit name
 wins, then the ``REPRO_KERNEL`` environment variable, then the host
-default (:func:`default_kernel_name`).  ``"auto"``, by name only,
-picks per sub-graph from cheap structural features (density,
-two-sweep estimated diameter, BFS coverage, batch width) and **never**
-selects an unavailable kernel; with spmm available it is spmm.
+default (:func:`default_kernel_name`), which ``"auto"`` names too.
 Explicitly requesting an unavailable kernel degrades to the default
 with a :class:`RuntimeWarning`.
 """
@@ -70,7 +61,6 @@ __all__ = [
     "get_kernel",
     "default_kernel_name",
     "resolve_kernel_name",
-    "select_kernel",
     "kernel_features",
     "kernel_report",
     "SPMM_LEVEL_MARGIN",
@@ -83,24 +73,6 @@ __all__ = [
 #: Environment override consulted when no explicit kernel is passed
 #: (mirrors ``REPRO_PARALLEL_BACKEND`` at the scheduling layer).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-# ``auto`` selection thresholds: the pull kernel pays a full bottom-up
-# probe of every unvisited in-arc per pulled level (σ-counting has no
-# first-parent early exit), which only beats top-down expansion when
-# BFS *saturates* — most vertices reachable, few levels, and arcs
-# dense enough that one or two frontiers carry most of the mass.
-# Sparse or partially-reachable graphs keep unvisited in-arc mass high
-# for many levels and re-probe it each one, so the thresholds are
-# deliberately strict (measured on the bench workloads: dense
-# BA/G(n,p) shapes win 1.5-3.5x over arcs, an 8.7-avg-degree directed
-# social analogue loses ~30%).  They apply only where ``arcs`` is the
-# default: every top sub-graph in that regime ran slower on pull than
-# on spmm, in either layout (docs/KERNELS.md).
-AUTO_PULL_MAX_DIAMETER = 8
-AUTO_PULL_MIN_AVG_DEG = 10.0
-AUTO_PULL_MIN_REACHED = 0.5
-AUTO_PULL_MIN_BATCH = 8
-AUTO_MIN_VERTICES = 256
 
 #: An ``"auto"`` spmm batch prices its rows at this many times the
 #: probe's widest level (:attr:`KernelFeatures.peak_level_arcs`): across
@@ -138,12 +110,11 @@ class ComputeKernel:
     is one batch and chooses nothing.  ``probe`` must be cheap and
     side-effect free after its first call.
 
-    ``row_tallies`` marks a kernel whose rows never influence each
-    other (a push kernel): its ``contributions`` also take
-    ``row_edges``, an int64 array with one slot per source that
-    receives each row's examined arcs.  APGRE's bundle sweeps
-    (:func:`repro.core.batched_subgraph.bc_bundle`) run only on such
-    kernels.
+    ``contributions`` also takes ``row_edges``, an int64 array with
+    one slot per source that receives each row's examined arcs: rows
+    never influence each other, which is what lets APGRE's bundle
+    sweeps (:func:`repro.core.batched_subgraph.bc_bundle`) run several
+    sub-graphs as the rows of one batch.
     """
 
     name: str
@@ -152,7 +123,6 @@ class ComputeKernel:
     unavailable_reason: str
     contributions: Callable[..., np.ndarray]
     prepare: Optional[Callable[..., object]] = None
-    row_tallies: bool = False
 
     def available(self) -> bool:
         return bool(self.probe())
@@ -184,22 +154,19 @@ def get_kernel(name: str) -> ComputeKernel:
 
 
 def default_kernel_name() -> str:
-    """The kernel ``auto`` falls back to: spmm when scipy is present."""
+    """The host default, which ``auto`` names: spmm when scipy's
+    extension loads, else arcs."""
     return "spmm" if _REGISTRY["spmm"].available() else "arcs"
 
 
 @dataclass(frozen=True)
 class KernelFeatures:
-    """Cheap structural features driving ``auto`` kernel selection."""
+    """Cheap structural features behind spmm's layout and width."""
 
-    n: int
-    m: int
-    avg_degree: float
     est_diameter: int
     #: best BFS coverage seen across the two sweeps, as a fraction of
-    #: ``n`` — low coverage marks directed graphs whose searches never
-    #: saturate (the regime where bottom-up probing re-pays the whole
-    #: unreachable in-arc mass every level)
+    #: the vertex count — low coverage marks directed graphs whose
+    #: searches never saturate
     reached: float = 1.0
     #: out-arcs of the widest BFS level (counted in arcs) seen in
     #: either sweep: about what one row's widest spmm level product
@@ -230,9 +197,8 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
     if cached is not None:
         return cached
     n = int(graph.n)
-    m = int(graph.num_arcs)
     if n == 0:
-        feats = KernelFeatures(0, 0, 0.0, 0, 0.0)
+        feats = KernelFeatures(0, 0.0)
     else:
         from repro.graph.traversal import bfs
 
@@ -250,9 +216,6 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
             for d in (d0, dist)
         )
         feats = KernelFeatures(
-            n=n,
-            m=m,
-            avg_degree=m / n,
             est_diameter=int(dist.max(initial=0)),
             reached=reached,
             peak_level_arcs=peak,
@@ -261,61 +224,18 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
     return feats
 
 
-def select_kernel(
-    graph: Optional[CSRGraph] = None, batch: Optional[int] = None
-) -> str:
-    """``auto`` selection: pick a kernel from structural features.
-
-    With spmm available, ``auto`` is spmm: it ran faster than ``pull``
-    on every top sub-graph in pull's regime, shallow ones in its dense
-    form.  On the ``arcs`` default, dense, small-diameter,
-    mostly-reachable sub-graphs with a wide enough batch go to the
-    direction-optimizing ``pull`` kernel (its bottom-up passes win
-    exactly when most arcs sit in one or two saturated frontiers);
-    everything else — deep road-like graphs, sparse social analogues,
-    partially-reachable directed graphs, thin batches, tiny sub-graphs
-    — stays on arcs.  Only available kernels are ever returned.
-    """
-    default = default_kernel_name()
-    if graph is None or default == "spmm":
-        return default
-    feats = kernel_features(graph)
-    if (
-        _REGISTRY["pull"].available()
-        and feats.n >= AUTO_MIN_VERTICES
-        and feats.avg_degree >= AUTO_PULL_MIN_AVG_DEG
-        and 0 < feats.est_diameter <= AUTO_PULL_MAX_DIAMETER
-        and feats.reached >= AUTO_PULL_MIN_REACHED
-        and (batch is None or batch >= AUTO_PULL_MIN_BATCH)
-    ):
-        return "pull"
-    return default
-
-
-def resolve_kernel_name(
-    name: Optional[str],
-    *,
-    graph: Optional[CSRGraph] = None,
-    batch: Optional[int] = None,
-) -> str:
+def resolve_kernel_name(name: Optional[str]) -> str:
     """Resolve a kernel option to an available registered name.
 
     ``None`` defers to ``REPRO_KERNEL`` and then
-    :func:`default_kernel_name` — never to ``"auto"``, whose feature
-    probe would run once per fresh graph (every sub-graph of an APGRE
-    run).  ``"auto"`` selects per (graph, batch) via
-    :func:`select_kernel`.  The probe also sizes ``"auto"`` spmm
-    batches (:func:`resolve_kernel_batch`), but only on graphs whose
-    roots exceed one batch at the base width.  A known but
-    unavailable kernel degrades to :func:`default_kernel_name` with a
-    :class:`RuntimeWarning`; an unknown name raises.
+    :func:`default_kernel_name`, which ``"auto"`` names too.  A known
+    but unavailable kernel degrades to :func:`default_kernel_name`
+    with a :class:`RuntimeWarning`; an unknown name raises.
     """
     if name is None:
         name = os.environ.get(KERNEL_ENV_VAR, "").strip()
-        if not name:
-            return default_kernel_name()
-    if name == "auto":
-        return select_kernel(graph, batch)
+    if not name or name == "auto":
+        return default_kernel_name()
     kernel = get_kernel(name)
     if not kernel.available():
         fallback = default_kernel_name()
@@ -353,21 +273,19 @@ def resolve_kernel_batch(
     """
     n, m = graph.n, graph.num_arcs
     batch = resolve_batch_size(
-        batch_size, n, m, workers=workers, shared_csr=shared_csr,
-        kernel=kernel,
+        batch_size, n, m, workers=workers, shared_csr=shared_csr
     )
     if batch_size != "auto" or kernel != "spmm" or roots <= batch:
         return batch
     if spmm_layout(graph, roots) == "dense":
         return auto_batch_size(
-            n, m, workers=workers, shared_csr=shared_csr, kernel=kernel,
-            dense=True,
+            n, m, workers=workers, shared_csr=shared_csr, dense=True
         )
     feats = kernel_features(graph)
     if feats.reached < 1.0:
         return batch
     return auto_batch_size(
-        n, m, workers=workers, shared_csr=shared_csr, kernel=kernel,
+        n, m, workers=workers, shared_csr=shared_csr,
         level_arcs=SPMM_LEVEL_MARGIN * feats.peak_level_arcs,
     )
 
@@ -384,7 +302,7 @@ def spmm_layout(graph: CSRGraph, roots: int) -> str:
     (:func:`resolve_kernel_batch`) and the kernel's ``prepare`` both
     ask this function, so a batch's width and layout agree.
     """
-    if roots <= auto_batch_size(graph.n, graph.num_arcs, kernel="spmm"):
+    if roots <= auto_batch_size(graph.n, graph.num_arcs):
         return "sparse"
     feats = kernel_features(graph)
     if (
@@ -440,7 +358,6 @@ register_kernel(ComputeKernel(
     probe=lambda: True,
     unavailable_reason="",
     contributions=_arcs_kernel_contributions,
-    row_tallies=True,
 ))
 
 def _spmm_prepare(graph, batch, roots=None):
@@ -458,18 +375,4 @@ register_kernel(ComputeKernel(
     unavailable_reason="scipy.sparse._sparsetools does not load",
     contributions=_spmm_kernel_contributions,
     prepare=_spmm_prepare,
-    row_tallies=True,
-))
-
-from repro.graph.kernels import pull as _pull  # noqa: E402
-
-register_kernel(ComputeKernel(
-    name="pull",
-    description=(
-        "direction-optimizing push/pull BFS (bottom-up gathers over "
-        "unvisited rows)"
-    ),
-    probe=lambda: True,
-    unavailable_reason="",
-    contributions=_pull.pull_contributions,
 ))

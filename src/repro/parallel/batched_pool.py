@@ -56,12 +56,7 @@ from repro.parallel.supervisor import (
 )
 from repro.types import SCORE_DTYPE
 
-__all__ = [
-    "batched_pool_bc_scores",
-    "tree_reduce",
-    "EngineTotals",
-    "merge_examined",
-]
+__all__ = ["batched_pool_bc_scores", "tree_reduce"]
 
 # commit-protocol states for one batch (int8 in the shared state array)
 _PENDING = 0
@@ -70,85 +65,15 @@ _COMMITTED = 2
 
 
 class _EdgeTally:
-    """Minimal WorkCounter stand-in (avoids a baselines import cycle).
+    """Minimal WorkCounter stand-in (avoids a baselines import cycle)."""
 
-    Mirrors :class:`repro.baselines.common.WorkCounter`'s split
-    protocol: ``edges`` counts top-down probes and DAG replays,
-    ``pulled`` the pull kernel's bottom-up probes (both are examined
-    arcs), ``switches`` its direction flips (bookkeeping only).
-    """
-
-    __slots__ = ("edges", "pulled", "switches")
+    __slots__ = ("edges",)
 
     def __init__(self) -> None:
         self.edges = 0
-        self.pulled = 0
-        self.switches = 0
 
     def add(self, count: int) -> None:
         self.edges += int(count)
-
-    def add_pulled(self, count: int) -> None:
-        self.pulled += int(count)
-
-    def add_switch(self, count: int = 1) -> None:
-        self.switches += int(count)
-
-    @property
-    def triple(self) -> Tuple[int, int, int]:
-        """The per-batch ``(edges, pulled, switches)`` commit row."""
-        return (self.edges, self.pulled, self.switches)
-
-
-class EngineTotals(int):
-    """An engine run's examined-arc total carrying its push/pull split.
-
-    Subclasses :class:`int` (the value is the *total* examined arcs,
-    pushed + pulled) so every existing consumer that treats the edge
-    total as a plain number keeps working; kernel-aware consumers read
-    ``pulled``/``switches`` and split their stats accordingly (see
-    :func:`merge_examined`).  (``int`` subclasses cannot declare
-    nonempty ``__slots__``, so the split rides in the instance dict.)
-    """
-
-    def __new__(cls, total, pulled: int = 0, switches: int = 0):
-        self = super().__new__(cls, int(total))
-        self.pulled = int(pulled)
-        self.switches = int(switches)
-        return self
-
-
-def _tally3(edges) -> Tuple[int, int, int]:
-    """Normalise a compute tally to ``(edges, pulled, switches)``.
-
-    ``compute`` callbacks may return a plain examined-arc int (every
-    push-only kernel) or the 3-tuple split; both commit idempotently
-    into the per-batch tally rows.
-    """
-    if isinstance(edges, (tuple, list)):
-        a, b, c = edges
-        return (int(a), int(b), int(c))
-    return (int(edges), 0, 0)
-
-
-def merge_examined(counter, total) -> None:
-    """Fold an engine edge total (plain int or EngineTotals) into a
-    counter, keeping ``counter.edges`` the true examined total when the
-    counter lacks the split protocol."""
-    if counter is None:
-        return
-    pulled = int(getattr(total, "pulled", 0))
-    switches = int(getattr(total, "switches", 0))
-    add_pulled = getattr(counter, "add_pulled", None)
-    if pulled and add_pulled is not None:
-        counter.add(int(total) - pulled)
-        add_pulled(pulled)
-    else:
-        counter.add(int(total))
-    if switches:
-        add_switch = getattr(counter, "add_switch", None)
-        if add_switch is not None:
-            add_switch(switches)
 
 
 def tree_reduce(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -232,7 +157,7 @@ def _pool_batch_task(batch_id: int):
         # may hold a partial sum, so mark it for parent-side recovery
         state["poisoned"].array[prev] = 1
     verts, delta, edge_count = state["compute"](int(batch_id))
-    state["edges"].array[batch_id] = _tally3(edge_count)
+    state["edges"].array[batch_id] = edge_count
     owners[batch_id] = slot
     batch_state[batch_id] = _COMMITTING
     row = state["scores"].array[slot]
@@ -356,16 +281,11 @@ def _pooled_contributions(
 
     ``compute`` maps a batch id to ``(verts, delta, edges)`` — ``delta``
     is added to the score vector (at ``verts`` when given, densely when
-    ``None``) and ``edges`` is the batch's examined-edge tally: a plain
-    int, or an ``(edges, pulled, switches)`` split from a
-    direction-optimizing kernel (see :func:`_tally3`).  It must be
-    deterministic and safe to re-run (retries and poisoned-row
+    ``None``) and ``edges`` is the batch's examined-edge tally.  It
+    must be deterministic and safe to re-run (retries and poisoned-row
     recovery recompute batches).  Returns ``(scores, edge_total,
-    batch_edges)``; the edge total is an :class:`EngineTotals` — the
-    exact sum of the per-batch examined totals in ``batch_edges``,
-    independent of which worker ran what (the contribution cache needs
-    the per-batch breakdown to store exact per-sub-graph tallies) —
-    carrying the summed pulled/switch split.
+    batch_edges)``; the edge total is the exact sum of the per-batch
+    tallies in ``batch_edges``, independent of which worker ran what.
     """
     num = len(weights)
     config = config or SupervisorConfig()
@@ -373,30 +293,23 @@ def _pooled_contributions(
     health.tasks += num
     total = np.zeros(n, dtype=SCORE_DTYPE)
     if num == 0:
-        return total, EngineTotals(0), np.zeros(0, dtype=np.int64)
+        return total, 0, np.zeros(0, dtype=np.int64)
     if workers <= 1 or num == 1 or not _pool._supports_fork():
         # inline contract, mirroring supervised_map: bit-identical to
         # the serial chunk loop, no supervision (nothing can crash)
         health.inline = True
-        split = np.zeros((num, 3), dtype=np.int64)
+        batch_edges = np.zeros(num, dtype=np.int64)
         for batch_id in range(num):
-            verts, delta, edges = compute(batch_id)
+            verts, delta, batch_edges[batch_id] = compute(batch_id)
             if verts is None:
                 total += delta
             else:
                 total[verts] += delta
-            split[batch_id] = _tally3(edges)
             health.outcomes.append(
                 TaskOutcome(task=batch_id, attempts=1, status="ok-pool",
                             events=["inline"])
             )
-        batch_edges = split[:, 0] + split[:, 1]
-        edge_total = EngineTotals(
-            batch_edges.sum(dtype=np.int64),
-            pulled=split[:, 1].sum(dtype=np.int64),
-            switches=split[:, 2].sum(dtype=np.int64),
-        )
-        return total, edge_total, batch_edges
+        return total, int(batch_edges.sum()), batch_edges
 
     workers = min(workers, num)
     order = lpt_order(weights)          # payload p runs batch order[p]
@@ -426,9 +339,9 @@ def _pooled_contributions(
             SharedArray.create((num,), np.int8)
         )
         owners = stack.enter_context(SharedArray.create((num,), np.int64))
-        # per-batch (edges, pulled, switches) tally rows — committed by
-        # idempotent assignment, so retries and recovery stay exact
-        edges = stack.enter_context(SharedArray.create((num, 3), np.int64))
+        # per-batch tallies — committed by idempotent assignment, so
+        # retries and recovery stay exact
+        edges = stack.enter_context(SharedArray.create((num,), np.int64))
         poisoned = stack.enter_context(SharedArray.create((slots,), np.int8))
         owners.array.fill(-1)
         next_slot = mp.get_context("fork").Value("i", 0)
@@ -470,12 +383,11 @@ def _pooled_contributions(
             )
             if trusted:
                 continue
-            verts, delta, edge_count = compute(batch_id)
+            verts, delta, edges.array[batch_id] = compute(batch_id)
             if verts is None:
                 extra += delta
             else:
                 extra[verts] += delta
-            edges.array[batch_id] = _tally3(edge_count)
             recomputed += 1
         if recomputed:
             health.serial_retries += recomputed
@@ -484,14 +396,8 @@ def _pooled_contributions(
             scores.array[s] for s in range(used) if not poison_arr[s]
         ]
         total = tree_reduce(rows + [extra]) if rows else extra
-        split = edges.array.copy()
-        batch_edges = split[:, 0] + split[:, 1]
-        edge_total = EngineTotals(
-            batch_edges.sum(dtype=np.int64),
-            pulled=split[:, 1].sum(dtype=np.int64),
-            switches=split[:, 2].sum(dtype=np.int64),
-        )
-    return total, edge_total, batch_edges
+        batch_edges = edges.array.copy()
+    return total, int(batch_edges.sum()), batch_edges
 
 
 def batched_pool_bc_scores(
@@ -533,9 +439,7 @@ def batched_pool_bc_scores(
         raise ValueError(f"batch must be >= 1, got {batch}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    kernel = _kernels.resolve_kernel_name(
-        kernel, graph=graph, batch=min(batch, srcs.size)
-    )
+    kernel = _kernels.resolve_kernel_name(kernel)
     kern = _kernels.get_kernel(kernel)
     bounds = [
         (lo, min(lo + batch, srcs.size))
@@ -600,7 +504,7 @@ def batched_pool_bc_scores(
             delta = kern.contributions(
                 shared_graph, chunk, counter=tally, context=ctx
             )
-            return None, delta, tally.triple
+            return None, delta, tally.edges
 
         weights = [float(hi - lo) for lo, hi in bounds]
         try:
@@ -615,5 +519,6 @@ def batched_pool_bc_scores(
             )
         finally:
             _drop_run_caches(ops_token)
-    merge_examined(counter, edge_total)
+    if counter is not None:
+        counter.add(edge_total)
     return total

@@ -54,13 +54,7 @@ from repro.errors import ExecutionError, TaskTimeoutError, WorkerCrashError
 from repro.graph.batched import BatchWorkspace
 from repro.graph.csr import CSRGraph
 from repro.parallel import faults as _faults
-from repro.parallel.batched_pool import (
-    EngineTotals,
-    _EdgeTally,
-    _tally3,
-    merge_examined,
-    tree_reduce,
-)
+from repro.parallel.batched_pool import _EdgeTally, tree_reduce
 from repro.parallel.scheduler import assign_lpt, lpt_order
 from repro.parallel.supervisor import (
     RunHealth,
@@ -127,10 +121,10 @@ class _ThreadRun:
         self.stop = threading.Event()
         self.pending: List[_ThreadTask] = list(tasks)  # LPT order
         self.remaining = len(tasks)
-        # per-batch (edges, pulled, switches) tally rows, written by
-        # idempotent assignment (compute is deterministic)
+        # per-batch tallies, written by idempotent assignment
+        # (compute is deterministic)
         self.batch_edges = np.zeros(
-            (max(t.batch for t in tasks) + 1, 3), dtype=np.int64
+            max(t.batch for t in tasks) + 1, dtype=np.int64
         )
         self.rows: List[np.ndarray] = []
         self.threads: List[threading.Thread] = []
@@ -191,7 +185,7 @@ class _ThreadRun:
                     return False
                 task.done = True
                 task.deadline = None
-                self.batch_edges[task.batch] = _tally3(edges)
+                self.batch_edges[task.batch] = edges
                 self.remaining -= 1
             if verts is None:
                 np.add(row, delta, out=row)
@@ -271,7 +265,7 @@ class _ThreadRun:
         with self.lock:
             task.done = True
             task.deadline = None
-            self.batch_edges[task.batch] = _tally3(edges)
+            self.batch_edges[task.batch] = edges
             self.remaining -= 1
         if verts is None:
             extra += delta
@@ -498,28 +492,21 @@ def threaded_contributions(
     health.tasks += num
     total = np.zeros(n, dtype=SCORE_DTYPE)
     if num == 0:
-        return total, EngineTotals(0), np.zeros(0, dtype=np.int64)
+        return total, 0, np.zeros(0, dtype=np.int64)
     if workers <= 1 or num == 1:
         health.inline = True
-        split = np.zeros((num, 3), dtype=np.int64)
+        batch_edges = np.zeros(num, dtype=np.int64)
         for batch_id in range(num):
-            verts, delta, edges = compute(batch_id)
+            verts, delta, batch_edges[batch_id] = compute(batch_id)
             if verts is None:
                 total += delta
             else:
                 total[verts] += delta
-            split[batch_id] = _tally3(edges)
             health.outcomes.append(
                 TaskOutcome(task=batch_id, attempts=1, status="ok-pool",
                             events=["inline"])
             )
-        batch_edges = split[:, 0] + split[:, 1]
-        edge_total = EngineTotals(
-            batch_edges.sum(dtype=np.int64),
-            pulled=split[:, 1].sum(dtype=np.int64),
-            switches=split[:, 2].sum(dtype=np.int64),
-        )
-        return total, edge_total, batch_edges
+        return total, int(batch_edges.sum()), batch_edges
 
     workers = min(workers, num)
     order = lpt_order(weights)
@@ -540,14 +527,8 @@ def threaded_contributions(
         run.spawn(wid)
     run.supervise(extra)
     total = tree_reduce(run.rows + [extra])
-    split = run.batch_edges[:num].copy()
-    batch_edges = split[:, 0] + split[:, 1]
-    edge_total = EngineTotals(
-        batch_edges.sum(dtype=np.int64),
-        pulled=split[:, 1].sum(dtype=np.int64),
-        switches=split[:, 2].sum(dtype=np.int64),
-    )
-    return total, edge_total, batch_edges
+    batch_edges = run.batch_edges[:num].copy()
+    return total, int(batch_edges.sum()), batch_edges
 
 
 def threaded_bc_scores(
@@ -590,9 +571,7 @@ def threaded_bc_scores(
         raise ValueError(f"batch must be >= 1, got {batch}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    kernel = _kernels.resolve_kernel_name(
-        kernel, graph=graph, batch=min(batch, srcs.size)
-    )
+    kernel = _kernels.resolve_kernel_name(kernel)
     kern = _kernels.get_kernel(kernel)
     bounds = [
         (lo, min(lo + batch, srcs.size))
@@ -640,7 +619,7 @@ def threaded_bc_scores(
         delta = kern.contributions(
             graph, chunk, counter=tally, workspace=ws, context=ctx
         )
-        return None, delta, tally.triple
+        return None, delta, tally.edges
 
     weights = [float(hi - lo) for lo, hi in bounds]
     total, edge_total, _ = threaded_contributions(
@@ -653,5 +632,6 @@ def threaded_bc_scores(
         health=health,
         fuse=fuse,
     )
-    merge_examined(counter, edge_total)
+    if counter is not None:
+        counter.add(edge_total)
     return total

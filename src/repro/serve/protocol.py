@@ -42,7 +42,7 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 _BACKENDS = ("auto", "serial", "threads", "processes")
-_KERNELS = ("auto", "arcs", "spmm", "pull")
+_KERNELS = ("auto", "arcs", "spmm")
 
 
 def _one(query: Dict, key: str) -> Optional[str]:

@@ -261,9 +261,7 @@ class TestBundles:
         np.testing.assert_allclose(res.scores, brandes_bc(g), atol=1e-9)
 
     @pytest.mark.parametrize(
-        "options",
-        [{"batch_size": None}, {"kernel": "pull"}],
-        ids=["per-source", "pull"],
+        "options", [{"batch_size": None}], ids=["per-source"]
     )
     def test_runs_alone(self, options):
         g = analogue_graph("WikiTalk", scale=0.5)

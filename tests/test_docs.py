@@ -66,10 +66,10 @@ class TestReadmePromises:
 
 
 class TestRemovedSpellings:
-    """``backend=`` is the only engine spelling, the numba kernel is
-    gone, and so are the batched four-dependency sweep and the shard
-    layer; only the CHANGELOG's migration note may name what was
-    removed."""
+    """``backend=`` is the only engine spelling, the numba and pull
+    kernels are gone, and so are the batched four-dependency sweep and
+    the shard layer; only the CHANGELOG's migration note may name what
+    was removed."""
 
     REMOVED = re.compile(
         r"\bparallel=|\bparallel_batched\b|--parallel-batched"
@@ -78,6 +78,10 @@ class TestRemovedSpellings:
         r"|\bBatchedFourDependencies\b"
         r"|\bshard=|--shard\b|\bshard_max_size\b|repro\.shard\b"
         r"|SHARDING\.md"
+        r"|\bedges_pulled\b|\bkernel_switches\b|\bselect_kernel\b"
+        r"|\bPULL_ALPHA\b|\bbfs_sigma_batched_pull\b"
+        r"|repro\.graph\.kernels\.pull\b|\brow_tallies\b"
+        r"|--kernel pull\b|\bkernel=\"pull\""
     )
 
     def test_docs_name_only_live_surfaces(self):
@@ -91,6 +95,7 @@ class TestRemovedSpellings:
         text = (ROOT / "CHANGELOG.md").read_text()
         assert 'backend="processes"' in text
         assert 'parallel="threads"' in text
+        assert 'kernel="pull"' in text
 
 
 class TestRobustnessDoc:
@@ -170,10 +175,8 @@ class TestKernelsDoc:
         text = self.text()
         for claim in (
             "Composition matrix",
-            "PULL_ALPHA = 0.7",
-            "frontier_arcs > PULL_ALPHA * unvisited_arcs",
-            "edges_traversed + edges_pulled == examined arcs",
-            "outside** TEPS",
+            "Why `pull` was deleted",
+            "`WorkCounter.examined` equals `edges`",
             "REPRO_KERNEL",
             "selects an unavailable kernel",
         ):
@@ -189,42 +192,28 @@ class TestKernelsDoc:
             kernel_report,
             register_kernel,
             resolve_kernel_name,
-            select_kernel,
-        )
-        from repro.graph.kernels.pull import (  # noqa: F401
-            PULL_ALPHA,
-            bfs_sigma_batched_pull,
-            pull_contributions,
         )
         from repro.core.config import APGREConfig
 
         assert KERNEL_ENV_VAR == "REPRO_KERNEL"
-        assert PULL_ALPHA == 0.7
-        assert set(kernel_names()) == {"arcs", "spmm", "pull"}
-        assert APGREConfig(kernel="pull").kernel == "pull"
+        assert set(kernel_names()) == {"arcs", "spmm"}
+        assert APGREConfig(kernel="auto").kernel == "auto"
 
     def test_cli_flags_exist(self):
         from repro.cli import build_parser
 
         parser = build_parser()
         args = parser.parse_args(
-            ["compute", "g.txt", "--kernel", "pull"]
+            ["compute", "g.txt", "--kernel", "arcs"]
         )
-        assert args.kernel == "pull"
+        assert args.kernel == "arcs"
 
-    def test_stats_split_fields_exist(self):
+    def test_stats_carry_one_examined_count(self):
         from repro.baselines.common import WorkCounter
-        from repro.core.result import APGREStats
 
-        stats = APGREStats()
-        for field in ("edges_pulled", "kernel_switches"):
-            assert hasattr(stats, field), field
         counter = WorkCounter()
         counter.add(3)
-        counter.add_pulled(2)
-        counter.add_switch()
-        assert counter.examined == 5
-        assert counter.switches == 1
+        assert counter.examined == counter.edges == 3
 
     def test_provenance_records_kernels(self):
         from repro.bench.persistence import environment_provenance
@@ -379,7 +368,7 @@ class TestWeightedSweepDocs:
             "docs/KERNELS.md": (
                 "each name runs its own kernel",
                 "3. the host default, `default_kernel_name()`",
-                "An unset kernel never falls back to it",
+                "`\"auto\"` is the host default under another name",
             ),
             "docs/API.md": ("`sweep_weights(sg, gamma)` → `SweepWeights`",),
         }
@@ -420,7 +409,7 @@ class TestWeightedSweepDocs:
             kernel = get_kernel(name)
             params = inspect.signature(kernel.contributions).parameters
             assert "weights" in params, name
-            assert ("row_edges" in params) == kernel.row_tallies, name
+            assert "row_edges" in params, name
 
     def test_changelog_carries_the_note(self):
         text = " ".join((ROOT / "CHANGELOG.md").read_text().split())

@@ -1,15 +1,12 @@
-"""Tests for the compute-kernel registry and the push/pull kernel.
+"""Tests for the compute-kernel registry.
 
-Covers the PR's contract surface: every registered kernel matches
-Brandes to 1e-9 across the serial/threads/processes engines with exact
-(and deterministic) examined-edge tallies, the split tally identity
-``edges_traversed + edges_pulled == examined`` holds on every
+Covers the registry's contract surface: every registered kernel
+matches Brandes to 1e-9 across the serial/threads/processes engines
+with exact (and deterministic) examined-edge tallies on every
 composition (plain, compressed, cached-replay, journaled-resume),
-``auto`` selection never returns an unavailable kernel and honours
-the structural thresholds, the pull kernel's RAM model shrinks
-``auto`` batch sizes, injected worker kills mid-pull never commit a
-partial delta, and an unavailable kernel degrades to a clean miss
-instead of an error.
+``auto`` names the host default without probing the graph, the probe
+behind spmm's layout and width is exact, and an unavailable kernel
+degrades to a clean miss instead of an error.
 """
 
 import dataclasses
@@ -30,16 +27,10 @@ from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import graph_partition
 from repro.errors import AlgorithmError
 from repro.generators.suite import analogue_graph
-from repro.graph import batched
-from repro.graph.batched import (
-    auto_batch_size,
-    bfs_sigma_batched,
-    spmm_contributions,
-)
+from repro.graph import batched, kernels
+from repro.graph.batched import spmm_contributions
 from repro.graph.build import from_networkx
 from repro.graph.kernels import (
-    AUTO_MIN_VERTICES,
-    AUTO_PULL_MIN_BATCH,
     KERNEL_ENV_VAR,
     SPMM_DENSE_MAX_DIAMETER,
     _FEATURE_CACHE,
@@ -52,16 +43,8 @@ from repro.graph.kernels import (
     kernel_report,
     register_kernel,
     resolve_kernel_name,
-    select_kernel,
     spmm_layout,
 )
-from repro.graph.kernels.pull import (
-    PULL_ALPHA,
-    bfs_sigma_batched_pull,
-)
-from repro.parallel.faults import FaultSpec, injected_faults
-from repro.parallel.supervisor import RunHealth
-from repro.parallel.threaded import threaded_bc_scores
 
 WORKERS = 2
 
@@ -73,18 +56,15 @@ SUITE = [
 ]
 
 #: every kernel the host can actually run; "auto" rides along as the
-#: selection path
+#: host default's other spelling
 AVAILABLE = [k for k in kernel_names() if get_kernel(k).available()]
 BACKENDS = ["serial", "threads", "processes"]
 
 
 @pytest.fixture(scope="module")
 def dense():
-    """Dense small-diameter graph in the pull kernel's regime.
-
-    avg degree ~10.7, two-sweep diameter ~3, fully reachable — the
-    shape where ``auto`` selects ``pull`` and bottom-up levels fire.
-    """
+    """Dense small-diameter graph: avg degree ~10.7, two-sweep
+    diameter ~3, fully reachable (spmm's dense-form regime)."""
     return from_networkx(nx.gnm_random_graph(300, 1600, seed=3), n=300)
 
 
@@ -166,8 +146,17 @@ def spy_on_kernels(monkeypatch):
     return calls
 
 
-def triple(graph, *, kernel, backend=None, workers=1, batch=8):
-    """Scores plus the (edges, pulled, switches) split for one run."""
+def no_probe(monkeypatch):
+    """Make any call of the structural probe fail the test."""
+
+    def probe(graph):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(kernels, "kernel_features", probe)
+
+
+def tallied(graph, *, kernel, backend=None, workers=1, batch=8):
+    """Scores plus the examined-edge tally for one run."""
     counter = WorkCounter()
     scores = run_per_source(
         graph,
@@ -178,42 +167,50 @@ def triple(graph, *, kernel, backend=None, workers=1, batch=8):
         kernel=kernel,
         counter=counter,
     )
-    return scores, (counter.edges, counter.pulled, counter.switches)
+    return scores, counter.edges
 
 
 class TestKernelRegistry:
     def test_registered_names(self):
-        assert kernel_names() == ("arcs", "spmm", "pull")
+        assert kernel_names() == ("arcs", "spmm")
         for name in kernel_names():
             assert isinstance(get_kernel(name).available(), bool)
         assert get_kernel("arcs").available()
-        assert get_kernel("pull").available()
 
     def test_unknown_kernel_raises(self):
-        with pytest.raises(AlgorithmError, match="unknown compute kernel"):
-            get_kernel("simd")
-        with pytest.raises(AlgorithmError, match="unknown compute kernel"):
-            resolve_kernel_name("simd")
+        for name in ("simd", "pull"):
+            with pytest.raises(
+                AlgorithmError, match="unknown compute kernel"
+            ):
+                get_kernel(name)
+            with pytest.raises(
+                AlgorithmError, match="unknown compute kernel"
+            ):
+                resolve_kernel_name(name)
 
-    def test_default_matches_spmm_probe(self):
+    def test_default_matches_spmm_probe(self, monkeypatch):
         expected = "spmm" if get_kernel("spmm").available() else "arcs"
         assert default_kernel_name() == expected
-        assert select_kernel(None) == expected
+        no_probe(monkeypatch)  # "auto" names the default, unprobed
+        assert resolve_kernel_name("auto") == expected
 
-    def test_env_override(self, monkeypatch, dense):
+    def test_env_override(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "arcs")
-        assert resolve_kernel_name(None, graph=dense) == "arcs"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "nope")
-        with pytest.raises(AlgorithmError):
-            resolve_kernel_name(None)
+        assert resolve_kernel_name(None) == "arcs"
+        for env in ("nope", "pull"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, env)
+            with pytest.raises(
+                AlgorithmError, match=r"known: arcs, spmm, auto\)"
+            ):
+                resolve_kernel_name(None)
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "arcs")
-        assert resolve_kernel_name("pull") == "pull"
+        monkeypatch.setenv(KERNEL_ENV_VAR, "spmm")
+        assert resolve_kernel_name("arcs") == "arcs"
 
     def test_unavailable_kernel_degrades_with_warning(self):
         ghost = dataclasses.replace(
-            get_kernel("pull"), name="ghost", probe=lambda: False,
+            get_kernel("arcs"), name="ghost", probe=lambda: False,
             unavailable_reason="probe says no",
         )
         register_kernel(ghost)
@@ -224,14 +221,20 @@ class TestKernelRegistry:
         finally:
             del _REGISTRY["ghost"]
 
-    def test_auto_never_selects_unavailable(self, dense, arcs_default):
-        real = get_kernel("pull")
-        assert select_kernel(dense) == "pull"  # the regime fixture fits
-        register_kernel(dataclasses.replace(real, probe=lambda: False))
-        try:
-            assert select_kernel(dense) == default_kernel_name()
-        finally:
-            register_kernel(real)
+    def test_auto_never_selects_unavailable(
+        self, monkeypatch, dense, dense_oracle, arcs_default
+    ):
+        """``auto`` is the host default by name: on the arcs default an
+        APGRE run of the dense shallow graph runs arcs throughout, and
+        nothing runs the probe."""
+        no_probe(monkeypatch)
+        calls = spy_on_kernels(monkeypatch)
+        assert resolve_kernel_name("auto") == "arcs"
+        res = apgre_bc_detailed(dense, APGREConfig(kernel="auto"))
+        np.testing.assert_allclose(
+            res.scores, dense_oracle, rtol=1e-9, atol=1e-9
+        )
+        assert calls and set(calls) == {"arcs"}
 
     def test_kernel_report_shape(self):
         report = kernel_report()
@@ -248,62 +251,14 @@ class TestKernelRegistry:
 
 
 class TestAutoSelection:
-    def test_dense_regime_selects_pull(self, dense, arcs_default):
-        feats = kernel_features(dense)
-        assert feats.avg_degree >= 10
-        assert 0 < feats.est_diameter <= 8
-        assert feats.reached == 1.0
-        assert select_kernel(dense) == "pull"
-        assert select_kernel(dense, batch=64) == "pull"
-
-    @pytest.mark.skipif("spmm" not in AVAILABLE, reason="needs scipy")
-    def test_pull_only_where_it_beats_the_default(self, monkeypatch):
-        """Slashdot0811's top sits in pull's regime: pull beat arcs
-        there (0.12 s vs 0.17 s) but lost to spmm's dense form (0.03
-        s), so ``auto`` picks pull only on the arcs default."""
-        top = suite_top("Slashdot0811").graph
-        assert select_kernel(top) == "spmm"
-        assert spmm_layout(top, top.n) == "dense"
-        monkeypatch.setitem(
-            _REGISTRY, "spmm",
-            dataclasses.replace(get_kernel("spmm"), probe=lambda: False),
-        )
-        assert select_kernel(top) == "pull"
-
-    def test_thin_batch_stays_on_default(self, dense, arcs_default):
-        assert (
-            select_kernel(dense, batch=AUTO_PULL_MIN_BATCH - 1)
-            == default_kernel_name()
-        )
-
-    def test_small_or_sparse_graphs_stay_on_default(self, und_random):
-        # 36 vertices: under the minimum, and sparse besides
-        assert und_random.n < AUTO_MIN_VERTICES
-        assert select_kernel(und_random) == default_kernel_name()
-
-    def test_deep_graph_stays_on_default(self):
-        graph = from_networkx(nx.path_graph(400), n=400)
-        assert kernel_features(graph).est_diameter > 8
-        assert select_kernel(graph) == default_kernel_name()
-
-    def test_low_reachability_stays_on_default(self, dense, arcs_default):
-        # seed the feature cache with a partially-reachable profile:
-        # the guard, not the measurement, is under test here
-        feats = kernel_features(dense)
-        try:
-            _FEATURE_CACHE[dense] = dataclasses.replace(
-                feats, reached=0.3
-            )
-            assert select_kernel(dense) == default_kernel_name()
-        finally:
-            _FEATURE_CACHE[dense] = feats
+    """The structural probe behind spmm's layout and ``"auto"`` width."""
 
     def test_features_cached_per_graph(self, dense):
         assert kernel_features(dense) is kernel_features(dense)
 
     def test_empty_graph_features(self):
         graph = from_networkx(nx.empty_graph(0), n=0)
-        assert kernel_features(graph) == KernelFeatures(0, 0, 0.0, 0, 0.0)
+        assert kernel_features(graph) == KernelFeatures(0, 0.0)
 
     def test_probe_restarts_away_from_a_sink(self):
         """Vertex 0 is a sink fed from a 199-arc directed cycle: the
@@ -357,35 +312,30 @@ class TestKernelEquivalence:
     def test_matches_brandes_everywhere(
         self, dense, dense_oracle, kernel, backend
     ):
-        scores, split = triple(
+        scores, edges = tallied(
             dense, kernel=kernel, backend=backend, workers=WORKERS
         )
         np.testing.assert_allclose(
             scores, dense_oracle, rtol=1e-9, atol=1e-9
         )
-        # the split is deterministic: engines must commit exactly the
-        # serial run's tallies, per direction
-        _, serial_split = triple(dense, kernel=kernel)
-        assert split == serial_split
+        # the tally is deterministic: engines must commit exactly the
+        # serial run's
+        assert edges == tallied(dense, kernel=kernel)[1]
 
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_tally_identity(self, dense, kernel):
+        """One examined count: ``examined`` is ``edges``, and every
+        kernel examines what the serial per-source path does."""
         counter = WorkCounter()
         run_per_source(
             dense, mode="arcs", batch_size=8, kernel=kernel,
             counter=counter,
         )
-        assert counter.examined == counter.edges + counter.pulled
-        if kernel == "pull":
-            assert counter.pulled > 0
-            assert counter.switches > 0
-        else:
-            assert counter.pulled == 0
-            assert counter.switches == 0
+        serial = WorkCounter()
+        run_per_source(dense, mode="arcs", counter=serial)
+        assert counter.examined == counter.edges == serial.edges > 0
 
-    @pytest.mark.parametrize(
-        "kernel", [k for k in AVAILABLE if get_kernel(k).row_tallies]
-    )
+    @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_row_edges_split_the_tally(self, dense, dir_random, kernel):
         """``row_edges`` sums to the batch tally, and row ``i`` holds
         what a one-root run of ``sources[i]`` examines."""
@@ -539,20 +489,11 @@ class TestKernelEquivalence:
         assert calls
         assert np.array_equal(runs[0], runs[1])
 
-    def test_pull_examines_fewer_arcs(self, dense):
-        _, (arcs_edges, _, _) = triple(dense, kernel="arcs")
-        counter = WorkCounter()
-        run_per_source(
-            dense, mode="arcs", batch_size=8, kernel="pull",
-            counter=counter,
-        )
-        assert counter.examined < arcs_edges
-
     def test_directed_graph(self, dir_random, und_random):
         for graph in (dir_random, und_random):
             ref = brandes_bc(graph)
             for kernel in AVAILABLE:
-                scores, _ = triple(graph, kernel=kernel, batch=6)
+                scores, _ = tallied(graph, kernel=kernel, batch=6)
                 np.testing.assert_allclose(
                     scores, ref, rtol=1e-9, atol=1e-9
                 )
@@ -562,54 +503,12 @@ class TestKernelEquivalence:
         # batched path (otherwise the option would silently no-op)
         counter = WorkCounter()
         scores = run_per_source(
-            dense, mode="arcs", kernel="pull", counter=counter
+            dense, mode="arcs", kernel="arcs", counter=counter
         )
         np.testing.assert_allclose(
             scores, dense_oracle, rtol=1e-9, atol=1e-9
         )
-        assert counter.pulled > 0
-
-
-class TestPullForwardSweep:
-    """The pull BFS is exact against the top-down kernel, not just BC."""
-
-    def test_dist_sigma_and_arcs_match_topdown(self, dense):
-        sources = [0, 5, 17, 100]
-        top = bfs_sigma_batched(dense, sources, keep_level_arcs=True)
-        pull = bfs_sigma_batched_pull(
-            dense, sources, keep_level_arcs=True
-        )
-        np.testing.assert_array_equal(pull.dist, top.dist)
-        np.testing.assert_array_equal(pull.sigma, top.sigma)
-        assert len(pull.level_arcs) == len(top.level_arcs)
-        for (ps, pd), (ts, td) in zip(pull.level_arcs, top.level_arcs):
-            # same DAG arc set per level, grouped by tail either way
-            assert set(zip(ps.tolist(), pd.tolist())) == set(
-                zip(ts.tolist(), td.tolist())
-            )
-            assert np.all(np.diff(ps) >= 0)
-
-    def test_split_tally_accounts_every_probe(self, dense):
-        res = bfs_sigma_batched_pull(dense, [0, 5, 17, 100])
-        assert res.edges_pulled > 0
-        assert res.direction_switches > 0
-        top = bfs_sigma_batched(dense, [0, 5, 17, 100])
-        # bottom-up levels are why the totals differ — and both count
-        # every arc actually probed
-        assert (
-            res.edges_traversed + res.edges_pulled <= top.edges_traversed
-        )
-
-    def test_alpha_zero_always_pulls_exactly(self, dense):
-        top = bfs_sigma_batched(dense, [3, 9])
-        res = bfs_sigma_batched_pull(dense, [3, 9], alpha=0.0)
-        np.testing.assert_array_equal(res.dist, top.dist)
-        np.testing.assert_array_equal(res.sigma, top.sigma)
-        assert 0.0 < PULL_ALPHA < 1.0  # documented crossover regime
-
-    def test_empty_sources_raise(self, dense):
-        with pytest.raises(AlgorithmError):
-            bfs_sigma_batched_pull(dense, [])
+        assert counter.edges > 0
 
 
 class TestApgreKernelCompositions:
@@ -618,7 +517,7 @@ class TestApgreKernelCompositions:
     @pytest.fixture(scope="class")
     def graph(self):
         # dense biconnected core plus pendant/bridge structure, so the
-        # decomposition produces real sub-graphs and pull still fires
+        # decomposition produces real sub-graphs
         nxg = nx.gnm_random_graph(60, 420, seed=11)
         base = 60
         for i in range(8):
@@ -633,7 +532,7 @@ class TestApgreKernelCompositions:
         return brandes_python_bc(graph)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("kernel", ["pull", "auto"])
+    @pytest.mark.parametrize("kernel", ["arcs", "auto"])
     def test_plain(self, graph, oracle, backend, kernel):
         res = apgre_bc_detailed(
             graph,
@@ -644,54 +543,40 @@ class TestApgreKernelCompositions:
         )
         assert res.health is not None and not res.health.degraded
 
-    def test_pull_tallies_surface_in_stats(self, graph):
-        res = apgre_bc_detailed(graph, APGREConfig(kernel="pull"))
-        assert res.stats.edges_pulled > 0
-        assert res.stats.kernel_switches > 0
-        base = apgre_bc_detailed(graph, APGREConfig(batch_size="auto"))
-        assert base.stats.edges_pulled == 0
-        assert (
-            res.stats.edges_traversed + res.stats.edges_pulled
-            < base.stats.edges_traversed + 1
-        )
-
     def test_compressed(self, graph, oracle):
         res = apgre_bc_detailed(
-            graph, APGREConfig(kernel="pull", compress=True)
+            graph, APGREConfig(kernel="arcs", compress=True)
         )
         np.testing.assert_allclose(
             res.scores, oracle, rtol=1e-9, atol=1e-9
         )
 
     def test_cached_then_replayed(self, graph, oracle, tmp_path):
-        cfg = APGREConfig(kernel="pull", cache_dir=str(tmp_path / "c"))
+        cfg = APGREConfig(kernel="arcs", cache_dir=str(tmp_path / "c"))
         cold = apgre_bc_detailed(graph, cfg)
         np.testing.assert_allclose(
             cold.scores, oracle, rtol=1e-9, atol=1e-9
         )
-        assert cold.stats.edges_pulled > 0
+        assert cold.stats.edges_traversed > 0
         warm = apgre_bc_detailed(graph, cfg)
         np.testing.assert_allclose(
             warm.scores, oracle, rtol=1e-9, atol=1e-9
         )
         assert warm.stats.subgraphs_recomputed == 0
-        # committed tallies are direction-blind totals: a replay
-        # reports the work the first run actually did, both directions
-        assert warm.stats.edges_replayed == (
-            cold.stats.edges_traversed + cold.stats.edges_pulled
-        )
+        # a replay reports the work the first run actually did
+        assert warm.stats.edges_replayed == cold.stats.edges_traversed
 
     def test_journaled_and_resumed(self, graph, oracle, tmp_path):
         jdir = str(tmp_path / "j")
         first = apgre_bc_detailed(
-            graph, APGREConfig(kernel="pull", journal_dir=jdir)
+            graph, APGREConfig(kernel="arcs", journal_dir=jdir)
         )
         np.testing.assert_allclose(
             first.scores, oracle, rtol=1e-9, atol=1e-9
         )
         resumed = apgre_bc_detailed(
             graph,
-            APGREConfig(kernel="pull", journal_dir=jdir, resume=True),
+            APGREConfig(kernel="arcs", journal_dir=jdir, resume=True),
         )
         np.testing.assert_allclose(
             resumed.scores, oracle, rtol=1e-9, atol=1e-9
@@ -700,14 +585,15 @@ class TestApgreKernelCompositions:
         assert resumed.stats.subgraphs_resumed > 0
 
     def test_config_validates_kernel(self):
-        assert APGREConfig(kernel="pull").batch_size == "auto"
+        assert APGREConfig(kernel="arcs").batch_size == "auto"
         assert APGREConfig(kernel="auto", batch_size=16).batch_size == 16
-        with pytest.raises(AlgorithmError):
-            APGREConfig(kernel="simd")
+        for name in ("simd", "pull"):
+            with pytest.raises(AlgorithmError, match="kernel must be"):
+                APGREConfig(kernel=name)
 
     def test_apgre_bc_wrapper_accepts_kernel(self, graph, oracle):
         np.testing.assert_allclose(
-            apgre_bc(graph, kernel="pull"), oracle, rtol=1e-9, atol=1e-9
+            apgre_bc(graph, kernel="arcs"), oracle, rtol=1e-9, atol=1e-9
         )
 
     @pytest.mark.parametrize(
@@ -715,11 +601,10 @@ class TestApgreKernelCompositions:
         [
             ("arcs", None, "arcs"),
             ("spmm", None, "spmm"),
-            ("pull", None, "pull"),
             (None, "arcs", "arcs"),
             (None, None, default_kernel_name()),
         ],
-        ids=["arcs", "spmm", "pull", "env-arcs", "default"],
+        ids=["arcs", "spmm", "env-arcs", "default"],
     )
     def test_kernel_name_takes_effect(
         self, graph, oracle, monkeypatch, kernel, env, expected
@@ -756,94 +641,3 @@ class TestApgreKernelCompositions:
             res.scores, oracle, rtol=1e-9, atol=1e-9
         )
         assert calls and set(calls) == {"arcs"}
-
-
-class TestPullUnderFaults:
-    """A killed worker mid-pull-batch never commits a partial delta."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, request):
-        dense = request.getfixturevalue("dense")
-        counter = WorkCounter()
-        scores = threaded_bc_scores(
-            dense, list(range(0, dense.n, 3)), batch=8, workers=1,
-            kernel="pull", counter=counter,
-        )
-        return scores, (counter.edges, counter.pulled, counter.switches)
-
-    def _run(self, dense, **kwargs):
-        counter = WorkCounter()
-        health = RunHealth()
-        scores = threaded_bc_scores(
-            dense, list(range(0, dense.n, 3)), batch=8, workers=WORKERS,
-            kernel="pull", counter=counter, health=health, **kwargs,
-        )
-        return scores, (counter.edges, counter.pulled,
-                        counter.switches), health
-
-    def test_kill_mid_batch_retries_without_partial_commit(
-        self, dense, reference
-    ):
-        ref_scores, ref_split = reference
-        with injected_faults(FaultSpec("kill", task=1)):
-            scores, split, health = self._run(dense)
-        np.testing.assert_allclose(
-            scores, ref_scores, rtol=1e-9, atol=1e-9
-        )
-        assert split == ref_split  # idempotent per-batch tally commit
-        assert health.worker_crashes == 1
-        assert health.retries >= 1
-
-    def test_persistent_fault_drains_serially_exact(
-        self, dense, reference
-    ):
-        ref_scores, ref_split = reference
-        with injected_faults(
-            FaultSpec("raise", task=0, attempts=tuple(range(16)))
-        ):
-            scores, split, health = self._run(dense)
-        np.testing.assert_allclose(
-            scores, ref_scores, rtol=1e-9, atol=1e-9
-        )
-        assert split == ref_split
-        assert health.serial_retries >= 1
-
-
-class TestAutoBatchSizePull:
-    def test_pull_model_shrinks_batches(self):
-        # a budget where the RAM ceiling binds (base 7 rows, pull 6):
-        # at 8 GiB both models sit on the AUTO_MIN_BATCH floor
-        n, m = 200_000, 3_000_000
-        budget = 2 << 30
-        base = auto_batch_size(n, m, available_bytes=budget)
-        pull = auto_batch_size(n, m, available_bytes=budget, kernel="pull")
-        assert pull < base
-
-    def test_pull_model_exact_regression(self):
-        # the documented model, spelled out: transpose CSR charged once
-        # before the worker split, 12 extra bytes per row-vertex
-        n, m, workers = 100_000, 1_000_000, 4
-        budget = 256 << 20
-        csr = 16 * n + 16 * m
-        quarter = budget // 4
-        per_row = 44 * n + 20 * m + 12 * n
-        expected = max(1, ((quarter - csr) // workers) // per_row)
-        assert (
-            auto_batch_size(
-                n, m, available_bytes=budget, workers=workers,
-                kernel="pull",
-            )
-            == expected
-        )
-
-    def test_other_kernels_use_base_model(self):
-        n, m = 50_000, 400_000
-        budget = 128 << 20
-        base = auto_batch_size(n, m, available_bytes=budget)
-        for kernel in (None, "arcs", "spmm"):
-            assert (
-                auto_batch_size(
-                    n, m, available_bytes=budget, kernel=kernel
-                )
-                == base
-            )

@@ -260,6 +260,7 @@ class TestProtocol:
         for qs in (
             {"backend": "gpu"},
             {"kernel": "cuda"},
+            {"kernel": "pull"},
             {"steal": "maybe"},
             {"workers": "two"},
             {"top": "0"},
@@ -391,6 +392,11 @@ class TestEndpoints:
     def test_unknown_parameter_is_400(self, served):
         with pytest.raises(ServeError) as err:
             served.client.bc(bogus=1)
+        assert err.value.http_status == 400
+
+    def test_removed_kernel_is_400(self, served):
+        with pytest.raises(ServeError, match="kernel must be") as err:
+            served.client.bc(kernel="pull")
         assert err.value.http_status == 400
 
     def test_concurrent_identical_requests_collapse(self, served):

@@ -35,6 +35,7 @@ from repro.graph.batched import (
     resolve_batch_size,
 )
 from repro.graph.build import from_networkx
+from repro.graph.kernels import get_kernel, kernel_names
 from repro.parallel.backends import (
     BACKEND_ENV_VAR,
     ExecutionBackend,
@@ -55,6 +56,8 @@ from repro.parallel.threaded import threaded_bc_scores, threaded_contributions
 
 WORKERS = 3
 ALWAYS = tuple(range(16))
+#: every kernel the host can run
+KERNELS = [k for k in kernel_names() if get_kernel(k).available()]
 
 
 class TestThreadedMatchesSerial:
@@ -316,26 +319,34 @@ class TestThreadedUnderFaults:
         assert not issubclass(WorkerThreadKilled, Exception)
 
     def test_kill_mid_run_is_retried(self, graph, serial):
+        # every kernel commits one idempotent tally per batch, so a
+        # killed attempt never leaves a partial delta or count behind
         ref_scores, ref_edges = serial
-        with injected_faults(FaultSpec("kill", task=1)):
-            scores, edges, health = self._threaded(graph)
-        np.testing.assert_allclose(scores, ref_scores, rtol=1e-9, atol=1e-9)
-        assert edges == ref_edges
-        assert health.worker_crashes == 1
-        assert health.retries >= 1
-        assert not health.drained_serial
+        for kernel in KERNELS:
+            with injected_faults(FaultSpec("kill", task=1)):
+                scores, edges, health = self._threaded(graph, kernel=kernel)
+            np.testing.assert_allclose(
+                scores, ref_scores, rtol=1e-9, atol=1e-9, err_msg=kernel
+            )
+            assert edges == ref_edges, kernel
+            assert health.worker_crashes == 1
+            assert health.retries >= 1
+            assert not health.drained_serial
 
     def test_persistent_fault_drops_to_serial_rung(self, graph, serial):
         ref_scores, ref_edges = serial
-        with injected_faults(
-            FaultSpec("raise", task=2, attempts=ALWAYS)
-        ):
-            scores, edges, health = self._threaded(graph)
-        np.testing.assert_allclose(scores, ref_scores, rtol=1e-9, atol=1e-9)
-        assert edges == ref_edges
-        assert health.task_errors >= 1
-        assert health.serial_retries == 1
-        assert any(o.status == "ok-serial" for o in health.outcomes)
+        for kernel in KERNELS:
+            with injected_faults(
+                FaultSpec("raise", task=2, attempts=ALWAYS)
+            ):
+                scores, edges, health = self._threaded(graph, kernel=kernel)
+            np.testing.assert_allclose(
+                scores, ref_scores, rtol=1e-9, atol=1e-9, err_msg=kernel
+            )
+            assert edges == ref_edges, kernel
+            assert health.task_errors >= 1
+            assert health.serial_retries == 1
+            assert any(o.status == "ok-serial" for o in health.outcomes)
 
     def test_timeout_abandons_thread_and_recovers(self, graph, serial):
         ref_scores, ref_edges = serial
