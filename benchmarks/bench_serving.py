@@ -19,7 +19,8 @@ The PR's acceptance bar is **warm p50 >= 20x faster than cold p50**;
 persistent residency removes seconds of per-query setup, so the
 measured ratios sit far above it. A third phase streams single-edge
 deltas (``POST /delta``) while reader threads keep querying, and
-reports sustained reader QPS plus the delta commit latency — the
+reports sustained reader QPS, the delta commit latency and how many
+deltas patched their dirty sub-graph instead of recomputing it — the
 served scores are exact after every commit (tests/test_serve.py pins
 consistency; this file measures throughput).
 
@@ -53,7 +54,7 @@ pytestmark = pytest.mark.benchmarks
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-SCHEMA_VERSION = 1  # of this payload; bumped when row keys change
+SCHEMA_VERSION = 2  # of this payload; bumped when row keys change
 
 #: (suite graph, scale) — the contribution-cache workload pair, so the
 #: cold column here is directly comparable to BENCH_cache.json's.
@@ -235,6 +236,9 @@ def measure_workload(name, scale, *, quick=False):
             "reader_p50_seconds": round(_percentile(reads, 50), 6),
             "sustained_qps": round(len(reads) / stream_seconds, 1),
             "final_version": final["version"],
+            # deltas whose dirty sub-graph was patched, not recomputed
+            "subgraphs_patched": stats["server"]["subgraphs_patched"],
+            "edges_unwound": stats["edges"]["unwound"],
         },
         "score_lru": stats["score_lru"],
         "contribution_store": {

@@ -23,6 +23,7 @@ hashing (CSR arrays already are).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -36,11 +37,18 @@ __all__ = ["array_digest", "graph_fingerprint", "subgraph_key"]
 _DIGEST_SIZE = 16
 
 
+@functools.lru_cache(maxsize=None)
+def _dtype_name(dtype: np.dtype) -> bytes:
+    """``str(dtype)``, encoded and memoized: the conversion costs a few
+    µs, and every array a key hashes pays it."""
+    return str(dtype).encode()
+
+
 def _feed(h, label: str, arr: np.ndarray) -> None:
     """Hash one array with a field label for domain separation."""
     arr = np.ascontiguousarray(arr)
     h.update(label.encode())
-    h.update(str(arr.dtype).encode())
+    h.update(_dtype_name(arr.dtype))
     h.update(str(arr.shape).encode())
     h.update(arr.tobytes())
 

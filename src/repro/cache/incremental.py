@@ -3,18 +3,21 @@
 When a graph evolves by a few edges, everything outside the touched
 biconnected components is provably unchanged: a sub-graph's local
 contribution depends only on its own edges and the α/β/γ summaries
-crossing its articulation points.  The incremental front-end therefore
-does *not* patch score vectors — it applies the delta, re-runs the
-(cheap, near-linear) decomposition and α/β phases, and lets the
-content-addressed cache decide what is dirty:
+crossing its articulation points.  The incremental front-end applies
+the delta, re-runs the (cheap, near-linear) decomposition and α/β
+phases, and lets the content-addressed cache decide what is dirty:
 
 * a sub-graph whose local CSR **and** incoming summaries fingerprint
   identically to a cached entry is *clean* — its scores are replayed;
-* everything else (the components the new/removed edges landed in,
-  plus any component whose α/β summaries shifted because the far side
-  of the tree grew or shrank) is *dirty* and recomputed through the
-  ordinary APGRE machinery — including the batched kernel and the
-  shared-memory pool when the config asks for them.
+* a dirty sub-graph whose *predecessor* — the same sub-graph with the
+  delta's edges inside it reverted — is stored is *patched*: only the
+  roots whose BFS DAG the delta touches are swept, once on each side
+  (:func:`predecessor`, :func:`affected_roots`);
+* everything else (components the delta merged or split, and any
+  component whose α/β summaries shifted because the far side of the
+  tree grew or shrank) is recomputed through the ordinary APGRE
+  machinery — including the batched kernel and the execution engines
+  when the config asks for them.
 
 Comparing fingerprints *is* the BCC-tree diff: the cache key of each
 block-cut-tree node covers exactly the state the paper's Theorems 1–3
@@ -34,13 +37,18 @@ import numpy as np
 from repro.cache.store import ContributionStore, resolve_store
 from repro.errors import CacheError, GraphFormatError, GraphValidationError
 from repro.graph.csr import CSRGraph
+from repro.graph.ops import reverse_graph
+from repro.graph.traversal import bfs
 
 __all__ = [
     "DeltaResult",
+    "EdgeDelta",
+    "affected_roots",
     "apply_edge_delta",
     "apgre_bc_delta",
     "parse_delta_file",
     "parse_delta_lines",
+    "predecessor",
 ]
 
 
@@ -87,6 +95,94 @@ def _canonical_pairs(
     return arr
 
 
+@dataclass(frozen=True)
+class EdgeDelta:
+    """The edges a delta really changed, in global ids.
+
+    ``added`` and ``removed`` are ``(k, 2)`` int64 arrays: undirected
+    edges as canonical pairs ``u < v``, directed ones as ``(tail,
+    head)`` arcs.  Only real changes appear: an added edge that was
+    already there, or an edge removed and re-added in one delta, is in
+    neither.
+    """
+
+    added: np.ndarray
+    removed: np.ndarray
+
+    def inside(
+        self, vertices: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The changed edges with both endpoints in ``vertices``.
+
+        ``vertices`` are a sub-graph's sorted global ids; the edges come
+        back as ``(added, removed)`` in its local ids, or ``None`` when
+        the delta changed none of them.
+        """
+        if vertices.size == 0:
+            return None
+
+        def local(pairs: np.ndarray) -> np.ndarray:
+            pos = np.minimum(
+                np.searchsorted(vertices, pairs), vertices.size - 1
+            )
+            return pos[(vertices[pos] == pairs).all(axis=1)]
+
+        added, removed = local(self.added), local(self.removed)
+        if added.size == 0 and removed.size == 0:
+            return None
+        return added, removed
+
+
+def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which of ``probe`` are in the sorted ``keys``."""
+    if keys.size == 0:
+        return np.zeros(probe.shape, dtype=bool)
+    pos = np.searchsorted(keys, probe)
+    return (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == probe)
+
+
+def _apply(
+    graph: CSRGraph, edges_added=None, edges_removed=None
+) -> Tuple[CSRGraph, EdgeDelta]:
+    """:func:`apply_edge_delta`, plus the :class:`EdgeDelta` it made."""
+    n = graph.n
+    add = _canonical_pairs(edges_added, n, graph.directed, "added")
+    rem = _canonical_pairs(edges_removed, n, graph.directed, "removed")
+    add_keys = np.unique(add[:, 0] * n + add[:, 1])
+    rem_keys = rem[:, 0] * n + rem[:, 1]
+
+    src, dst = graph.arcs()
+    if not graph.directed:
+        keep = src < dst  # each undirected edge once, canonical
+        src, dst = src[keep], dst[keep]
+    old = src.astype(np.int64) * n + dst.astype(np.int64)
+    old.sort()
+    keys = old
+    if rem.size:
+        present = _contains(keys, rem_keys)
+        if not present.all():
+            missing = rem[~present][0]
+            raise GraphValidationError(
+                f"cannot remove absent edge ({missing[0]}, {missing[1]})"
+            )
+        keys = np.setdiff1d(keys, rem_keys, assume_unique=False)
+    if add.size:
+        keys = np.union1d(keys, add_keys)
+    # ``keys`` are sorted, distinct and loop-free already
+    new_graph = CSRGraph.from_arcs(
+        n, keys // n, keys % n, directed=graph.directed, dedupe=False
+    )
+
+    def pairs(k: np.ndarray) -> np.ndarray:
+        return np.stack([k // n, k % n], axis=1)
+
+    delta = EdgeDelta(
+        added=pairs(add_keys[~_contains(old, add_keys)]),
+        removed=pairs(np.setdiff1d(rem_keys, add_keys)),
+    )
+    return new_graph, delta
+
+
 def apply_edge_delta(
     graph: CSRGraph,
     edges_added=None,
@@ -99,36 +195,119 @@ def apply_edge_delta(
     :class:`~repro.errors.GraphValidationError` — a silent no-op there
     almost always means the caller's bookkeeping has drifted from the
     graph. Adding an edge that already exists is an idempotent no-op
-    (construction dedupes), matching how streaming edge feeds deliver
-    duplicates.
+    (the edge set is a sorted union of keys), matching how streaming
+    edge feeds deliver duplicates.
     """
-    n = graph.n
-    add = _canonical_pairs(edges_added, n, graph.directed, "added")
-    rem = _canonical_pairs(edges_removed, n, graph.directed, "removed")
+    return _apply(graph, edges_added, edges_removed)[0]
 
-    src, dst = graph.arcs()
-    if not graph.directed:
-        keep = src < dst  # each undirected edge once, canonical
-        src, dst = src[keep], dst[keep]
-    keys = src.astype(np.int64) * n + dst.astype(np.int64)
-    keys.sort()
-    if rem.size:
-        rem_keys = rem[:, 0] * n + rem[:, 1]
-        pos = np.searchsorted(keys, rem_keys)
-        present = (pos < keys.size) & (
-            keys[np.minimum(pos, keys.size - 1)] == rem_keys
-        )
-        if not present.all():
-            missing = rem[~present][0]
-            raise GraphValidationError(
-                f"cannot remove absent edge ({missing[0]}, {missing[1]})"
-            )
-        keys = np.setdiff1d(keys, rem_keys, assume_unique=False)
-    if add.size:
-        keys = np.union1d(keys, add[:, 0] * n + add[:, 1])
-    return CSRGraph.from_arcs(
-        n, keys // n, keys % n, directed=graph.directed
+
+def _edit_csr(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    drop: Tuple[np.ndarray, np.ndarray],
+    add: Tuple[np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR arrays less the arcs ``drop``, plus the arcs ``add`` (both
+    ``(tails, heads)``); rows stay sorted, dtypes unchanged."""
+    n = indptr.size - 1
+
+    def keys(tails, heads) -> np.ndarray:
+        return np.sort(np.asarray(tails, dtype=np.int64) * n + heads)
+
+    arcs = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    arcs = arcs * n + indices  # sorted: CSR order
+    arcs = arcs[~np.isin(arcs, keys(*drop))]
+    extra = keys(*add)
+    arcs = np.insert(arcs, np.searchsorted(arcs, extra), extra)
+    new_indptr = np.searchsorted(
+        arcs, np.arange(n + 1, dtype=np.int64) * n
+    ).astype(indptr.dtype)
+    return new_indptr, (arcs % max(n, 1)).astype(indices.dtype)
+
+
+def predecessor(sg, added: np.ndarray, removed: np.ndarray):
+    """``sg`` with the delta's edges inside it reverted.
+
+    ``added``/``removed`` are the changed edges in ``sg``'s local ids
+    (:meth:`EdgeDelta.inside`).  The copy keeps ``sg``'s roots, γ,
+    boundary mask, α and β, and its CSR arrays are the ones the
+    partition builds for the reverted edge set, so its
+    :func:`~repro.cache.fingerprint.subgraph_key` is the key a run on
+    the pre-delta graph stored for the same sub-graph.
+    """
+    g = sg.graph
+
+    def arcs(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        u, v = pairs[:, 0], pairs[:, 1]
+        if g.directed:
+            return u, v
+        return np.concatenate([u, v]), np.concatenate([v, u])
+
+    gone, back = arcs(added), arcs(removed)
+    out_indptr, out_indices = _edit_csr(
+        g.out_indptr, g.out_indices, gone, back
     )
+    in_indptr, in_indices = out_indptr, out_indices
+    if g.directed:
+        in_indptr, in_indices = _edit_csr(
+            g.in_indptr, g.in_indices, gone[::-1], back[::-1]
+        )
+    graph = CSRGraph(g.n, out_indptr, out_indices, in_indptr, in_indices,
+                     g.directed)
+    return replace(sg, graph=graph)
+
+
+def affected_roots(
+    graph: CSRGraph,
+    roots: np.ndarray,
+    added: np.ndarray,
+    removed: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """The roots whose BFS DAG the delta changes, and the rest's tally.
+
+    ``graph`` is the predecessor (the delta not yet applied) and
+    ``added``/``removed`` the changed edges in its ids.  One BFS from
+    each endpoint ``x`` over the reversed arcs gives ``d(s, x)`` for
+    every root ``s``; root ``s`` is *affected* by
+
+    * an undirected edge ``{u, v}``, added or removed, when
+      ``d(s, u) ≠ d(s, v)``;
+    * an added arc ``u → v`` when ``u`` is reachable and
+      ``d(s, u) + 1 ≤ d(s, v)`` (or ``v`` unreachable);
+    * a removed arc ``u → v`` when ``d(s, v) = d(s, u) + 1``.
+
+    A multi-edge delta takes the union: outside it every added arc
+    is too long to be a shortest-path arc and every removed one was
+    not one, so the predecessor's distances stay a valid BFS labelling
+    of the new graph and each of those roots keeps its DAG, hence its
+    contribution, exactly.  Returns the affected mask over ``roots``
+    and the change in the unaffected roots' examined-edge tally: their
+    DAGs and reach are unchanged, but each root examines every changed
+    arc whose tail it reaches (added ones count +1, removed ones −1).
+    """
+    rev = reverse_graph(graph)
+    dist = {}
+
+    def to(x: int) -> np.ndarray:
+        if x not in dist:
+            dist[x] = bfs(rev, x)[roots].astype(np.int64)
+        return dist[x]
+
+    hit = np.zeros(roots.size, dtype=bool)
+    reach = np.zeros(roots.size, dtype=np.int64)
+    for sign, pairs in ((1, added), (-1, removed)):
+        for u, v in pairs.tolist():
+            du, dv = to(u), to(v)
+            if not graph.directed:
+                hit |= du != dv
+                reach += sign * 2 * (du >= 0)
+                continue
+            if sign > 0:
+                hit |= (du >= 0) & ((dv < 0) | (du + 1 <= dv))
+            else:
+                hit |= (du >= 0) & (dv == du + 1)
+            reach += sign * (du >= 0)
+    return hit, int(reach[~hit].sum())
 
 
 @dataclass
@@ -138,9 +317,10 @@ class DeltaResult:
     ``graph`` is the post-delta graph (build your next delta on it);
     ``result`` is the full :class:`~repro.core.result.BCResult` whose
     ``stats`` carry the replay split (``subgraphs_replayed`` /
-    ``subgraphs_recomputed``, ``edges_replayed`` vs
-    ``edges_traversed``); ``store`` is the cache that served the run,
-    now warmed for the next delta.
+    ``subgraphs_recomputed`` / ``subgraphs_patched``,
+    ``edges_replayed`` vs ``edges_traversed``, ``edges_unwound``);
+    ``store`` is the cache that served the run, now warmed for the
+    next delta.
     """
 
     graph: CSRGraph
@@ -166,8 +346,11 @@ def apgre_bc_delta(
     Apply the delta, re-decompose, and recompute only the sub-graphs
     whose content fingerprints are not already in ``cache`` — the
     clean ones replay their stored local vectors (and report the work
-    as ``edges_replayed``, never as traversed).  Cache misses run
-    through the ordinary APGRE BC phase of ``config``, so
+    as ``edges_replayed``, never as traversed).  A dirty sub-graph
+    whose predecessor is stored is patched: ``stored − sweep(pred, A)
+    + sweep(new, A)`` over the affected roots ``A``
+    (:func:`affected_roots`), unless ``2·|A| ≥ |R|``.  The other
+    misses run through the ordinary APGRE BC phase of ``config``, so
     ``backend=``/``workers=``/``steal=``/``batch_size=`` fan the dirty
     components out exactly like any other run.
 
@@ -197,8 +380,8 @@ def apgre_bc_delta(
                 "apgre_bc_delta — pass the store once"
             )
     config = replace(config, cache=store, cache_dir=None)
-    new_graph = apply_edge_delta(graph, edges_added, edges_removed)
-    result = apgre_bc_detailed(new_graph, config)
+    new_graph, delta = _apply(graph, edges_added, edges_removed)
+    result = apgre_bc_detailed(new_graph, config, delta=delta)
     return DeltaResult(graph=new_graph, result=result, store=store)
 
 

@@ -611,9 +611,11 @@ def _compute_delta(args, graph, kwargs) -> int:
         print(f"{v:>10d} {scores[v]:>16.4f}")
     print(
         f"# incremental: {stats.subgraphs_replayed} sub-graph(s) "
-        f"replayed, {stats.subgraphs_recomputed} recomputed "
+        f"replayed, {stats.subgraphs_recomputed} recomputed, "
+        f"{stats.subgraphs_patched} of them patched "
         f"({stats.edges_replayed} edges replayed, "
-        f"{stats.edges_traversed} traversed)"
+        f"{stats.edges_traversed} traversed, "
+        f"{stats.edges_unwound} unwound)"
     )
     return 0
 

@@ -27,8 +27,9 @@ loop) and the run attaches its supervision report to
 same LPT order.  One degradation ladder covers both: engine → serial
 → the plain Brandes baseline (docs/ROBUSTNESS.md).  The contribution
 cache and the run journal are filters in front of that one pass: they
-drop the sub-graphs they can replay and commit every recomputed
-sub-graph through a sink.
+drop the sub-graphs they can replay, patch the ones an edge delta
+touched whose predecessor is stored (:func:`_patch_filter`), and
+commit every recomputed or patched sub-graph through a sink.
 """
 
 from __future__ import annotations
@@ -72,12 +73,11 @@ def _subgraph_scores(
     config: APGREConfig,
     kernel: Optional[str],
     counter=None,
-    lo=None,
-    hi=None,
+    roots=None,
     workers: int = 1,
 ) -> np.ndarray:
     """One sub-graph's full-length local score vector, optionally over
-    the root slice ``[lo, hi)``.
+    a subset ``roots`` of its sources.
 
     Routes through :func:`bc_subgraph` (honouring
     ``batch_size``/``compress``) on the run's resolved ``kernel``;
@@ -87,7 +87,7 @@ def _subgraph_scores(
         sg,
         eliminate_pendants=config.eliminate_pendants,
         counter=counter,
-        roots=None if lo is None else _roots(sg, config)[lo:hi],
+        roots=roots,
         batch_size=config.batch_size,
         compress=config.compress,
         kernel=kernel,
@@ -191,10 +191,10 @@ def _unit_scores(
     may run the root slice ``[lo, hi)``; a bundle always runs whole.
     """
     if not unit.bundle:
+        sg = sgs[unit.lo]
         tally = WorkCounter()
-        local = _subgraph_scores(
-            sgs[unit.lo], config, kernel, tally, lo, hi, workers
-        )
+        roots = None if lo is None else _roots(sg, config)[lo:hi]
+        local = _subgraph_scores(sg, config, kernel, tally, roots, workers)
         return local, np.asarray([tally.examined])
     local, _offsets, tallies = bc_bundle(
         sgs[unit.lo : unit.hi],
@@ -271,6 +271,7 @@ def apgre_bc_detailed(
     config: Optional[APGREConfig] = None,
     *,
     partition: Optional[Partition] = None,
+    delta=None,
 ) -> BCResult:
     """Run APGRE and return scores plus phase timings and counters.
 
@@ -284,6 +285,12 @@ def apgre_bc_detailed(
         A pre-computed partition (with α/β already filled) to reuse
         across runs — the scaling benchmarks pass this so worker-count
         sweeps time only the BC phase they vary.
+    delta:
+        The :class:`~repro.cache.incremental.EdgeDelta` that turned
+        the previous graph into ``graph``
+        (:func:`~repro.cache.incremental.apgre_bc_delta` passes it).
+        With a cache, dirty sub-graphs whose predecessor is stored are
+        then patched instead of recomputed; without one it is unused.
     """
     config = config or APGREConfig()
     stats = APGREStats()
@@ -356,9 +363,9 @@ def apgre_bc_detailed(
         store = resolve_store(config.cache, config.cache_dir)
     t0 = time.perf_counter()
     if config.journal_dir is not None:
-        health = _journaled_pass(run, store)
+        health = _journaled_pass(run, store, delta)
     elif store is not None:
-        health = _cached_pass(run, store)
+        health = _cached_pass(run, store, delta)
     else:
         health = _compute_units(run, list(range(len(subgraphs))))
     # the serial loop times the top sub-graph itself; the rest of the
@@ -420,6 +427,7 @@ def _compute_units(
         stats.edges_replayed = stats.subgraphs_replayed = 0
         stats.edges_resumed = stats.subgraphs_resumed = 0
         stats.bundles = stats.subgraphs_bundled = 0
+        stats.subgraphs_patched = 0
     return health
 
 
@@ -575,26 +583,97 @@ def _cache_filter(
     return misses, keys
 
 
-def _cached_pass(run: _Run, store) -> Optional[RunHealth]:
-    """Cache filter in front of :func:`_compute_units`.
+def _patch_filter(
+    run: _Run, store, todo: List[int], delta, sink: _Sink
+) -> List[int]:
+    """Patch the misses among ``todo`` that ``delta`` touched
+    (:func:`_patch`); return the rest, for the full recompute."""
+    if delta is None or run.config.compress:
+        return todo
+    return [index for index in todo
+            if not _patch(run, store, index, delta, sink)]
 
-    Hits replay (:func:`_cache_filter`); misses recompute through the
-    one BC-phase path, and the sink stores their freshly computed
-    vectors and *exact* tallies — parent-side, so a worker killed
-    mid-recompute can never commit a poisoned cache entry.
+
+def _patch(run: _Run, store, index: int, delta, sink: _Sink) -> bool:
+    """Patch sub-graph ``index`` from its stored predecessor, if it can.
+
+    The predecessor (:func:`~repro.cache.incremental.predecessor`) is
+    the sub-graph with ``delta``'s edges inside it reverted and its
+    roots, γ, boundary mask, α and β kept.  When it is in the store,
+    the vector becomes ``stored − sweep(pred, A) + sweep(new, A)``
+    over the affected roots ``A``
+    (:func:`~repro.cache.incremental.affected_roots`): every other
+    root's contribution is unchanged.  The sink commits it with the
+    exact from-scratch tally; ``sweep(new, A)`` counts as traversed,
+    the rest of that tally as replayed, and ``sweep(pred, A)`` as
+    ``edges_unwound``.  ``False`` (nothing merged) when ``delta``
+    changed no edge inside, the predecessor is not stored, or ``2·|A|
+    ≥ |R|`` (two partial sweeps would cost more than one full one).
+    Both sweeps run inline, on the run's kernel, whatever ``workers``
+    is.
+    """
+    from repro.cache.fingerprint import subgraph_key
+    from repro.cache.incremental import affected_roots, predecessor
+
+    t0 = time.perf_counter()
+    config, stats = run.config, run.stats
+    sg = run.subgraphs[index]
+    inside = delta.inside(sg.vertices)
+    if inside is None:
+        return False
+    pred = predecessor(sg, *inside)
+    entry = store.get(
+        subgraph_key(pred, eliminate_pendants=config.eliminate_pendants)
+    )
+    if entry is None or entry.scores.size != sg.num_vertices:
+        return False
+    roots = _roots(sg, config)
+    hit, reach = affected_roots(pred.graph, roots, *inside)
+    affected = roots[hit]
+    if 2 * affected.size >= roots.size:
+        return False
+    from repro.graph.kernels import share_features
+
+    unwound, traversed = WorkCounter(), WorkCounter()
+    new = _subgraph_scores(sg, config, run.kernel, traversed, affected)
+    share_features(pred.graph, sg.graph)
+    old = _subgraph_scores(pred, config, run.kernel, unwound, affected)
+    local = entry.scores - old + new
+    edges = entry.edges - unwound.examined + traversed.examined + reach
+    sink(index, local, edges)
+    run.bc[sg.vertices] += local
+    run.counter.add(traversed.examined)
+    stats.edges_replayed += edges - traversed.examined
+    stats.edges_unwound += unwound.examined
+    stats.subgraphs_patched += 1
+    if index == 0:
+        stats.timings.top_bc += time.perf_counter() - t0
+    return True
+
+
+def _cached_pass(run: _Run, store, delta=None) -> Optional[RunHealth]:
+    """Cache filter (and patch filter) in front of :func:`_compute_units`.
+
+    Hits replay (:func:`_cache_filter`); misses an edge ``delta``
+    touched may be patched (:func:`_patch_filter`); the rest recompute
+    through the one BC-phase path.  The sink stores freshly computed
+    and patched vectors with their *exact* tallies — parent-side, so a
+    worker killed mid-recompute can never commit a poisoned cache
+    entry.
     """
     misses, keys = _cache_filter(run, store, list(range(len(run.subgraphs))))
     run.stats.subgraphs_recomputed = len(misses)
-    if not misses:
-        return None
 
     def sink(index: int, local: np.ndarray, edges: int) -> None:
         store.put(keys[index], local, edges)
 
+    misses = _patch_filter(run, store, misses, delta, sink)
+    if not misses:
+        return None
     return _compute_units(run, misses, sink)
 
 
-def _journaled_pass(run: _Run, store) -> RunHealth:
+def _journaled_pass(run: _Run, store, delta=None) -> RunHealth:
     """Journal filter (and optional cache filter) in front of the pass.
 
     The run journal (:mod:`repro.journal`) is the durability layer:
@@ -608,9 +687,11 @@ def _journaled_pass(run: _Run, store) -> RunHealth:
        slot is its sub-graph index.
     3. With a cache configured, remaining sub-graphs consult the store
        next; hits are journaled too, so the resume contract never
-       depends on cache warmth.
-    4. The rest recompute through :func:`_compute_units`, whose sink
-       commits every contribution to the journal (and store).
+       depends on cache warmth, and misses an edge ``delta`` touched
+       may be patched (:func:`_patch_filter`).
+    4. The rest recompute through :func:`_compute_units`; one sink
+       commits every patched and recomputed contribution to the
+       journal (and store).
 
     A :class:`KeyboardInterrupt` (SIGINT, or the CLI's SIGTERM
     translation) or an :class:`~repro.errors.ExecutionError` with
@@ -653,6 +734,8 @@ def _journaled_pass(run: _Run, store) -> RunHealth:
         journal.record_contribution(index, local, edges)
 
     try:
+        if store is not None:
+            todo = _patch_filter(run, store, todo, delta, sink)
         if todo:
             _compute_units(run, todo, sink, health)
     except KeyboardInterrupt:

@@ -109,6 +109,16 @@ class APGREStats:
     off or nothing fired).  Like ``edges_replayed``, these never feed
     TEPS — they describe work *avoided*, not performed.
 
+    ``subgraphs_patched`` counts the sub-graphs an edge delta touched
+    that were *patched* from their stored predecessor instead of
+    recomputed in full (``apgre_bc_delta`` only — docs/CACHING.md);
+    they are part of ``subgraphs_recomputed``.  A patched sub-graph's
+    exact tally splits into the affected roots' sweep on the new
+    sub-graph (``edges_traversed``) and the rest (``edges_replayed``),
+    so the identity above still holds; the affected roots' sweep on
+    the predecessor, which the patch subtracts, is ``edges_unwound``:
+    real work, outside the identity and TEPS.
+
     ``bundles`` / ``subgraphs_bundled`` describe the BC phase's
     coarse-grained level: how many block-diagonal bundle sweeps ran and
     how many of the sub-graphs this run computed they held between
@@ -125,9 +135,11 @@ class APGREStats:
     edges_traversed: int = 0
     edges_replayed: int = 0
     edges_resumed: int = 0
+    edges_unwound: int = 0
     subgraphs_replayed: int = 0
     subgraphs_resumed: int = 0
     subgraphs_recomputed: int = 0
+    subgraphs_patched: int = 0
     subgraphs_bundled: int = 0
     bundles: int = 0
     alpha_beta_pairs: int = 0

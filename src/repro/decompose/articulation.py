@@ -82,15 +82,20 @@ def biconnected_components(graph: CSRGraph) -> BCCResult:
             "pass to_undirected(graph)"
         )
     n = graph.n
-    indptr = graph.out_indptr
-    indices = graph.out_indices
+    # the DFS reads and writes one element at a time: Python lists do
+    # that several times faster than numpy scalar indexing
+    indptr = graph.out_indptr.tolist()
+    indices = graph.out_indices.tolist()
 
-    disc = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
     is_art = np.zeros(n, dtype=bool)
-    cursor = indptr[:-1].copy()  # per-vertex next-neighbour position
-    parent_skipped = np.zeros(n, dtype=bool)
+    cursor = indptr[:-1]  # per-vertex next-neighbour position
+    parent_skipped = [False] * n
+    # where each vertex's tree edge sits on the edge stack: a component
+    # is the stack from its closing tree edge up
+    at = [0] * n
 
     component_edges: List[np.ndarray] = []
     edge_stack: List[tuple] = []
@@ -106,7 +111,7 @@ def biconnected_components(graph: CSRGraph) -> BCCResult:
         while stack:
             v = stack[-1]
             if cursor[v] < indptr[v + 1]:
-                w = int(indices[cursor[v]])
+                w = indices[cursor[v]]
                 cursor[v] += 1
                 if w == parent[v] and not parent_skipped[v]:
                     # skip the single reverse copy of the tree edge
@@ -117,6 +122,7 @@ def biconnected_components(graph: CSRGraph) -> BCCResult:
                     parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
+                    at[w] = len(edge_stack)
                     edge_stack.append((v, w))
                     stack.append(w)
                     if v == root:
@@ -136,16 +142,11 @@ def biconnected_components(graph: CSRGraph) -> BCCResult:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
                     # u separates v's subtree: pop one biconnected
-                    # component ending with the tree edge (u, v)
-                    comp: List[tuple] = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
+                    # component, the tree edge (u, v) and all above it
                     component_edges.append(
-                        np.asarray(comp[::-1], dtype=np.int64)
+                        np.asarray(edge_stack[at[v]:], dtype=np.int64)
                     )
+                    del edge_stack[at[v]:]
                     if u != root:
                         is_art[u] = True
         if root_children >= 2:

@@ -63,6 +63,7 @@ __all__ = [
     "resolve_kernel_name",
     "kernel_features",
     "kernel_report",
+    "share_features",
     "SPMM_LEVEL_MARGIN",
     "SPMM_DENSE_MAX_DIAMETER",
     "SPMM_DENSE_MIN_REACHED",
@@ -222,6 +223,18 @@ def kernel_features(graph: CSRGraph) -> KernelFeatures:
         )
     _FEATURE_CACHE[graph] = feats
     return feats
+
+
+def share_features(graph: CSRGraph, like: CSRGraph) -> None:
+    """Let ``graph`` reuse ``like``'s probe, if ``like`` has run one.
+
+    For a near-copy of ``like`` (a patched sub-graph's predecessor,
+    one delta apart): both then run one batch width and one layout,
+    and the second probe is not paid.
+    """
+    feats = _FEATURE_CACHE.get(like)
+    if feats is not None:
+        _FEATURE_CACHE[graph] = feats
 
 
 def resolve_kernel_name(name: Optional[str]) -> str:

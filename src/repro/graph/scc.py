@@ -64,13 +64,16 @@ def strongly_connected_components(graph: CSRGraph) -> SCCResult:
             "use connected_components for undirected input"
         )
     n = graph.n
-    indptr, indices = graph.out_indptr, graph.out_indices
-    index = np.full(n, -1, dtype=np.int64)  # discovery order
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    labels = np.full(n, -1, dtype=np.int64)
+    # the DFS reads and writes one element at a time: Python lists do
+    # that several times faster than numpy scalar indexing
+    indptr = graph.out_indptr.tolist()
+    indices = graph.out_indices.tolist()
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    on_stack = [False] * n
+    labels = [-1] * n
     comp_stack: List[int] = []
-    cursor = indptr[:-1].astype(np.int64).copy()
+    cursor = indptr[:-1]
     counter = 0
     num_components = 0
 
@@ -85,7 +88,7 @@ def strongly_connected_components(graph: CSRGraph) -> SCCResult:
         while dfs:
             v = dfs[-1]
             if cursor[v] < indptr[v + 1]:
-                w = int(indices[cursor[v]])
+                w = indices[cursor[v]]
                 cursor[v] += 1
                 if index[w] < 0:
                     index[w] = low[w] = counter
@@ -110,7 +113,8 @@ def strongly_connected_components(graph: CSRGraph) -> SCCResult:
                             break
                     num_components += 1
     return SCCResult(
-        labels=labels.astype(VERTEX_DTYPE), num_components=num_components
+        labels=np.asarray(labels, dtype=VERTEX_DTYPE),
+        num_components=num_components,
     )
 
 

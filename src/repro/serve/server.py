@@ -105,6 +105,20 @@ def _compute_fresh(graph, config):
     return apgre_bc_detailed(graph, config)
 
 
+def _work_meta(stats) -> Dict:
+    """The work split of one computation, as its cached vector's meta."""
+    return {
+        "edges_traversed": stats.edges_traversed,
+        "edges_replayed": stats.edges_replayed,
+        "edges_unwound": stats.edges_unwound,
+        "subgraphs_replayed": stats.subgraphs_replayed,
+        "subgraphs_recomputed": stats.subgraphs_recomputed,
+        "subgraphs_patched": stats.subgraphs_patched,
+        "subgraphs_bundled": stats.subgraphs_bundled,
+        "bundles": stats.bundles,
+    }
+
+
 class ServerState:
     """Everything the daemon keeps warm, plus its counters.
 
@@ -146,6 +160,8 @@ class ServerState:
         self.computed_vectors = 0
         self.edges_traversed = 0
         self.edges_replayed = 0
+        self.edges_unwound = 0
+        self.subgraphs_patched = 0
         self.deltas_rejected = 0
 
     # ------------------------------------------------------------------
@@ -162,6 +178,17 @@ class ServerState:
                 lock = threading.Lock()
                 self._flights[key] = lock
             return lock
+
+    def _count(self, stats, health) -> None:
+        """Fold one computation's work into the daemon's counters."""
+        with self._lock:
+            self.computed_vectors += 1
+            self.edges_traversed += stats.edges_traversed
+            self.edges_replayed += stats.edges_replayed
+            self.edges_unwound += stats.edges_unwound
+            self.subgraphs_patched += stats.subgraphs_patched
+            if health is not None:
+                self.health.merge(health)
 
     # ------------------------------------------------------------------
     # the warm path
@@ -207,20 +234,10 @@ class ServerState:
                 snap.graph, config, partition=snap.partition_for(config)
             )
         elapsed = time.perf_counter() - t0
-        with self._lock:
-            self.computed_vectors += 1
-            self.edges_traversed += result.stats.edges_traversed
-            self.edges_replayed += result.stats.edges_replayed
-            if result.health is not None:
-                self.health.merge(result.health)
+        self._count(result.stats, result.health)
         meta = {
             "elapsed_seconds": elapsed,
-            "edges_traversed": result.stats.edges_traversed,
-            "edges_replayed": result.stats.edges_replayed,
-            "subgraphs_replayed": result.stats.subgraphs_replayed,
-            "subgraphs_recomputed": result.stats.subgraphs_recomputed,
-            "subgraphs_bundled": result.stats.subgraphs_bundled,
-            "bundles": result.stats.bundles,
+            **_work_meta(result.stats),
             "degraded": bool(
                 result.health is not None and result.health.degraded
             ),
@@ -262,12 +279,7 @@ class ServerState:
             elapsed = time.perf_counter() - t0
             new_snap = self.manager.advance(dr.graph)
             stats = dr.result.stats
-            with self._lock:
-                self.computed_vectors += 1
-                self.edges_traversed += stats.edges_traversed
-                self.edges_replayed += stats.edges_replayed
-                if dr.result.health is not None:
-                    self.health.merge(dr.result.health)
+            self._count(stats, dr.result.health)
             config = build_config(
                 RequestParams(), self.base_config, self.store
             )
@@ -277,12 +289,7 @@ class ServerState:
                 dr.result.scores,
                 {
                     "elapsed_seconds": elapsed,
-                    "edges_traversed": stats.edges_traversed,
-                    "edges_replayed": stats.edges_replayed,
-                    "subgraphs_replayed": stats.subgraphs_replayed,
-                    "subgraphs_recomputed": stats.subgraphs_recomputed,
-                    "subgraphs_bundled": stats.subgraphs_bundled,
-                    "bundles": stats.bundles,
+                    **_work_meta(stats),
                     "degraded": False,
                     "delta": True,
                 },
@@ -297,8 +304,10 @@ class ServerState:
                 "elapsed_seconds": elapsed,
                 "subgraphs_replayed": stats.subgraphs_replayed,
                 "subgraphs_recomputed": stats.subgraphs_recomputed,
+                "subgraphs_patched": stats.subgraphs_patched,
                 "edges_traversed": stats.edges_traversed,
                 "edges_replayed": stats.edges_replayed,
+                "edges_unwound": stats.edges_unwound,
             }
 
     # ------------------------------------------------------------------
@@ -324,6 +333,7 @@ class ServerState:
             requests = dict(self.requests)
             payload_counters = {
                 "computed_vectors": self.computed_vectors,
+                "subgraphs_patched": self.subgraphs_patched,
                 "error_responses": self.error_responses,
                 "deltas_rejected": self.deltas_rejected,
                 "in_flight": self.in_flight,
@@ -332,6 +342,7 @@ class ServerState:
             edges = {
                 "traversed": self.edges_traversed,
                 "replayed": self.edges_replayed,
+                "unwound": self.edges_unwound,
             }
             health = health_dict(self.health)
         return {

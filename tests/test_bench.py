@@ -367,6 +367,34 @@ class TestParallelBenchSmoke:
         assert row["speedup"] > 0
         assert row["health"].startswith("ok")
 
+    def test_speedup_targets_are_four_worker_bars(self, monkeypatch):
+        import importlib.util
+        from pathlib import Path
+
+        script = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks"
+            / "bench_parallel_batched.py"
+        )
+        spec = importlib.util.spec_from_file_location(
+            "bench_parallel_batched_bars", script
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        monkeypatch.setattr(mod, "available_workers", lambda: 8)
+
+        def rows(workers, speedup):
+            return [{"graph": "ring", "backend": "processes",
+                     "workers": workers, "speedup": speedup,
+                     "model_speedup": 3.0}]
+
+        mod.check_rows(rows(2, 1.28))  # no bar at 2 workers
+        mod.check_rows(rows(4, 2.6))
+        with pytest.raises(AssertionError, match="target"):
+            mod.check_rows(rows(4, 1.28))
+        with pytest.raises(AssertionError, match="min-speedup"):
+            mod.check_rows(rows(2, 1.28), min_speedup=1.5)
+
 
 class TestBatchedKernelBenchChecks:
     """``bench_batched_kernel.check_rows``' quick guards on fixed rows."""

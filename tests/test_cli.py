@@ -268,6 +268,7 @@ class TestCacheFlags:
         out = capsys.readouterr().out
         assert "+1/-1 edges" in out
         assert "incremental:" in out
+        assert "patched" in out and "unwound)" in out
 
     def test_cache_requires_apgre(self, graph_file, capsys):
         code = main(

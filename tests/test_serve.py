@@ -474,6 +474,44 @@ class TestEndpoints:
             rtol=1e-9, atol=1e-9,
         )
 
+    def test_patched_delta_shows_its_work(self):
+        # an edge inside a dense core patches the core's stored vector:
+        # the response, the new version's meta and /stats all say so
+        from repro.cache.incremental import apgre_bc_delta
+
+        core = nx.gnp_random_graph(20, 0.8, seed=4)
+        core.add_edges_from([(0, 20), (20, 21), (21, 22)])
+        graph = from_networkx(core, n=23)
+        store = ContributionStore()
+        apgre_bc_detailed(graph, APGREConfig(cache=store))
+        edge = next(
+            (u, v) for u in range(20) for v in range(u + 1, 20)
+            if not core.has_edge(u, v) and apgre_bc_delta(
+                graph, edges_added=[(u, v)], cache=store
+            ).result.stats.subgraphs_patched
+        )
+        box = _Served(graph)
+        try:
+            box.client.bc(top=1)
+            reply = box.client.delta(add=[edge])
+            assert reply["subgraphs_patched"] == 1
+            assert reply["edges_unwound"] > 0
+            meta = box.client.bc(top=1)["meta"]
+            assert meta["subgraphs_patched"] == 1
+            assert meta["edges_unwound"] == reply["edges_unwound"]
+            stats = box.client.stats()
+            assert stats["server"]["subgraphs_patched"] == 1
+            assert stats["edges"]["unwound"] == reply["edges_unwound"]
+            scores = np.asarray(box.client.bc(full=True)["scores"])
+            np.testing.assert_allclose(
+                scores,
+                brandes_bc(from_networkx(nx.Graph(
+                    list(core.edges) + [edge]), n=23)),
+                rtol=1e-9, atol=1e-9,
+            )
+        finally:
+            box.close()
+
     def test_delta_primes_the_new_version(self, served):
         served.client.delta(add=[(0, 9)])
         payload = served.client.bc(top=2)
