@@ -31,11 +31,12 @@ from repro.core.config import APGREConfig
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.partition import graph_partition
 from repro.graph.build import from_edges
+from repro.graph.csr import CSRGraph
 
 KERNELS = ["arcs", "spmm"]
 
 
-def _graph(seed: int, directed: bool) -> "CSRGraph":  # noqa: F821
+def _graph(seed: int, directed: bool) -> CSRGraph:
     """A dense core, small satellite blocks hanging off it at one
     vertex each, and pendant vertices: the shape APGRE decomposes."""
     rng = np.random.default_rng(seed)
@@ -64,10 +65,6 @@ def _graph(seed: int, directed: bool) -> "CSRGraph":  # noqa: F821
     return from_edges(sorted(edges), n=n, directed=directed)
 
 
-def _has(graph, u: int, v: int) -> bool:
-    return graph.has_edge(u, v)
-
-
 def _step(graph, rng, kind: str):
     """One delta of ``kind``: ``(added, removed)`` edge lists, or None
     when the graph offers no such edge."""
@@ -77,7 +74,7 @@ def _step(graph, rng, kind: str):
     if kind == "insert":
         for _ in range(50):
             u, v = (int(x) for x in rng.choice(verts, 2, replace=False))
-            if not _has(graph, u, v):
+            if not graph.has_edge(u, v):
                 return [(u, v)], []
         return None
     if kind == "remove":
@@ -97,7 +94,7 @@ def _step(graph, rng, kind: str):
         if xs and ys:
             x = int(rng.choice(xs))
             y = int(rng.choice(ys))
-            if not _has(graph, x, y) and not _has(graph, y, x):
+            if not graph.has_edge(x, y) and not graph.has_edge(y, x):
                 return [(x, y)], []
     return None
 
