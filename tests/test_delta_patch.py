@@ -272,6 +272,21 @@ def test_two_partial_sweeps_must_beat_one_full():
     )
 
 
+def test_compressed_runs_recompute():
+    # compress=True keys plans, not the raw CSR: no patch, still exact
+    graph = _graph(5, False)
+    store = ContributionStore()
+    config = APGREConfig(cache=store, compress=True)
+    apgre_bc_detailed(graph, config)
+    added, _removed = _step(graph, np.random.default_rng(0), "insert")
+    dr = apgre_bc_delta(graph, edges_added=added, cache=store,
+                        config=config)
+    assert dr.result.stats.subgraphs_patched == 0
+    np.testing.assert_allclose(
+        dr.scores, brandes_bc(dr.graph), rtol=1e-9, atol=1e-9
+    )
+
+
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 def test_patch_under_an_engine_and_a_journal(tmp_path, backend):
     # workers > 1: the patch runs inline, the rest on the engine; a
