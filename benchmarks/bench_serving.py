@@ -19,10 +19,14 @@ The PR's acceptance bar is **warm p50 >= 20x faster than cold p50**;
 persistent residency removes seconds of per-query setup, so the
 measured ratios sit far above it. A third phase streams single-edge
 deltas (``POST /delta``) while reader threads keep querying, and
-reports sustained reader QPS, the delta commit latency and how many
-deltas patched their dirty sub-graph instead of recomputing it — the
-served scores are exact after every commit (tests/test_serve.py pins
-consistency; this file measures throughput).
+reports sustained reader QPS, the delta commit latency, how many
+deltas patched their dirty sub-graph instead of recomputing it and how
+many derived their partition from the previous version's — the served
+scores are exact after every commit (tests/test_serve.py pins
+consistency; this file measures throughput).  The streamed edges join
+two vertices of the graph's dominant block, as the end-to-end
+serve-delta stream's do, so each delta exercises that intra-block
+path rather than a merge of blocks.
 
 The committed ``BENCH_serving.json`` records both workloads;
 ``check_rows`` holds future runs to the 20x bar and to no worse than
@@ -46,6 +50,8 @@ from repro.bench.persistence import environment_provenance
 from repro.bench.workloads import get_graph
 from repro.cache import ContributionStore
 from repro.core.config import APGREConfig
+from repro.decompose.articulation import biconnected_components
+from repro.graph.ops import to_undirected
 from repro.serve.client import ServeClient
 from repro.serve.server import make_server
 
@@ -54,7 +60,7 @@ pytestmark = pytest.mark.benchmarks
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-SCHEMA_VERSION = 2  # of this payload; bumped when row keys change
+SCHEMA_VERSION = 3  # of this payload; bumped when row keys change
 
 #: (suite graph, scale) — the contribution-cache workload pair, so the
 #: cold column here is directly comparable to BENCH_cache.json's.
@@ -92,13 +98,21 @@ def _write_edge_list(graph, path):
 
 
 def _fresh_edges(graph, k, seed=SEED):
-    """``k`` edges absent from the graph, for the delta stream."""
+    """``k`` edges absent from the graph, for the delta stream.
+
+    Both endpoints lie in the graph's dominant block (the biconnected
+    component with the most edges): a pair drawn over the whole graph
+    mostly merges blocks and falls back to a full recompute.
+    """
+    bcc = biconnected_components(to_undirected(graph))
+    sizes = [edges.shape[0] for edges in bcc.component_edges]
+    block = bcc.component_vertices[int(np.argmax(sizes))]
     src = np.repeat(np.arange(graph.n), np.diff(graph.out_indptr))
     existing = set(zip(src.tolist(), graph.out_indices.tolist()))
     rng = np.random.default_rng(seed)
     chosen, seen = [], set()
     while len(chosen) < k:
-        a, b = (int(x) for x in rng.integers(0, graph.n, 2))
+        a, b = (int(block[x]) for x in rng.integers(0, block.size, 2))
         key = (min(a, b), max(a, b))
         if a == b or (a, b) in existing or key in seen:
             continue
@@ -236,8 +250,10 @@ def measure_workload(name, scale, *, quick=False):
             "reader_p50_seconds": round(_percentile(reads, 50), 6),
             "sustained_qps": round(len(reads) / stream_seconds, 1),
             "final_version": final["version"],
-            # deltas whose dirty sub-graph was patched, not recomputed
+            # deltas whose dirty sub-graph was patched, not recomputed,
+            # and deltas whose partition was derived, not re-partitioned
             "subgraphs_patched": stats["server"]["subgraphs_patched"],
+            "partitions_derived": stats["server"]["partitions_derived"],
             "edges_unwound": stats["edges"]["unwound"],
         },
         "score_lru": stats["score_lru"],

@@ -4,8 +4,11 @@ When a graph evolves by a few edges, everything outside the touched
 biconnected components is provably unchanged: a sub-graph's local
 contribution depends only on its own edges and the α/β/γ summaries
 crossing its articulation points.  The incremental front-end applies
-the delta, re-runs the (cheap, near-linear) decomposition and α/β
-phases, and lets the content-addressed cache decide what is dirty:
+the delta (editing the CSR, not rebuilding it), derives the new
+partition from the pre-delta one when it is given and the delta stays
+inside blocks (:func:`~repro.decompose.partition.derive_partition`;
+otherwise it re-runs the near-linear decomposition and α/β phases),
+and lets the content-addressed cache decide what is dirty:
 
 * a sub-graph whose local CSR **and** incoming summaries fingerprint
   identically to a cached entry is *clean* — its scores are replayed;
@@ -35,9 +38,10 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.store import ContributionStore, resolve_store
+from repro.decompose.partition import Partition
 from repro.errors import CacheError, GraphFormatError, GraphValidationError
 from repro.graph.csr import CSRGraph
-from repro.graph.ops import reverse_graph
+from repro.graph.ops import edit_edges, reverse_graph
 from repro.graph.traversal import bfs
 
 __all__ = [
@@ -133,54 +137,36 @@ class EdgeDelta:
         return added, removed
 
 
-def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Which of ``probe`` are in the sorted ``keys``."""
-    if keys.size == 0:
-        return np.zeros(probe.shape, dtype=bool)
-    pos = np.searchsorted(keys, probe)
-    return (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == probe)
-
-
 def _apply(
     graph: CSRGraph, edges_added=None, edges_removed=None
 ) -> Tuple[CSRGraph, EdgeDelta]:
-    """:func:`apply_edge_delta`, plus the :class:`EdgeDelta` it made."""
+    """:func:`apply_edge_delta`, plus the :class:`EdgeDelta` it made.
+
+    Presence and novelty are row searches (:meth:`CSRGraph.has_arcs`)
+    and the new graph is ``graph``'s CSR edited in place of a rebuild
+    (:func:`~repro.graph.ops.edit_edges`).
+    """
     n = graph.n
     add = _canonical_pairs(edges_added, n, graph.directed, "added")
     rem = _canonical_pairs(edges_removed, n, graph.directed, "removed")
-    add_keys = np.unique(add[:, 0] * n + add[:, 1])
-    rem_keys = rem[:, 0] * n + rem[:, 1]
-
-    src, dst = graph.arcs()
-    if not graph.directed:
-        keep = src < dst  # each undirected edge once, canonical
-        src, dst = src[keep], dst[keep]
-    old = src.astype(np.int64) * n + dst.astype(np.int64)
-    old.sort()
-    keys = old
     if rem.size:
-        present = _contains(keys, rem_keys)
+        present = graph.has_arcs(rem[:, 0], rem[:, 1])
         if not present.all():
             missing = rem[~present][0]
             raise GraphValidationError(
                 f"cannot remove absent edge ({missing[0]}, {missing[1]})"
             )
-        keys = np.setdiff1d(keys, rem_keys, assume_unique=False)
-    if add.size:
-        keys = np.union1d(keys, add_keys)
-    # ``keys`` are sorted, distinct and loop-free already
-    new_graph = CSRGraph.from_arcs(
-        n, keys // n, keys % n, directed=graph.directed, dedupe=False
-    )
+    add_keys = np.unique(add[:, 0] * n + add[:, 1])
 
     def pairs(k: np.ndarray) -> np.ndarray:
         return np.stack([k // n, k % n], axis=1)
 
+    added = pairs(add_keys)
     delta = EdgeDelta(
-        added=pairs(add_keys[~_contains(old, add_keys)]),
-        removed=pairs(np.setdiff1d(rem_keys, add_keys)),
+        added=added[~graph.has_arcs(added[:, 0], added[:, 1])],
+        removed=pairs(np.setdiff1d(rem[:, 0] * n + rem[:, 1], add_keys)),
     )
-    return new_graph, delta
+    return edit_edges(graph, delta.added, delta.removed), delta
 
 
 def apply_edge_delta(
@@ -201,30 +187,6 @@ def apply_edge_delta(
     return _apply(graph, edges_added, edges_removed)[0]
 
 
-def _edit_csr(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    drop: Tuple[np.ndarray, np.ndarray],
-    add: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR arrays less the arcs ``drop``, plus the arcs ``add`` (both
-    ``(tails, heads)``); rows stay sorted, dtypes unchanged."""
-    n = indptr.size - 1
-
-    def keys(tails, heads) -> np.ndarray:
-        return np.sort(np.asarray(tails, dtype=np.int64) * n + heads)
-
-    arcs = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    arcs = arcs * n + indices  # sorted: CSR order
-    arcs = arcs[~np.isin(arcs, keys(*drop))]
-    extra = keys(*add)
-    arcs = np.insert(arcs, np.searchsorted(arcs, extra), extra)
-    new_indptr = np.searchsorted(
-        arcs, np.arange(n + 1, dtype=np.int64) * n
-    ).astype(indptr.dtype)
-    return new_indptr, (arcs % max(n, 1)).astype(indices.dtype)
-
-
 def predecessor(sg, added: np.ndarray, removed: np.ndarray):
     """``sg`` with the delta's edges inside it reverted.
 
@@ -235,26 +197,7 @@ def predecessor(sg, added: np.ndarray, removed: np.ndarray):
     :func:`~repro.cache.fingerprint.subgraph_key` is the key a run on
     the pre-delta graph stored for the same sub-graph.
     """
-    g = sg.graph
-
-    def arcs(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u, v = pairs[:, 0], pairs[:, 1]
-        if g.directed:
-            return u, v
-        return np.concatenate([u, v]), np.concatenate([v, u])
-
-    gone, back = arcs(added), arcs(removed)
-    out_indptr, out_indices = _edit_csr(
-        g.out_indptr, g.out_indices, gone, back
-    )
-    in_indptr, in_indices = out_indptr, out_indices
-    if g.directed:
-        in_indptr, in_indices = _edit_csr(
-            g.in_indptr, g.in_indices, gone[::-1], back[::-1]
-        )
-    graph = CSRGraph(g.n, out_indptr, out_indices, in_indptr, in_indices,
-                     g.directed)
-    return replace(sg, graph=graph)
+    return replace(sg, graph=edit_edges(sg.graph, removed, added))
 
 
 def affected_roots(
@@ -320,12 +263,14 @@ class DeltaResult:
     ``subgraphs_recomputed`` / ``subgraphs_patched``,
     ``edges_replayed`` vs ``edges_traversed``, ``edges_unwound``);
     ``store`` is the cache that served the run, now warmed for the
-    next delta.
+    next delta; ``partition`` is the post-delta graph's α/β-filled
+    partition (pass it back as ``partition=`` with the next delta).
     """
 
     graph: CSRGraph
     result: "BCResult"  # noqa: F821 - forward ref, import cycle
     store: ContributionStore
+    partition: Partition
 
     @property
     def scores(self) -> np.ndarray:
@@ -340,6 +285,7 @@ def apgre_bc_delta(
     cache: Union[bool, ContributionStore, None] = True,
     cache_dir=None,
     config: Optional["APGREConfig"] = None,  # noqa: F821
+    partition: Optional[Partition] = None,
 ) -> DeltaResult:
     """Exact BC of ``graph`` ± an edge delta, replaying clean sub-graphs.
 
@@ -359,11 +305,20 @@ def apgre_bc_delta(
     ``eliminate_pendants``) for anything to replay — a cold store
     simply recomputes everything and warms itself.
 
+    ``partition``, the α/β-filled partition of ``graph`` (the
+    pre-delta graph), lets the run derive the new graph's partition
+    from it instead of re-partitioning
+    (:func:`~repro.decompose.partition.derive_partition`, which falls
+    back to the full decomposition where it cannot be exact;
+    ``stats.partition_derived`` tells which ran).  It is never
+    modified.
+
     Returns a :class:`DeltaResult`; chain deltas by passing its
-    ``graph`` (and the same store) back in.
+    ``graph`` and ``partition`` (and the same store) back in.
     """
-    from repro.core.apgre import apgre_bc_detailed
+    from repro.core.apgre import _bc_phase, _decompose
     from repro.core.config import APGREConfig
+    from repro.core.result import APGREStats
 
     store = resolve_store(cache, cache_dir)
     if store is None:
@@ -381,8 +336,12 @@ def apgre_bc_delta(
             )
     config = replace(config, cache=store, cache_dir=None)
     new_graph, delta = _apply(graph, edges_added, edges_removed)
-    result = apgre_bc_detailed(new_graph, config, delta=delta)
-    return DeltaResult(graph=new_graph, result=result, store=store)
+    stats = APGREStats()
+    part = _decompose(new_graph, config, stats, partition, delta)
+    result = _bc_phase(new_graph, config, part, stats, delta)
+    return DeltaResult(
+        graph=new_graph, result=result, store=store, partition=part
+    )
 
 
 def parse_delta_lines(

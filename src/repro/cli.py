@@ -591,12 +591,19 @@ def _compute_delta(args, graph, kwargs) -> int:
     from repro.cache.store import ContributionStore
     from repro.core.apgre import apgre_bc_detailed
     from repro.core.config import APGREConfig
+    from repro.decompose.alphabeta import compute_alpha_beta
+    from repro.decompose.partition import graph_partition
 
     added, removed = parse_delta_file(args.delta)
     store = ContributionStore(cache_dir=args.cache_dir)
     config = APGREConfig(cache=store, **kwargs)
-    apgre_bc_detailed(graph, config)  # warm (or verify disk warmth)
-    res = apgre_bc_delta(graph, added, removed, cache=store, config=config)
+    # warm (or verify disk warmth) on a partition the delta derives from
+    part = graph_partition(graph, threshold=config.threshold)
+    compute_alpha_beta(graph, part, method=config.alpha_beta_method)
+    apgre_bc_detailed(graph, config, partition=part)
+    res = apgre_bc_delta(
+        graph, added, removed, cache=store, config=config, partition=part
+    )
     stats = res.result.stats
     scores = res.scores
     k = min(args.top, res.graph.n)
@@ -617,6 +624,8 @@ def _compute_delta(args, graph, kwargs) -> int:
         f"{stats.edges_traversed} traversed, "
         f"{stats.edges_unwound} unwound)"
     )
+    how = "derived" if stats.partition_derived else "re-partitioned"
+    print(f"# partition: {how} in {stats.timings.partition * 1e3:.2f} ms")
     return 0
 
 

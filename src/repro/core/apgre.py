@@ -46,7 +46,11 @@ from repro.core.bc_subgraph import bc_subgraph
 from repro.core.config import APGREConfig
 from repro.core.result import APGREStats, BCResult
 from repro.decompose.alphabeta import compute_alpha_beta
-from repro.decompose.partition import Partition, graph_partition
+from repro.decompose.partition import (
+    Partition,
+    derive_partition,
+    graph_partition,
+)
 from repro.errors import ExecutionError, ReproError
 from repro.graph.batched import (
     AUTO_WORKSET_BYTES,
@@ -294,22 +298,57 @@ def apgre_bc_detailed(
     """
     config = config or APGREConfig()
     stats = APGREStats()
-    timings = stats.timings
-    counter = WorkCounter()
-
     if partition is None:
-        t0 = time.perf_counter()
+        partition = _decompose(graph, config, stats)
+    return _bc_phase(graph, config, partition, stats, delta)
+
+
+def _decompose(
+    graph: CSRGraph,
+    config: APGREConfig,
+    stats: APGREStats,
+    previous: Optional[Partition] = None,
+    delta=None,
+) -> Partition:
+    """Steps 1-2: ``graph``'s α/β-filled partition, timed into ``stats``.
+
+    ``previous`` is the α/β-filled partition of the graph the edge
+    ``delta`` turned into ``graph``; when it has the run's threshold,
+    the partition is derived from it where that is exact
+    (:func:`~repro.decompose.partition.derive_partition`,
+    ``stats.partition_derived``) and ``timings.partition`` times the
+    derivation.  A derived undirected partition keeps its α/β, so the
+    α/β phase does not run.
+    """
+    timings = stats.timings
+    t0 = time.perf_counter()
+    partition = None
+    if previous is not None and previous.threshold == config.threshold:
+        partition = derive_partition(previous, graph, delta)
+    stats.partition_derived = partition is not None
+    if partition is None:
         partition = graph_partition(graph, threshold=config.threshold)
-        timings.partition = time.perf_counter() - t0
+    timings.partition = time.perf_counter() - t0
+    if stats.partition_derived and not graph.directed:
+        return partition
 
-        t0 = time.perf_counter()
-        ab = compute_alpha_beta(
-            graph, partition, method=config.alpha_beta_method
-        )
-        timings.alpha_beta = time.perf_counter() - t0
-        stats.alpha_beta_pairs = ab.pairs
-        stats.alpha_beta_method = ab.method
+    t0 = time.perf_counter()
+    ab = compute_alpha_beta(graph, partition, method=config.alpha_beta_method)
+    timings.alpha_beta = time.perf_counter() - t0
+    stats.alpha_beta_pairs = ab.pairs
+    stats.alpha_beta_method = ab.method
+    return partition
 
+
+def _bc_phase(
+    graph: CSRGraph,
+    config: APGREConfig,
+    partition: Partition,
+    stats: APGREStats,
+    delta=None,
+) -> BCResult:
+    """Step 3 over an α/β-filled partition: the scores, into ``stats``."""
+    counter = WorkCounter()
     subgraphs = partition.subgraphs
     stats.num_subgraphs = len(subgraphs)
     stats.num_articulation_points = int(partition.articulation_flags.sum())
@@ -370,7 +409,7 @@ def apgre_bc_detailed(
         health = _compute_units(run, list(range(len(subgraphs))))
     # the serial loop times the top sub-graph itself; the rest of the
     # phase (other sub-graphs, replays, engine runs) is rest_bc
-    timings.rest_bc = time.perf_counter() - t0 - timings.top_bc
+    stats.timings.rest_bc = time.perf_counter() - t0 - stats.timings.top_bc
 
     stats.edges_traversed = counter.edges
     return BCResult(scores=bc, stats=stats, health=health)

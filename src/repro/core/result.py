@@ -119,6 +119,11 @@ class APGREStats:
     the predecessor, which the patch subtracts, is ``edges_unwound``:
     real work, outside the identity and TEPS.
 
+    ``partition_derived`` says the partition was derived from the
+    pre-delta graph's (``apgre_bc_delta(..., partition=)`` only —
+    docs/CACHING.md §3.2) instead of re-partitioned;
+    ``timings.partition`` then times the derivation.
+
     ``bundles`` / ``subgraphs_bundled`` describe the BC phase's
     coarse-grained level: how many block-diagonal bundle sweeps ran and
     how many of the sub-graphs this run computed they held between
@@ -142,6 +147,7 @@ class APGREStats:
     subgraphs_patched: int = 0
     subgraphs_bundled: int = 0
     bundles: int = 0
+    partition_derived: bool = False
     alpha_beta_pairs: int = 0
     alpha_beta_method: str = ""
     vertices_merged: int = 0

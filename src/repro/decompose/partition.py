@@ -31,12 +31,18 @@ After the block walk the partitioner derives, per sub-graph:
 All sub-graphs are built in one vectorised pass over the concatenation
 of their local vertex spaces (:func:`_build_subgraphs`), so a graph
 that shatters into many small pieces pays no per-piece CSR build.
+
+The partition keeps the block-level state its walk saw
+(:class:`BlockWalk`), so an edge delta that leaves the block-cut tree
+and the walk alone derives the next graph's partition from this one
+(:func:`derive_partition`): only the sub-graphs the delta touched are
+rebuilt, and the result is byte-identical to re-partitioning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -44,10 +50,17 @@ from repro.decompose.articulation import BCCResult, biconnected_components
 from repro.decompose.bcc_tree import BlockCutTree, build_block_cut_tree
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph, _build_csr
-from repro.graph.ops import to_undirected
+from repro.graph.ops import edit_edges, to_undirected
 from repro.types import SCORE_DTYPE, VERTEX_DTYPE
 
-__all__ = ["Subgraph", "Partition", "graph_partition", "DEFAULT_THRESHOLD"]
+__all__ = [
+    "BlockWalk",
+    "DEFAULT_THRESHOLD",
+    "Partition",
+    "Subgraph",
+    "derive_partition",
+    "graph_partition",
+]
 
 #: Default Algorithm-1 merge threshold (the paper leaves THRESHOLD
 #: unspecified; 8 keeps satellite communities intact while folding
@@ -112,6 +125,36 @@ class Subgraph:
         return np.flatnonzero(self.is_boundary_art).astype(VERTEX_DTYPE)
 
 
+@dataclass(frozen=True)
+class BlockWalk:
+    """The block-level state Algorithm 1's walk saw, as compact arrays.
+
+    :func:`derive_partition` reads it to tell whether an edge delta
+    leaves the walk's outcome alone; it holds no per-block edge list.
+
+    * ``vertex_ptr``/``vertex_blocks`` — CSR over vertices: the blocks
+      each vertex lies in, ascending (one for a non-cut vertex, two or
+      more at a cut, none for an isolated one);
+    * ``edges`` — each block's edge count in the undirected shadow;
+    * ``group`` — each block's group, as its position in the order
+      the walk finalised the groups;
+    * ``top`` — the top block of each block's forest;
+    * ``order`` — the finalize position of each sub-graph, by index
+      (the order the sub-graphs had before the sort by size).
+    """
+
+    vertex_ptr: np.ndarray
+    vertex_blocks: np.ndarray
+    edges: np.ndarray
+    group: np.ndarray
+    top: np.ndarray
+    order: np.ndarray
+
+    def blocks_of(self, v: int) -> np.ndarray:
+        """The blocks vertex ``v`` lies in, ascending."""
+        return self.vertex_blocks[self.vertex_ptr[v] : self.vertex_ptr[v + 1]]
+
+
 @dataclass
 class Partition:
     """Result of :func:`graph_partition`.
@@ -119,6 +162,8 @@ class Partition:
     ``subgraphs`` is ordered by descending arc count, so
     ``subgraphs[0]`` is the paper's *top sub-graph* (Table 4). The
     leftover isolated-vertex sub-graph, when present, sorts last.
+    ``walk`` is the block-level state of the walk that made it
+    (:func:`derive_partition` needs it).
     """
 
     graph: CSRGraph
@@ -126,6 +171,7 @@ class Partition:
     articulation_flags: np.ndarray
     boundary_art_flags: np.ndarray
     threshold: int
+    walk: Optional[BlockWalk] = None
 
     @property
     def num_subgraphs(self) -> int:
@@ -202,20 +248,20 @@ def _directed_arcs_for_pairs(
 
 def _group_blocks(
     bcc: BCCResult, tree: BlockCutTree, threshold: int
-) -> List[List[np.ndarray]]:
-    """Algorithm 1's block walk: the edge arrays of each finalised group.
+) -> Tuple[List[List[int]], np.ndarray, np.ndarray]:
+    """Algorithm 1's block walk: the blocks of each finalised group.
 
-    Groups come out in the order the walk finalises them.
+    Groups come out in the order the walk finalises them.  Also
+    returns each block's edge count and its forest's top block.
     """
     num_blocks = tree.num_blocks
     block_edge_counts = np.asarray(
         [edges.shape[0] for edges in bcc.component_edges], dtype=np.int64
     )
+    block_top = np.empty(num_blocks, dtype=np.int64)
 
-    # group state: edge-array list + vertex count per *live* group root
-    group_edges: Dict[int, List[np.ndarray]] = {
-        c: [bcc.component_edges[c]] for c in range(num_blocks)
-    }
+    # group state: block list + vertex count per *live* group root
+    group_blocks: Dict[int, List[int]] = {c: [c] for c in range(num_blocks)}
     group_size = [verts.size for verts in bcc.component_vertices]
 
     visited = np.zeros(num_blocks, dtype=bool)
@@ -258,6 +304,7 @@ def _group_blocks(
     cut_next = dict.fromkeys(cut_blocks, 0)
     for forest in forests:
         top = forest[int(np.argmax(block_edge_counts[forest]))]
+        block_top[forest] = top
         visited[top] = True
         stack = [top]
         while stack:
@@ -288,11 +335,41 @@ def _group_blocks(
             if size <= 2 if prev == top else size < threshold:
                 # the two groups are subtrees of the block-cut tree
                 # joined at one cut vertex: it is their only common one
-                group_edges[prev].extend(group_edges.pop(curr))
+                group_blocks[prev].extend(group_blocks.pop(curr))
                 group_size[prev] += size - 1
             else:
                 finalized.append(curr)
-    return [group_edges[gid] for gid in finalized]
+    groups = [group_blocks[gid] for gid in finalized]
+    return groups, block_edge_counts, block_top
+
+
+def _sources(
+    out_indptr: np.ndarray,
+    out_indices: np.ndarray,
+    in_indptr: np.ndarray,
+    is_art: np.ndarray,
+    directed: bool,
+    base: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The root set, γ and the removed pendants of one vertex space.
+
+    A removable source has one out-arc and (directed) no in-arcs;
+    boundary articulation points (``is_art``) are never removed ("As u
+    is not an articulation point", proof of Theorem 3).  Each removed
+    source bumps its neighbour's γ; ``base[v]``, when given, is added
+    to ``v``'s neighbour ids (which are local to ``v``'s sub-graph) to
+    place them in the space.  Returns ``(roots, gamma, removed)``:
+    ``roots`` and ``removed`` as positions in the space.
+    """
+    removable = (np.diff(out_indptr) == 1) & ~is_art
+    if directed:
+        removable &= np.diff(in_indptr) == 0
+    removed = np.flatnonzero(removable)
+    targets = out_indices[out_indptr[removed]]
+    if base is not None:
+        targets = targets + base[removed]
+    gamma = np.bincount(targets, minlength=is_art.size).astype(SCORE_DTYPE)
+    return np.flatnonzero(~removable), gamma, removed
 
 
 def _build_subgraphs(
@@ -354,21 +431,14 @@ def _build_subgraphs(
             np.concatenate([head - base, tail - base]),
         )
         in_indptr, in_indices = out_indptr, out_indices
-    out_deg = np.diff(out_indptr)
 
     # --- boundary articulation points: shared by >= 2 sub-graphs ---
     boundary = (np.bincount(verts, minlength=n) >= 2) & articulation_flags
     is_art = boundary[verts]
-    # R/γ: a removable source has one out-arc and (directed) no
-    # in-arcs; boundary articulation points are never removed ("As u
-    # is not an articulation point", proof of Theorem 3)
-    removable = (out_deg == 1) & ~is_art
-    if directed:
-        removable &= np.diff(in_indptr) == 0
-    removed = np.flatnonzero(removable)
-    targets = out_indices[out_indptr[removed]] + vstart[vgroup[removed]]
-    gamma = np.bincount(targets, minlength=total).astype(SCORE_DTYPE)
-    roots = np.flatnonzero(~removable)
+    roots, gamma, removed = _sources(
+        out_indptr, out_indices, in_indptr, is_art, directed,
+        vstart[vgroup],
+    )
     rstart = np.searchsorted(roots, vstart).tolist()
     dstart = np.searchsorted(removed, vstart).tolist()
     roots = (roots - vstart[vgroup[roots]]).astype(VERTEX_DTYPE)
@@ -424,22 +494,160 @@ def graph_partition(
     und = to_undirected(graph)
     bcc = biconnected_components(und)
     tree = build_block_cut_tree(bcc)
+    groups, edges, top = _group_blocks(bcc, tree, threshold)
     subgraphs, boundary = _build_subgraphs(
         graph,
-        _group_blocks(bcc, tree, threshold),
+        [[bcc.component_edges[b] for b in blocks] for blocks in groups],
         bcc.isolated_vertices,
         bcc.articulation_flags,
     )
+    order = _sort_subgraphs(subgraphs)
 
-    # top sub-graph first (Table 4 ordering: by edge count)
-    subgraphs.sort(key=lambda s: (-s.num_arcs, -s.num_vertices))
-    for i, sg in enumerate(subgraphs):
-        sg.index = i
-
+    sizes = [verts.size for verts in bcc.component_vertices]
+    vertex_ptr, vertex_blocks = _build_csr(
+        graph.n,
+        np.concatenate([np.empty(0, np.int64), *bcc.component_vertices]),
+        np.repeat(np.arange(len(sizes)), sizes),
+    )
+    group = np.empty(edges.size, dtype=np.int64)
+    group[[b for blocks in groups for b in blocks]] = np.repeat(
+        np.arange(len(groups)), [len(blocks) for blocks in groups]
+    )
     return Partition(
         graph=graph,
         subgraphs=subgraphs,
         articulation_flags=bcc.articulation_flags,
         boundary_art_flags=boundary,
         threshold=threshold,
+        walk=BlockWalk(vertex_ptr, vertex_blocks, edges, group, top, order),
+    )
+
+
+def _sort_subgraphs(subgraphs: List[Subgraph]) -> np.ndarray:
+    """Sort sub-graphs given in finalize order top first (Table 4
+    ordering: by arc count, then vertex count, ties kept in finalize
+    order) and renumber them; returns each one's finalize position."""
+    size = np.asarray(
+        [(sg.graph.num_arcs, sg.graph.n) for sg in subgraphs], dtype=np.int64
+    ).reshape(-1, 2)
+    order = np.lexsort((-size[:, 1], -size[:, 0]))
+    subgraphs[:] = [subgraphs[i] for i in order.tolist()]
+    for i, sg in enumerate(subgraphs):
+        sg.index = i
+    return order
+
+
+def _in_shadow(graph: CSRGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each pair ``{u, v}`` is an edge of the undirected shadow."""
+    if not graph.directed:
+        return graph.has_arcs(u, v)
+    both = graph.has_arcs(np.concatenate([u, v]), np.concatenate([v, u]))
+    return both[: u.size] | both[u.size :]
+
+
+def derive_partition(
+    previous: Partition, graph: CSRGraph, delta
+) -> Optional[Partition]:
+    """``graph_partition(graph)`` derived from ``previous``, or ``None``.
+
+    ``previous`` is the partition of the graph that ``delta`` (an
+    :class:`~repro.cache.incremental.EdgeDelta`: the edges really
+    added and removed) turned into ``graph``, at the same threshold.
+    An edge added inside one block leaves the block-cut tree, every
+    articulation point and every sub-graph's vertex set alone (§3.1,
+    properties 3-4); the walk then finalises the same groups in the
+    same order whenever
+
+    * every changed edge of the undirected shadow is an addition whose
+      endpoints share a block ``B``, and ``B`` is its forest's top or
+      neither endpoint is a cut vertex; changes that leave the shadow
+      alone (directed arcs whose reverse arc exists) always qualify;
+    * every touched forest's top still has strictly more edges than
+      any other of its blocks.
+
+    The walk sees the block numbering only through the order of the
+    blocks at each cut and each forest's first block, which breaks
+    ties for the top.  An in-block addition moves its block among a
+    cut's blocks only when an endpoint is that cut vertex, where a
+    top block is already visited and so never taken from the cut's
+    list, and the strict top makes the first block irrelevant.  Any
+    other delta returns ``None`` (re-partition instead).
+
+    Only the touched sub-graphs are rebuilt: their CSR edited
+    (:func:`~repro.graph.ops.edit_edges`), their roots, γ and removed
+    pendants recomputed (:func:`_sources`).  Then the sub-graphs are
+    re-sorted from their finalize order, so order, ``index``, arrays
+    and dtypes equal ``graph_partition(graph)``'s.  α and β carry over
+    on an undirected graph (they count vertices of the sub-graph tree,
+    which are unchanged); on a directed one every sub-graph gets fresh
+    zero arrays, for :func:`~repro.decompose.alphabeta.compute_alpha_beta`
+    to fill.  ``previous`` is never modified: the result holds new
+    :class:`Subgraph` records that share the untouched arrays.
+    """
+    walk, old = previous.walk, previous.graph
+    if walk is None or old.n != graph.n or old.directed != graph.directed:
+        return None
+    pairs = np.concatenate([delta.added, delta.removed]).reshape(-1, 2)
+    n = graph.n
+    shadow = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    u, v = shadow // n, shadow % n
+    before, after = _in_shadow(old, u, v), _in_shadow(graph, u, v)
+    if (before & ~after).any():
+        return None  # a bridge removed or a block split
+    cut = previous.articulation_flags
+    edges = walk.edges.copy()
+    groups: Set[int] = set()
+    for a, b, grown in zip(u.tolist(), v.tolist(), (after & ~before).tolist()):
+        common = np.intersect1d(
+            walk.blocks_of(a), walk.blocks_of(b), assume_unique=True
+        )
+        if common.size == 0:
+            return None  # blocks merge, or an endpoint was isolated
+        block = int(common[0])
+        if grown:
+            if walk.top[block] != block and (cut[a] or cut[b]):
+                return None
+            edges[block] += 1
+        groups.add(int(walk.group[block]))
+    for top in np.unique(walk.top[edges != walk.edges]).tolist():
+        forest = walk.top == top
+        forest[top] = False
+        if forest.any() and edges[forest].max() >= edges[top]:
+            return None
+
+    index = np.empty_like(walk.order)
+    index[walk.order] = np.arange(walk.order.size)
+    directed = graph.directed
+    if directed:
+        total = sum(sg.num_vertices for sg in previous.subgraphs)
+        alpha = np.zeros(total, dtype=SCORE_DTYPE)
+        beta = np.zeros(total, dtype=SCORE_DTYPE)
+    subgraphs: List[Subgraph] = []
+    at = 0
+    for g, i in enumerate(index.tolist()):
+        sg = previous.subgraphs[i]
+        new = Subgraph(g, sg.graph, sg.vertices, sg.is_boundary_art,
+                       sg.roots, sg.gamma, sg.removed, sg.alpha, sg.beta)
+        if g in groups:
+            new.graph = edit_edges(sg.graph, *delta.inside(sg.vertices))
+            roots, gamma, removed = _sources(
+                new.graph.out_indptr, new.graph.out_indices,
+                new.graph.in_indptr, sg.is_boundary_art, directed,
+            )
+            new.roots = roots.astype(VERTEX_DTYPE)
+            new.gamma = gamma
+            new.removed = removed.astype(VERTEX_DTYPE)
+        if directed:
+            new.alpha = alpha[at : at + sg.num_vertices]
+            new.beta = beta[at : at + sg.num_vertices]
+            at += sg.num_vertices
+        subgraphs.append(new)
+    order = _sort_subgraphs(subgraphs)
+    return Partition(
+        graph=graph,
+        subgraphs=subgraphs,
+        articulation_flags=previous.articulation_flags,
+        boundary_art_flags=previous.boundary_art_flags,
+        threshold=previous.threshold,
+        walk=replace(walk, edges=edges, order=order),
     )

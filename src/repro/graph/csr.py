@@ -232,6 +232,26 @@ class CSRGraph:
         i = np.searchsorted(row, v)
         return bool(i < row.size and row[i] == v)
 
+    def has_arcs(self, tails, heads) -> np.ndarray:
+        """:meth:`has_edge` for arrays of arcs: one bisection step over
+        every arc's row at a time, O(k log deg)."""
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        lo = self.out_indptr[tails].astype(np.int64)
+        end = self.out_indptr[tails + 1].astype(np.int64)
+        hi = end.copy()
+        while True:
+            open_ = lo < hi
+            if not open_.any():
+                break
+            mid = np.where(open_, (lo + hi) // 2, 0)
+            right = open_ & (self.out_indices[mid] < heads)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(open_ & ~right, mid, hi)
+        found = lo < end
+        found[found] = self.out_indices[lo[found]] == heads[found]
+        return found
+
     def arcs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(src, dst)`` arrays listing every stored arc."""
         src = np.repeat(

@@ -67,7 +67,7 @@ from repro.serve.protocol import (
     parse_delta_body,
 )
 from repro.serve.score_lru import ScoreEntry, ScoreLRU
-from repro.serve.snapshots import SnapshotManager
+from repro.serve.snapshots import SnapshotManager, partition_key
 
 __all__ = ["ServerState", "BCRequestHandler", "make_server"]
 
@@ -162,6 +162,7 @@ class ServerState:
         self.edges_replayed = 0
         self.edges_unwound = 0
         self.subgraphs_patched = 0
+        self.partitions_derived = 0
         self.deltas_rejected = 0
 
     # ------------------------------------------------------------------
@@ -187,6 +188,7 @@ class ServerState:
             self.edges_replayed += stats.edges_replayed
             self.edges_unwound += stats.edges_unwound
             self.subgraphs_patched += stats.subgraphs_patched
+            self.partitions_derived += stats.partition_derived
             if health is not None:
                 self.health.merge(health)
 
@@ -253,10 +255,14 @@ class ServerState:
 
         Single-writer: the lock is held across recompute *and*
         advance, so versions commit in submission order and every
-        version number corresponds to exactly one delta.  The delta
-        result's score vector is admitted to the LRU under the base
-        config's fingerprint, so the first read of the new version is
-        already warm.
+        version number corresponds to exactly one delta.  The run
+        derives the new partition from the current snapshot's
+        (``partition_for``) where it can, and the successor snapshot's
+        memo starts with it, so the next delta derives from it in turn
+        and no read of the new version pays the decomposition.  The
+        delta result's score vector is admitted to the LRU under the
+        base config's fingerprint, so the first read of the new
+        version is already warm.
         """
         from repro.cache.incremental import apgre_bc_delta
 
@@ -275,11 +281,18 @@ class ServerState:
                 edges_removed=removed,
                 cache=self.store,
                 config=self.base_config,
+                partition=snap.partition_for(self.base_config),
             )
             elapsed = time.perf_counter() - t0
-            new_snap = self.manager.advance(dr.graph)
+            new_snap = self.manager.advance(
+                dr.graph, {partition_key(self.base_config): dr.partition}
+            )
             stats = dr.result.stats
             self._count(stats, dr.result.health)
+            decomposition = {
+                "partition_derived": stats.partition_derived,
+                "partition_seconds": stats.timings.partition,
+            }
             config = build_config(
                 RequestParams(), self.base_config, self.store
             )
@@ -290,6 +303,7 @@ class ServerState:
                 {
                     "elapsed_seconds": elapsed,
                     **_work_meta(stats),
+                    **decomposition,
                     "degraded": False,
                     "delta": True,
                 },
@@ -302,6 +316,7 @@ class ServerState:
                 "vertices": int(dr.graph.n),
                 "arcs": int(dr.graph.num_arcs),
                 "elapsed_seconds": elapsed,
+                **decomposition,
                 "subgraphs_replayed": stats.subgraphs_replayed,
                 "subgraphs_recomputed": stats.subgraphs_recomputed,
                 "subgraphs_patched": stats.subgraphs_patched,
@@ -334,6 +349,7 @@ class ServerState:
             payload_counters = {
                 "computed_vectors": self.computed_vectors,
                 "subgraphs_patched": self.subgraphs_patched,
+                "partitions_derived": self.partitions_derived,
                 "error_responses": self.error_responses,
                 "deltas_rejected": self.deltas_rejected,
                 "in_flight": self.in_flight,

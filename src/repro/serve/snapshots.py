@@ -10,7 +10,9 @@ The daemon's consistency contract rests on two facts:
   snapshot, so repeated queries skip the partition and alphabeta
   phases entirely — the warm-path saving the paper's Figure 8 says is
   there to take (those phases are cheap relative to BC, but on a warm
-  LRU they *are* the query).
+  LRU they *are* the query).  A delta seeds its successor's memo with
+  the partition it derived, so no version after the first pays the
+  decomposition.
 
 :class:`SnapshotManager` hands out snapshots under a monotonic
 ``GraphVersion`` counter.  Readers pin the version they were routed to
@@ -35,7 +37,13 @@ from repro.cache.fingerprint import graph_fingerprint
 from repro.errors import ServeError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["Snapshot", "SnapshotManager"]
+__all__ = ["Snapshot", "SnapshotManager", "partition_key"]
+
+
+def partition_key(config) -> Tuple[int, str]:
+    """The memo key of a config's partition: the two fields the
+    decomposition depends on."""
+    return int(config.threshold), str(config.alpha_beta_method)
 
 
 class Snapshot:
@@ -50,17 +58,24 @@ class Snapshot:
     per-key event makes waiters block only on *their* key).
     """
 
-    def __init__(self, version: int, graph: CSRGraph) -> None:
+    def __init__(
+        self,
+        version: int,
+        graph: CSRGraph,
+        partitions: Optional[Dict[Tuple[int, str], object]] = None,
+    ) -> None:
         self.version = int(version)
         self.graph = graph
         self.fingerprint = graph_fingerprint(graph)
-        self._partitions: Dict[Tuple[int, str], object] = {}
+        self._partitions: Dict[Tuple[int, str], object] = dict(
+            partitions or {}
+        )
         self._building: Dict[Tuple[int, str], threading.Event] = {}
         self._lock = threading.Lock()
 
     def partition_for(self, config) -> object:
         """The memoised α/β-filled partition for one config's key."""
-        key = (int(config.threshold), str(config.alpha_beta_method))
+        key = partition_key(config)
         while True:
             with self._lock:
                 part = self._partitions.get(key)
@@ -182,17 +197,24 @@ class SnapshotManager:
         if retired is not None and self._on_retire is not None:
             self._on_retire(retired)
 
-    def advance(self, graph: CSRGraph) -> Snapshot:
+    def advance(
+        self,
+        graph: CSRGraph,
+        partitions: Optional[Dict[Tuple[int, str], object]] = None,
+    ) -> Snapshot:
         """Publish ``graph`` as the next version; returns its snapshot.
 
-        The superseded version retires immediately when no reader
-        holds it, otherwise it stays resident until its last reader
-        drains (release handles the hand-off).
+        ``partitions`` seeds the new snapshot's memo: α/β-filled
+        partitions of ``graph`` by :func:`partition_key` (the daemon
+        passes the one its delta run derived).  The superseded version
+        retires immediately when no reader holds it, otherwise it
+        stays resident until its last reader drains (release handles
+        the hand-off).
         """
         retired = None
         with self._lock:
             old = self._current
-            snap = Snapshot(old.version + 1, graph)
+            snap = Snapshot(old.version + 1, graph, partitions)
             self._current = snap
             self._live[snap.version] = snap
             self._readers[snap.version] = 0

@@ -162,7 +162,10 @@ def per_group_subgraph(graph, edges, extra, boundary):
 
 def assert_one_pass_matches_per_group(graph, threshold=DEFAULT_THRESHOLD):
     bcc = biconnected_components(to_undirected(graph))
-    groups = _group_blocks(bcc, build_block_cut_tree(bcc), threshold)
+    blocks, _edges, _top = _group_blocks(
+        bcc, build_block_cut_tree(bcc), threshold
+    )
+    groups = [[bcc.component_edges[b] for b in group] for group in blocks]
     subgraphs, boundary = _build_subgraphs(
         graph, groups, bcc.isolated_vertices, bcc.articulation_flags
     )

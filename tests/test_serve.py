@@ -512,6 +512,38 @@ class TestEndpoints:
         finally:
             box.close()
 
+    def test_delta_seeds_the_successor_partition(self):
+        # an in-block edge derives the new partition from the current
+        # snapshot's; the new version's memo holds it before any read,
+        # and a fresh read over it matches a local run on the new graph
+        from repro.serve.snapshots import partition_key
+
+        core = nx.gnp_random_graph(20, 0.8, seed=4)
+        core.add_edges_from([(0, 20), (20, 21), (21, 22)])
+        graph = from_networkx(core, n=23)
+        edge = next((u, v) for u in range(20) for v in range(u + 1, 20)
+                    if not core.has_edge(u, v))
+        box = _Served(graph)
+        try:
+            reply = box.client.delta(add=[edge])
+            assert reply["partition_derived"] is True
+            assert reply["partition_seconds"] > 0
+            stats = box.client.stats()
+            assert stats["server"]["partitions_derived"] == 1
+            key = list(partition_key(box.state.base_config))
+            assert stats["snapshots"]["partitions_resident"]["2"] == [key]
+            meta = box.client.bc(top=1)["meta"]
+            assert meta["delta"] is True and meta["partition_derived"] is True
+            fresh = box.client.bc(full=True, fresh=True)
+            assert fresh["version"] == 2 and fresh["cached"] is False
+            local = apgre_bc_detailed(
+                box.state.manager.current().graph,
+                APGREConfig(cache=box.store),
+            )
+            assert np.array_equal(np.asarray(fresh["scores"]), local.scores)
+        finally:
+            box.close()
+
     def test_delta_primes_the_new_version(self, served):
         served.client.delta(add=[(0, 9)])
         payload = served.client.bc(top=2)
