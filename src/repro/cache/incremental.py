@@ -14,7 +14,8 @@ and lets the content-addressed cache decide what is dirty:
   identically to a cached entry is *clean* — its scores are replayed;
 * a dirty sub-graph whose *predecessor* — the same sub-graph with the
   delta's edges inside it reverted — is stored is *patched*: only the
-  roots whose BFS DAG the delta touches are swept, once on each side
+  roots whose BFS DAG the delta touches are swept, once on each graph,
+  and for one undirected edge only the smaller side of them
   (:func:`predecessor`, :func:`affected_roots`);
 * everything else (components the delta merged or split, and any
   component whose α/β summaries shifted because the far side of the
@@ -205,8 +206,9 @@ def affected_roots(
     roots: np.ndarray,
     added: np.ndarray,
     removed: np.ndarray,
-) -> Tuple[np.ndarray, int]:
-    """The roots whose BFS DAG the delta changes, and the rest's tally.
+) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+    """The roots whose BFS DAG the delta changes, their sides, and the
+    rest's tally.
 
     ``graph`` is the predecessor (the delta not yet applied) and
     ``added``/``removed`` the changed edges in its ids.  One BFS from
@@ -223,10 +225,14 @@ def affected_roots(
     is too long to be a shortest-path arc and every removed one was
     not one, so the predecessor's distances stay a valid BFS labelling
     of the new graph and each of those roots keeps its DAG, hence its
-    contribution, exactly.  Returns the affected mask over ``roots``
-    and the change in the unaffected roots' examined-edge tally: their
-    DAGs and reach are unchanged, but each root examines every changed
-    arc whose tail it reaches (added ones count +1, removed ones −1).
+    contribution, exactly.  Returns the affected mask over ``roots``;
+    for a delta of one undirected edge ``{u, v}`` (``u`` its first
+    endpoint), the mask of the roots with ``d(s, u) < d(s, v)``, read
+    from the same two BFS (the affected roots outside it are the
+    ``v`` side), else ``None``; and the change in the unaffected
+    roots' examined-edge tally: their DAGs and reach are unchanged,
+    but each root examines every changed arc whose tail it reaches
+    (added ones count +1, removed ones −1).
     """
     rev = reverse_graph(graph)
     dist = {}
@@ -250,7 +256,11 @@ def affected_roots(
             else:
                 hit |= (du >= 0) & (dv == du + 1)
             reach += sign * (du >= 0)
-    return hit, int(reach[~hit].sum())
+    near = None
+    if not graph.directed and len(added) + len(removed) == 1:
+        (u, v), = np.concatenate([added, removed]).tolist()
+        near = to(u) < to(v)
+    return hit, near, int(reach[~hit].sum())
 
 
 @dataclass
@@ -295,7 +305,10 @@ def apgre_bc_delta(
     as ``edges_replayed``, never as traversed).  A dirty sub-graph
     whose predecessor is stored is patched: ``stored − sweep(pred, A)
     + sweep(new, A)`` over the affected roots ``A``
-    (:func:`affected_roots`), unless ``2·|A| ≥ |R|``.  The other
+    (:func:`affected_roots`), or, for one undirected edge, ``stored +
+    2·(sweep(new, S) − sweep(pred, S))`` over the smaller side ``S``
+    of ``A``, unless that would cost at least one full sweep
+    (docs/CACHING.md §3.1).  The other
     misses run through the ordinary APGRE BC phase of ``config``, so
     ``backend=``/``workers=``/``steal=``/``batch_size=`` fan the dirty
     components out exactly like any other run.

@@ -55,6 +55,7 @@ from repro.errors import ExecutionError, ReproError
 from repro.graph.batched import (
     AUTO_WORKSET_BYTES,
     DEFAULT_MAX_BATCH,
+    batched_tallies,
     row_bytes,
 )
 from repro.graph.csr import CSRGraph
@@ -633,23 +634,38 @@ def _patch_filter(
             if not _patch(run, store, index, delta, sink)]
 
 
+#: What a tally-only pass (:func:`~repro.graph.batched.batched_tallies`)
+#: costs per root, in sweeps of one root: on the serve and road tops
+#: it measured 0.2-0.3 of a sweep in spmm's dense form and 0.6 in its
+#: sparse form (docs/PERFORMANCE.md §8), so a patch is priced at the
+#: dearer one
+_TALLY_COST = 0.6
+
+
 def _patch(run: _Run, store, index: int, delta, sink: _Sink) -> bool:
     """Patch sub-graph ``index`` from its stored predecessor, if it can.
 
     The predecessor (:func:`~repro.cache.incremental.predecessor`) is
     the sub-graph with ``delta``'s edges inside it reverted and its
     roots, γ, boundary mask, α and β kept.  When it is in the store,
-    the vector becomes ``stored − sweep(pred, A) + sweep(new, A)``
-    over the affected roots ``A``
-    (:func:`~repro.cache.incremental.affected_roots`): every other
-    root's contribution is unchanged.  The sink commits it with the
-    exact from-scratch tally; ``sweep(new, A)`` counts as traversed,
-    the rest of that tally as replayed, and ``sweep(pred, A)`` as
-    ``edges_unwound``.  ``False`` (nothing merged) when ``delta``
-    changed no edge inside, the predecessor is not stored, or ``2·|A|
-    ≥ |R|`` (two partial sweeps would cost more than one full one).
-    Both sweeps run inline, on the run's kernel, whatever ``workers``
-    is.
+    only the affected roots ``A``
+    (:func:`~repro.cache.incremental.affected_roots`) change their
+    contribution.  For one undirected edge ``{u, v}`` every changed
+    pair has one end on each side of ``A`` (closer to ``u``, closer
+    to ``v``) and both sides carry the same change (CACHING.md §3.1),
+    so only the smaller side ``S`` is swept: the vector becomes
+    ``stored + 2·(sweep(new, S) − sweep(pred, S))``, and the larger
+    side owes only its tally, which a forward-only pass counts on both
+    graphs (:func:`~repro.graph.batched.batched_tallies`).  Directed
+    and multi-edge deltas sweep all of ``A`` (``S = A``, factor 1).
+    The sink commits the vector with the exact from-scratch tally;
+    ``sweep(new, S)`` counts as traversed, the rest of that tally as
+    replayed, and ``sweep(pred, S)`` as ``edges_unwound``.  ``False``
+    (nothing merged) when ``delta`` changed no edge inside, the
+    predecessor is not stored, or what would run costs at least one
+    full sweep: two sweeps of ``S`` plus two tally passes priced at
+    :data:`_TALLY_COST` of a sweep per root.  Everything runs inline,
+    on the run's kernel, whatever ``workers`` is.
     """
     from repro.cache.fingerprint import subgraph_key
     from repro.cache.incremental import affected_roots, predecessor
@@ -667,18 +683,25 @@ def _patch(run: _Run, store, index: int, delta, sink: _Sink) -> bool:
     if entry is None or entry.scores.size != sg.num_vertices:
         return False
     roots = _roots(sg, config)
-    hit, reach = affected_roots(pred.graph, roots, *inside)
-    affected = roots[hit]
-    if 2 * affected.size >= roots.size:
+    hit, near, reach = affected_roots(pred.graph, roots, *inside)
+    swept, owed, factor = roots[hit], roots[:0], 1.0
+    if near is not None:
+        swept, owed = sorted((roots[near], roots[hit & ~near]), key=len)
+        factor = 2.0
+    if 2 * (swept.size + _TALLY_COST * owed.size) >= roots.size:
         return False
     from repro.graph.kernels import share_features
 
     unwound, traversed = WorkCounter(), WorkCounter()
-    new = _subgraph_scores(sg, config, run.kernel, traversed, affected)
+    new = _subgraph_scores(sg, config, run.kernel, traversed, swept)
+    owes = int(batched_tallies(sg.graph, owed, kernel=run.kernel).sum())
     share_features(pred.graph, sg.graph)
-    old = _subgraph_scores(pred, config, run.kernel, unwound, affected)
-    local = entry.scores - old + new
-    edges = entry.edges - unwound.examined + traversed.examined + reach
+    old = _subgraph_scores(pred, config, run.kernel, unwound, swept)
+    owes -= int(batched_tallies(pred.graph, owed, kernel=run.kernel).sum())
+    local = entry.scores + factor * (new - old)
+    edges = (
+        entry.edges - unwound.examined + traversed.examined + owes + reach
+    )
     sink(index, local, edges)
     run.bc[sg.vertices] += local
     run.counter.add(traversed.examined)

@@ -81,6 +81,7 @@ __all__ = [
     "arcs_contributions",
     "batched_contributions",
     "batched_bc_scores",
+    "batched_tallies",
     "spmm_available",
     "spmm_contributions",
 ]
@@ -696,7 +697,10 @@ class _SpmmOperands:
     :func:`spmm_contributions`).
     """
 
-    __slots__ = ("idx", "fwd", "bwd", "deg_fwd", "deg_bwd", "_ones_c", "dense")
+    __slots__ = (
+        "idx", "fwd", "bwd", "deg_fwd", "deg_bwd", "_ones_c", "_ones_n",
+        "dense",
+    )
 
     def __init__(self, graph: CSRGraph, idx=np.int32, dense: bool = False):
         self.idx = np.dtype(idx)
@@ -719,12 +723,30 @@ class _SpmmOperands:
             self.bwd = self.fwd
             self.deg_bwd = self.deg_fwd
         self._ones_c: Optional[np.ndarray] = None
+        self._ones_n: Optional[np.ndarray] = None
 
     def fwd_complex(self):
         """Forward operand with complex data (for counted runs)."""
         if self._ones_c is None:
             self._ones_c = np.ones(self.fwd[2].size, dtype=np.complex128)
         return self.fwd[0], self.fwd[1], self._ones_c
+
+    def counts(self) -> np.ndarray:
+        """Integer ones over the arcs (for tally-only passes).
+
+        A tally product counts, per vertex, its in-neighbours on a
+        frontier: at most the largest in-degree, which sizes the dtype
+        (the narrowest signed integer holding it; int16 wraps past
+        32767).
+        """
+        if self._ones_n is None:
+            top = int(self.deg_bwd.max(initial=0))
+            dtype = next(
+                t for t in (np.int8, np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max
+            )
+            self._ones_n = np.ones(self.fwd[2].size, dtype=dtype)
+        return self._ones_n
 
 
 def _spmm_operands_for(
@@ -740,12 +762,20 @@ def _spmm_operands_for(
 _DENSE_UNREACHED = -2
 
 
-def _dense_dag_tally(dist: np.ndarray, ops: "_SpmmOperands") -> np.ndarray:
-    """Per-row examined arcs of a finished dense forward sweep.
+def _dense_dag_tally(
+    dist: np.ndarray,
+    ops: "_SpmmOperands",
+    counter,
+    row_edges: Optional[np.ndarray],
+) -> None:
+    """Add a finished dense forward sweep's examined arcs to ``counter``
+    and, row by row, to ``row_edges``.
 
     The out-arcs of every reached vertex (the forward examinations)
     plus the arcs ``u → w`` with ``dist(w) == dist(u) + 1`` (the DAG
-    replays): exactly the sparse form's and the per-source tally.
+    replays): exactly the sparse form's and the per-source tally.  A
+    counter alone takes one ``count_nonzero``; only ``row_edges``
+    (bundles) pays the per-row column sum.
     """
     n, b = dist.shape
     # each vertex's row of levels as one opaque item, so the per-arc
@@ -757,11 +787,16 @@ def _dense_dag_tally(dist: np.ndarray, ops: "_SpmmOperands") -> np.ndarray:
     tails += 1
     # a one-byte dist compares in place, into a bool view of the gather
     out = heads.view(np.bool_) if heads.itemsize == 1 else None
-    dag = np.equal(heads, tails, out=out).view(np.uint8)
-    per_row = np.einsum("ij->j", dag, dtype=np.int64)
+    dag = np.equal(heads, tails, out=out)
     forward = ops.deg_fwd.astype(np.float64) @ (dist >= 0)
+    if row_edges is None:
+        counter.add(np.count_nonzero(dag) + int(forward.sum()))
+        return
+    per_row = np.einsum("ij->j", dag.view(np.uint8), dtype=np.int64)
     per_row += forward.astype(np.int64)
-    return per_row
+    row_edges += per_row
+    if counter is not None:
+        counter.add(int(per_row.sum()))
 
 
 def _spmm_dense(
@@ -812,11 +847,7 @@ def _spmm_dense(
         sigma += y
         np.copyto(dist, level, where=fresh)
     if counter is not None or row_edges is not None:
-        per_row = _dense_dag_tally(dist, ops)
-        if counter is not None:
-            counter.add(int(per_row.sum()))
-        if row_edges is not None:
-            row_edges += per_row
+        _dense_dag_tally(dist, ops, counter, row_edges)
     _seed_rows(delta.T, srcs, weights)
     # any finite σ at unreached vertices keeps their masked terms zero
     np.copyto(sigma, 1.0, where=sigma == 0)
@@ -835,6 +866,90 @@ def _spmm_dense(
         y *= at
         delta += y
     return merge_rows(delta.T, dist.T, srcs, weights)
+
+
+def _dense_tallies(
+    graph: CSRGraph, srcs: np.ndarray, ops: "_SpmmOperands"
+) -> np.ndarray:
+    """One batch of :func:`batched_tallies` in spmm's dense form.
+
+    ``(n, B)`` integer state and one ``csr_matvecs`` per level over
+    the in-arcs: the product counts each vertex's frontier
+    in-neighbours, and its counts at the fresh (so far unreached)
+    vertices are exactly the level's DAG arcs.  Each vertex keeps its
+    count from the level it is reached on, and the out-arcs of
+    reached vertices are the forward examinations.
+    """
+    tools = _sparsetools()
+    n, b = graph.n, srcs.size
+    ones = ops.counts()
+    front = np.zeros((n, b), dtype=ones.dtype)
+    unreached = np.ones((n, b), dtype=ones.dtype)
+    dag = np.zeros((n, b), dtype=ones.dtype)
+    y = np.empty((n, b), dtype=ones.dtype)
+    cols = np.arange(b)
+    front[srcs, cols] = 1
+    unreached[srcs, cols] = 0
+    ip, ij, _ = ops.bwd
+    while unreached.any():
+        y.fill(0)
+        tools.csr_matvecs(n, n, b, ip, ij, ones, front, y)
+        y *= unreached
+        if not y.any():
+            break
+        dag += y
+        np.greater(y, 0, out=front)
+        unreached -= front
+    tallies = dag.sum(axis=0, dtype=np.int64)
+    forward = ops.deg_fwd.astype(np.float64) @ (unreached == 0)
+    tallies += forward.astype(np.int64)
+    return tallies
+
+
+def _sparse_tallies(
+    graph: CSRGraph, srcs: np.ndarray, ops: "_SpmmOperands"
+) -> np.ndarray:
+    """One batch of :func:`batched_tallies` in spmm's sparse form.
+
+    The frontier lists of :func:`spmm_contributions`, with one
+    integer-count ``csr_matmat`` per level in place of the σ product:
+    its counts at the fresh candidates are the level's DAG arcs, and
+    each frontier's degree sum is its forward examinations.
+    """
+    tools = _sparsetools()
+    n, b = graph.n, srcs.size
+    idx = ops.idx
+    ones = ops.counts()
+    ap, aj, _ = ops.fwd
+    tallies = np.zeros(b, dtype=np.int64)
+    reached = np.zeros(b * n, dtype=bool)
+    row_bounds = np.arange(b + 1, dtype=np.intp) * n
+    rowbase = row_bounds[:-1]
+    reached[rowbase + srcs] = True
+    cols = srcs.astype(idx)
+    fp = np.arange(b + 1, dtype=idx)
+    while True:
+        degs = ops.deg_fwd.take(cols)
+        _add_row_sums(tallies, degs, fp)
+        bound = int(degs.sum(dtype=np.int64))
+        if bound == 0:
+            break
+        cp = np.empty(b + 1, dtype=idx)
+        cj = np.empty(bound, dtype=idx)
+        cx = np.empty(bound, dtype=ones.dtype)
+        vals = np.ones(cols.size, dtype=ones.dtype)
+        tools.csr_matmat(b, n, fp, cols, vals, ap, aj, ones, cp, cj, cx)
+        cand = rowbase.repeat(cp[1:] - cp[:-1])
+        cand += cj[: int(cp[b])]
+        fresh = np.flatnonzero(~reached.take(cand))
+        if fresh.size == 0:
+            break
+        flat = cand.take(fresh)
+        reached[flat] = True
+        cols = cj.take(fresh)
+        fp = np.searchsorted(flat, row_bounds).astype(idx, copy=False)
+        _add_row_sums(tallies, cx.take(fresh), fp)
+    return tallies
 
 
 def spmm_contributions(
@@ -1136,3 +1251,52 @@ def batched_bc_scores(
             weights=weights,
         )
     return bc
+
+
+def batched_tallies(
+    graph: CSRGraph, sources, *, kernel: Optional[str] = None
+) -> np.ndarray:
+    """Each source's examined-edge tally, from a forward pass alone.
+
+    The tally a sweep of ``sources`` reports row by row (the out-arcs
+    of every reached vertex plus the shortest-path-DAG arcs, which the
+    backward step replays), with no δ and no scores: what a patched
+    sub-graph owes for the roots it does not sweep
+    (docs/CACHING.md §4).  ``kernel`` (resolved through the registry)
+    picks the form, in the width and layout its sweep would take:
+    spmm runs one integer-count product per level with no σ
+    (:func:`_dense_tallies`, :func:`_sparse_tallies`); ``arcs`` runs
+    its forward (:func:`bfs_sigma_batched`) and counts the recorded
+    level arcs.  Every form equals every kernel's and the per-source
+    loop's tally, row for row.  Returns int64, one slot per source.
+    """
+    from repro.graph import kernels as _kernels
+
+    srcs = np.asarray(sources, dtype=np.int64).ravel()
+    tallies = np.zeros(srcs.size, dtype=np.int64)
+    if srcs.size == 0:
+        return tallies
+    kernel = _kernels.resolve_kernel_name(kernel)
+    batch = _kernels.resolve_kernel_batch(
+        "auto", graph, srcs.size, kernel=kernel
+    )
+    prepare = _kernels.get_kernel(kernel).prepare
+    ops = None
+    if prepare is not None:
+        ops = prepare(graph, min(batch, srcs.size), roots=srcs.size)
+    workspace = BatchWorkspace()
+    for lo in range(0, srcs.size, batch):
+        chunk = srcs[lo : lo + batch]
+        rows = tallies[lo : lo + batch]
+        if ops is not None:
+            form = _dense_tallies if ops.dense else _sparse_tallies
+            rows += form(graph, chunk, ops)
+            continue
+        res = bfs_sigma_batched(
+            graph, chunk, keep_level_arcs=True, workspace=workspace,
+            row_edges=rows,
+        )
+        bounds = np.arange(chunk.size + 1, dtype=np.intp) * graph.n
+        for tails, _heads in res.level_arcs:
+            rows += np.diff(np.searchsorted(tails, bounds))
+    return tallies

@@ -1,13 +1,18 @@
 """Differential tests for the delta patch (``apgre_bc_delta``).
 
-A dirty sub-graph whose predecessor is stored is patched, ``stored −
-sweep(pred, A) + sweep(new, A)`` over the affected roots ``A``, instead
-of recomputed.  These tests drive seeded chains of deltas through it
-(directed and undirected, pendant elimination on and off, both
-kernels) and check every step against Brandes, the tally identity
-against a from-scratch run, that cross-block edges fall back, that the
-predicate is sound root by root, that the predecessor's key is the key
-the previous run stored, and how far a long chain drifts.
+A dirty sub-graph whose predecessor is stored is patched instead of
+recomputed: ``stored − sweep(pred, A) + sweep(new, A)`` over the
+affected roots ``A``, or, for one undirected edge, ``stored +
+2·(sweep(new, S) − sweep(pred, S))`` over the smaller side ``S`` of
+``A``, the larger side's tally counted by a forward-only pass.  These
+tests drive seeded chains of deltas through it (directed and
+undirected, pendant elimination on and off, both kernels) and check
+every step against Brandes, the tally identity against a from-scratch
+run, the one-sided patch against the two-sided one, the tally-only
+pass against every kernel row by row, that cross-block edges fall
+back, that the predicate is sound root by root, that the
+predecessor's key is the key the previous run stored, and how far a
+long chain drifts.
 """
 
 from __future__ import annotations
@@ -29,11 +34,24 @@ from repro.core.apgre import apgre_bc_detailed
 from repro.core.bc_subgraph import bc_subgraph
 from repro.core.config import APGREConfig
 from repro.decompose.alphabeta import compute_alpha_beta
+from repro.decompose.articulation import biconnected_components
 from repro.decompose.partition import graph_partition
+from repro.generators.suite import SUITE_SPECS, analogue_graph
+from repro.graph import batched
+from repro.graph.batched import (
+    arcs_contributions,
+    batched_tallies,
+    spmm_contributions,
+)
 from repro.graph.build import from_edges
 from repro.graph.csr import CSRGraph
 
 KERNELS = ["arcs", "spmm"]
+
+#: the undirected suite analogues
+UNDIRECTED = sorted(
+    name for name, spec in SUITE_SPECS.items() if not spec.directed
+)
 
 
 def _graph(seed: int, directed: bool) -> CSRGraph:
@@ -176,7 +194,9 @@ def test_unaffected_roots_keep_their_contribution_bitwise(directed, kernel):
             if inside is None:
                 continue
             pred = predecessor(sg, *inside)
-            hit, _reach = affected_roots(pred.graph, sg.roots, *inside)
+            hit, _near, _reach = affected_roots(
+                pred.graph, sg.roots, *inside
+            )
             for s in sg.roots[~hit].tolist():
                 one = np.asarray([s], dtype=sg.roots.dtype)
                 old, new = WorkCounter(), WorkCounter()
@@ -205,7 +225,9 @@ def test_affected_tally_term_is_exact(directed):
             if inside is None:
                 continue
             pred = predecessor(sg, *inside)
-            hit, reach = affected_roots(pred.graph, sg.roots, *inside)
+            hit, _near, reach = affected_roots(
+                pred.graph, sg.roots, *inside
+            )
             rest = sg.roots[~hit]
             old, new = WorkCounter(), WorkCounter()
             bc_subgraph(pred, roots=rest, batch_size="auto", counter=old)
@@ -255,15 +277,18 @@ def test_predecessor_key_is_the_stored_key(directed):
 
 
 def test_two_partial_sweeps_must_beat_one_full():
-    # 2|A| >= |R| falls back to the full recompute: a path's middle
-    # edge moves every root's DAG
+    # a patch costing at least one full sweep falls back to it: a
+    # 12-cycle's chord between vertices an odd distance apart moves
+    # every root's DAG (no root is equidistant from its ends) and
+    # splits the roots 6/6, so the two sweeps of one side alone cost a
+    # full sweep, before the other side's tallies
     n = 12
     cycle = [(v, (v + 1) % n) for v in range(n)]
     graph = from_edges(cycle, n=n, directed=False)
     store = ContributionStore()
     config = APGREConfig(cache=store)
     apgre_bc_detailed(graph, config)
-    dr = apgre_bc_delta(graph, edges_added=[(0, 6)], cache=store,
+    dr = apgre_bc_delta(graph, edges_added=[(0, 5)], cache=store,
                         config=config)
     stats = dr.result.stats
     assert stats.subgraphs_patched == 0 and stats.edges_unwound == 0
@@ -331,3 +356,142 @@ def test_long_chain_drift_stays_bounded():
     )
     assert patched >= 40
     assert worst < 1e-12
+
+
+def _block_edit(graph, rng, kind: str):
+    """A one-edge ``kind`` ("add" or "remove") inside a biconnected
+    block of at least three vertices, as ``(added, removed)``."""
+    bcc = biconnected_components(graph)
+    blocks = [k for k, verts in enumerate(bcc.component_vertices)
+              if verts.size >= 3]
+    for _ in range(50):
+        k = blocks[int(rng.integers(len(blocks)))]
+        if kind == "remove":
+            edges = bcc.component_edges[k]
+            u, v = (int(x) for x in edges[int(rng.integers(len(edges)))])
+            return [], [(u, v)]
+        verts = bcc.component_vertices[k]
+        u, v = (int(x) for x in rng.choice(verts, 2, replace=False))
+        if not graph.has_edge(u, v):
+            return [(u, v)], []
+    return None
+
+
+def _one_sided_cases(graph, threshold: int, pendants: bool):
+    """Drive eight in-block one-edge deltas through a warmed store;
+    return each one-sided patch's largest relative difference from the
+    two-sided patch, after checking its tallies."""
+    options = {"threshold": threshold, "eliminate_pendants": pendants}
+    store = ContributionStore()
+    config = APGREConfig(cache=store, **options)
+    apgre_bc_detailed(graph, config)
+    rng = np.random.default_rng(threshold)
+
+    def sweep(sg, roots, counter=None):
+        return bc_subgraph(sg, eliminate_pendants=pendants, roots=roots,
+                           batch_size="auto", counter=counter)
+
+    worst = []
+    for kind in ["add", "remove"] * 4:
+        edit = _block_edit(graph, rng, kind)
+        if edit is None:
+            continue
+        added, removed = edit
+        _new, delta = _apply(graph, added, removed)
+        dr = apgre_bc_delta(graph, edges_added=added, edges_removed=removed,
+                            cache=store, config=config)
+        stats = dr.result.stats
+        scratch = apgre_bc_detailed(dr.graph, APGREConfig(**options))
+        assert (stats.edges_traversed + stats.edges_replayed
+                == scratch.stats.edges_traversed)
+        np.testing.assert_allclose(
+            dr.scores, brandes_bc(dr.graph, batch_size="auto"),
+            rtol=1e-9, atol=1e-9,
+        )
+        graph = dr.graph
+        if stats.subgraphs_patched == 0:
+            continue
+        sg = next(sg for sg in dr.partition.subgraphs
+                  if delta.inside(sg.vertices) is not None)
+        inside = delta.inside(sg.vertices)
+        pred = predecessor(sg, *inside)
+        stored = store.get(subgraph_key(pred, eliminate_pendants=pendants))
+        patched = store.get(subgraph_key(sg, eliminate_pendants=pendants))
+        roots = sg.roots if pendants else np.arange(sg.num_vertices)
+        hit, near, _reach = affected_roots(pred.graph, roots, *inside)
+        small = min(roots[near], roots[hit & ~near], key=len)
+        unwound, full = WorkCounter(), WorkCounter()
+        sweep(pred, small, unwound)
+        sweep(sg, None, full)
+        # it swept one side, and committed the from-scratch tally
+        assert stats.edges_unwound == unwound.examined
+        assert patched.edges == full.examined
+        two = (stored.scores - sweep(pred, roots[hit])
+               + sweep(sg, roots[hit]))
+        rel = np.abs(patched.scores - two) / np.maximum(np.abs(two), 1.0)
+        worst.append(float(rel.max()))
+    return worst
+
+
+@pytest.mark.parametrize("name", UNDIRECTED)
+def test_one_sided_patch_matches_two_sided(name):
+    # thresholds 0, 2 and 8, pendants on and off: every one-sided
+    # patch equals stored - sweep(pred, A) + sweep(new, A) within
+    # 1e-12 relative, with exact tallies; on the road analogues most
+    # shortcuts move so many DAGs that the sub-graph recomputes
+    graph = analogue_graph(name, scale=0.5, seed=1)
+    worst = []
+    for threshold in (0, 2, 8):
+        for pendants in (True, False):
+            worst += _one_sided_cases(graph, threshold, pendants)
+    print(f"{name}: {len(worst)} one-sided patches, worst "
+          f"{max(worst, default=0.0):.1e}")
+    assert worst and max(worst) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _graph(31, False),
+        _graph(32, True),
+        # a hub reached over 200 and over 33000 DAG arcs at once: the
+        # count dtype widens from the largest in-degree (int16 at 200,
+        # int32 past 32767)
+        from_edges([(h, k) for k in range(2, 202) for h in (0, 1)]),
+        from_edges([(h, k) for k in range(2, 33002) for h in (0, 1)]),
+    ],
+    ids=["und", "dir", "hub-200", "hub-33000"],
+)
+def test_tally_pass_matches_every_kernel_row_by_row(graph):
+    # the forward-only pass, in each of its forms, equals the arcs and
+    # spmm (sparse and dense) sweeps' and the per-source loop's tally
+    part = graph_partition(graph)
+    compute_alpha_beta(graph, part)
+    top = part.subgraphs[0]
+    g, roots = top.graph, top.roots[:40].astype(np.int64)
+    loop = []
+    for s in roots.tolist():
+        counter = WorkCounter()
+        bc_subgraph(top, roots=np.asarray([s]), batch_size=None,
+                    counter=counter)
+        loop.append(counter.examined)
+    refs = [np.asarray(loop)]
+    rows = np.zeros(roots.size, dtype=np.int64)
+    arcs_contributions(g, roots, row_edges=rows)
+    refs.append(rows)
+    forms = []
+    for dense in (False, True):
+        ops = batched._spmm_operands_for(g, roots.size, dense)
+        widest = int(np.diff(g.in_indptr).max())
+        assert np.iinfo(ops.counts().dtype).max >= widest
+        rows = np.zeros(roots.size, dtype=np.int64)
+        spmm_contributions(g, roots, operands=ops, row_edges=rows)
+        refs.append(rows)
+        form = batched._dense_tallies if dense else batched._sparse_tallies
+        forms.append(form(g, roots, ops))
+    for kernel in KERNELS:
+        forms.append(batched_tallies(g, roots, kernel=kernel))
+    for ref in refs[1:]:
+        assert np.array_equal(ref, refs[0])
+    for got in forms:
+        assert np.array_equal(got, refs[0])
