@@ -77,69 +77,18 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     return h.hexdigest()
 
 
-def subgraph_key(
-    sg, *, eliminate_pendants: bool = True, compress: bool = False
-) -> str:
+def subgraph_key(sg, *, eliminate_pendants: bool = True) -> str:
     """Cache key of one sub-graph's local contribution vector.
 
     ``sg`` is a :class:`repro.decompose.partition.Subgraph` whose
     ``alpha``/``beta`` arrays are already filled (the key *must* see
     the summaries — a sub-graph with unchanged edges but a changed α
     on a boundary articulation point produces different scores).
-
-    With ``compress=True`` the key of a sub-graph whose compression
-    plan is non-trivial hashes the *plan* — the compressed local CSR
-    with its super-edge lengths plus the per-vertex elimination record
-    — instead of the raw CSR, under a separate domain prefix.  The
-    plan is a deterministic function of the sub-graph, so twin-heavy
-    identical components keep sharing one entry; sub-graphs where no
-    rule fires fall back to the uncompressed key, because they run
-    the plain kernels and their entries stay interchangeable with
-    uncompressed runs.
     """
-    if compress:
-        from repro.compress import compression_plan
-
-        plan = compression_plan(sg, eliminate_pendants=eliminate_pendants)
-        if plan.nontrivial:
-            return _compressed_key(sg, plan, eliminate_pendants)
     h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
     h.update(b"bc-contribution-v1")
     h.update(b"ep" if eliminate_pendants else b"all")
     h.update(graph_fingerprint(sg.graph).encode())
-    _feed(h, "roots", sg.roots)
-    _feed(h, "gamma", sg.gamma)
-    _feed(h, "boundary", sg.is_boundary_art)
-    _feed(h, "alpha", sg.alpha)
-    _feed(h, "beta", sg.beta)
-    return h.hexdigest()
-
-
-def _compressed_key(sg, plan, eliminate_pendants: bool) -> str:
-    """Key a non-trivial plan: compressed CSR + inversion record.
-
-    Everything the compressed kernel reads goes in: the core CSR and
-    arc lengths, the per-vertex status/rep/mult/pfold arrays (they
-    invert the merge), the chain records (interior ids decide where
-    flow credit lands) and twin-class kinds, plus the same root/γ/
-    boundary/α/β summaries as the base key.  All arrays are in local
-    id space, so two identically-shaped components hash equal wherever
-    they sit in the host graph.
-    """
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(b"bc-contribution-compressed-v1")
-    h.update(b"ep" if eliminate_pendants else b"all")
-    h.update(graph_fingerprint(plan.core_graph).encode())
-    _feed(h, "lengths", plan.arc_lengths)
-    _feed(h, "status", plan.status)
-    _feed(h, "rep", plan.rep)
-    _feed(h, "mult", plan.mult)
-    _feed(h, "pfold", plan.pfold)
-    for ch in plan.chains:
-        h.update(f"chain:{ch.u}:{ch.v}".encode())
-        _feed(h, "interiors", ch.interiors)
-    for tc in plan.twin_classes:
-        h.update(f"class:{tc.rep}:{tc.kind}".encode())
     _feed(h, "roots", sg.roots)
     _feed(h, "gamma", sg.gamma)
     _feed(h, "boundary", sg.is_boundary_art)

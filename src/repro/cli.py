@@ -183,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies --cache)",
     )
     p_compute.add_argument(
-        "--compress",
-        action="store_true",
-        help="run each sub-graph through the structural compression "
-        "ladder first (APGRE only): twin merging, chain contraction "
-        "and pendant folding shrink the sweeps; scores are identical",
-    )
-    p_compute.add_argument(
         "--journal-dir",
         default=None,
         metavar="DIR",
@@ -338,11 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default work-stealing policy for pooled requests",
     )
     p_serve.add_argument(
-        "--compress",
-        action="store_true",
-        help="run requests through the compression ladder by default",
-    )
-    p_serve.add_argument(
         "--no-cache",
         action="store_true",
         help="run without the contribution store (the /delta endpoint "
@@ -427,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help="extra query parameter (repeatable): backend=threads, "
-        "kernel=arcs, compress=1, fresh=1, version=3, ...",
+        "kernel=arcs, fresh=1, version=3, ...",
     )
     p_query.add_argument(
         "--timeout",
@@ -519,15 +507,6 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.compress:
-        if args.algorithm != "APGRE":
-            print(
-                f"repro-bc: error: --compress needs the decomposition "
-                f"and is not supported by {args.algorithm!r} (use APGRE)",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["compress"] = True
     journal_on = args.journal_dir is not None or args.resume
     if journal_on:
         if args.algorithm != "APGRE":
@@ -892,8 +871,6 @@ def _cmd_serve(args) -> int:
         cfg_kwargs["kernel"] = args.kernel
     if args.batch_size is not None:
         cfg_kwargs["batch_size"] = args.batch_size
-    if args.compress:
-        cfg_kwargs["compress"] = True
     if args.timeout is not None:
         cfg_kwargs["timeout"] = args.timeout
     base = APGREConfig(**cfg_kwargs)

@@ -84,9 +84,9 @@ def _subgraph_scores(
     """One sub-graph's full-length local score vector, optionally over
     a subset ``roots`` of its sources.
 
-    Routes through :func:`bc_subgraph` (honouring
-    ``batch_size``/``compress``) on the run's resolved ``kernel``;
-    ``workers`` concurrent callers share the auto batch's RAM budget.
+    Routes through :func:`bc_subgraph` (honouring ``batch_size``) on
+    the run's resolved ``kernel``; ``workers`` concurrent callers share
+    the auto batch's RAM budget.
     """
     return bc_subgraph(
         sg,
@@ -94,7 +94,6 @@ def _subgraph_scores(
         counter=counter,
         roots=roots,
         batch_size=config.batch_size,
-        compress=config.compress,
         kernel=kernel,
         workers=workers,
     )
@@ -112,26 +111,13 @@ class _Unit(NamedTuple):
     bundle: bool = False
 
 
-def _bundles(sg, config: APGREConfig) -> bool:
-    """Whether ``sg`` may join a bundle: a non-trivial compression plan
-    runs alone."""
-    if not config.compress:
-        return True
-    from repro.compress import compression_plan
-
-    return not compression_plan(
-        sg, eliminate_pendants=config.eliminate_pendants
-    ).nontrivial
-
-
 def _units(run: _Run, todo: List[int]) -> List[_Unit]:
     """Cut ``todo`` into the BC phase's units, in order.
 
     Consecutive sub-graphs join one bundle while each one is not the
     top (so ``top_bc`` keeps meaning the top), runs the batched sweep
-    (not the per-source ``batch_size=None``) uncompressed
-    (:func:`_bundles`), and the bundle's
-    whole root set still fits one batch: at most
+    (not the per-source ``batch_size=None``), and the bundle's whole
+    root set still fits one batch: at most
     :data:`~repro.graph.batched.DEFAULT_MAX_BATCH` roots (or the
     integer ``batch_size``) whose rows take at most
     :data:`~repro.graph.batched.AUTO_WORKSET_BYTES` together.  The
@@ -155,10 +141,7 @@ def _units(run: _Run, todo: List[int]) -> List[_Unit]:
     for k, index in enumerate(todo):
         sg = run.subgraphs[index]
         mine = (_roots(sg, config).size, sg.num_vertices, sg.num_arcs)
-        joins = (
-            index != 0 and cap is not None and fits(*mine)
-            and _bundles(sg, config)
-        )
+        joins = index != 0 and cap is not None and fits(*mine)
         grown = tuple(a + b for a, b in zip(size, mine))
         if joins and bundle and fits(*grown):
             size = grown
@@ -359,27 +342,6 @@ def _bc_phase(
         stats.num_sources = sum(sg.roots.size for sg in subgraphs)
     else:
         stats.num_sources = sum(sg.num_vertices for sg in subgraphs)
-
-    if config.compress:
-        # Build (and memoize) every plan up front: fork-based workers
-        # then inherit the finished plans instead of rebuilding them,
-        # and the stats describe the run regardless of which execution
-        # path the scores take.  These tallies quantify work *avoided*
-        # and are never folded into edges_traversed/TEPS.
-        from repro.compress import compression_plan
-
-        plans = [
-            compression_plan(sg, eliminate_pendants=config.eliminate_pendants)
-            for sg in subgraphs
-        ]
-        stats.vertices_merged = sum(p.vertices_merged for p in plans)
-        stats.chains_contracted = sum(p.chain_interiors for p in plans)
-        stats.vertices_peeled = sum(p.vertices_peeled for p in plans)
-        total_n = sum(p.n for p in plans)
-        total_core = sum(p.n_core for p in plans)
-        stats.compression_ratio = (
-            total_n / total_core if total_core else 1.0
-        )
 
     bc = np.zeros(graph.n, dtype=SCORE_DTYPE)
     kernel = None
@@ -601,13 +563,8 @@ def _cache_filter(
     """
     from repro.cache.fingerprint import subgraph_key
 
-    config = run.config
     keys = [
-        subgraph_key(
-            sg,
-            eliminate_pendants=config.eliminate_pendants,
-            compress=config.compress,
-        )
+        subgraph_key(sg, eliminate_pendants=run.config.eliminate_pendants)
         for sg in run.subgraphs
     ]
     misses: List[int] = []
@@ -628,7 +585,7 @@ def _patch_filter(
 ) -> List[int]:
     """Patch the misses among ``todo`` that ``delta`` touched
     (:func:`_patch`); return the rest, for the full recompute."""
-    if delta is None or run.config.compress:
+    if delta is None:
         return todo
     return [index for index in todo
             if not _patch(run, store, index, delta, sink)]

@@ -84,7 +84,6 @@ def bc_subgraph_batched(
     roots: Optional[np.ndarray] = None,
     batch_size: Union[int, str] = "auto",
     workers: int = 1,
-    compress: bool = False,
     kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Local BC scores of one sub-graph via the batched kernel.
@@ -99,9 +98,6 @@ def bc_subgraph_batched(
     divided by ``workers`` — pass the pool's worker count when several
     of these calls run concurrently, so they share one RAM budget
     instead of each claiming all of it.
-    ``compress=True`` routes through the structural compression kernel
-    when any reduction rule fires (the shrunken core does not benefit
-    from SpMM batching); trivial plans stay on the batched path.
 
     ``kernel`` names the registered compute kernel every batch runs
     (:mod:`repro.graph.kernels`): ``"arcs"``, ``"spmm"``, or
@@ -109,18 +105,6 @@ def bc_subgraph_batched(
     and otherwise runs the host default (``spmm`` when scipy's
     sparsetools extension loads, else ``arcs``).
     """
-    if compress:
-        from repro.compress import bc_subgraph_compressed, compression_plan
-
-        plan = compression_plan(sg, eliminate_pendants=eliminate_pendants)
-        if plan.nontrivial:
-            return bc_subgraph_compressed(
-                sg,
-                plan,
-                eliminate_pendants=eliminate_pendants,
-                counter=counter,
-                roots=roots,
-            )
     g = sg.graph
     n = g.n
     if n == 0:

@@ -39,6 +39,7 @@ import numpy as np
 from repro.baselines.common import WorkCounter
 from repro.core.dependencies import accumulate_four_dependencies
 from repro.decompose.partition import Subgraph
+from repro.errors import AlgorithmError
 from repro.graph.traversal import bfs_sigma
 from repro.types import SCORE_DTYPE, VERTEX_DTYPE
 
@@ -52,6 +53,7 @@ def bc_subgraph(
     counter: Optional[WorkCounter] = None,
     roots: Optional[np.ndarray] = None,
     batch_size: Union[int, str, None] = None,
+    # benchmarks/e2e/workloads.py:514 still passes compress=cfg.compress
     compress: bool = False,
     kernel: Optional[str] = None,
     workers: int = 1,
@@ -84,11 +86,8 @@ def bc_subgraph(
         which processes roots in ``(B, n)`` batches with identical
         edge counting and float64-tolerance-identical scores.
     compress:
-        Run this sub-graph through the structural compression ladder
-        first (:mod:`repro.compress`): when any reduction rule fires
-        the compressed kernel executes the plan (scores identical to
-        float64 tolerance); trivial plans fall through to the plain
-        per-source or batched kernel unchanged.
+        Only ``False`` is accepted; any other value raises
+        :class:`~repro.errors.AlgorithmError`.
     kernel:
         Compute-kernel name for the batched path (forwarded to
         :func:`~repro.core.batched_subgraph.bc_subgraph_batched`; see
@@ -103,21 +102,11 @@ def bc_subgraph(
     Local score array (index by local vertex id; translate through
     ``sg.vertices`` to merge globally).
     """
-    if compress:
-        from repro.compress import bc_subgraph_compressed, compression_plan
-
-        plan = compression_plan(sg, eliminate_pendants=eliminate_pendants)
-        if plan.nontrivial:
-            # the compressed kernel is the single integration point:
-            # batching adds nothing on the shrunken core, so every
-            # execution path funnels here once a rule has fired
-            return bc_subgraph_compressed(
-                sg,
-                plan,
-                eliminate_pendants=eliminate_pendants,
-                counter=counter,
-                roots=roots,
-            )
+    if compress is not False:
+        raise AlgorithmError(
+            f"compress must be False (structural compression is gone), "
+            f"got {compress!r}"
+        )
     if batch_size is not None:
         from repro.core.batched_subgraph import bc_subgraph_batched
 

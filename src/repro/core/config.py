@@ -13,7 +13,7 @@ __all__ = ["APGREConfig"]
 _AB_METHODS = ("auto", "bfs", "tree")
 _BACKENDS = ("auto", "serial", "threads", "processes")
 _KERNELS = ("auto", "arcs", "spmm")
-_FLAGS = ("eliminate_pendants", "fallback", "steal", "compress", "resume")
+_FLAGS = ("eliminate_pendants", "fallback", "steal", "resume")
 
 
 def _is_int(value: object) -> bool:
@@ -102,18 +102,6 @@ class APGREConfig:
         Directory for the cache's persistent on-disk layer; setting it
         enables caching. Separate processes and CLI invocations
         pointed at the same directory share warmth.
-    compress:
-        Run each sub-graph through the structural compression ladder
-        (:mod:`repro.compress`) before its BC sweeps: twin classes
-        (same open/closed neighbourhood) merge into weighted
-        representatives, maximal degree-2 chains contract to integer-
-        length super-edges, and single-level pendants fold into
-        endpoint mass.  Scores are identical to the uncompressed
-        kernels (the plan inverts the compression exactly); sub-graphs
-        where no rule fires route through the plain kernels unchanged.
-        Composes with every execution path, including ``cache=`` —
-        compressed runs fingerprint the *plan*, so structurally
-        twin-heavy identical sub-graphs share one store entry.
     journal_dir:
         Directory for the crash-safe run journal (:mod:`repro.journal`):
         every completed sub-graph contribution is durably committed to
@@ -154,10 +142,12 @@ class APGREConfig:
     steal: bool = True
     cache: object = None
     cache_dir: Optional[str] = None
-    compress: bool = False
     journal_dir: Optional[str] = None
     resume: bool = False
     kernel: Optional[str] = None
+
+    # not a field: benchmarks/e2e/workloads.py:514 still reads cfg.compress
+    compress = False
 
     def __post_init__(self) -> None:
         if self.kernel is not None and self.kernel not in _KERNELS:

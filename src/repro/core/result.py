@@ -100,15 +100,6 @@ class APGREStats:
     ``edges_resumed + edges_replayed + edges_traversed`` equals the
     from-scratch ``edges_traversed`` of an identical unjournaled run.
 
-    ``vertices_merged`` / ``chains_contracted`` / ``vertices_peeled``
-    tally the structural compression (``compress=True`` runs only;
-    docs/COMPRESSION.md): twin-class members collapsed into their
-    representatives, chain interiors contracted into super-edges, and
-    pendants folded into endpoint mass.  ``compression_ratio`` is
-    ``Σ n / Σ n_core`` over all sub-graphs (1.0 when compression is
-    off or nothing fired).  Like ``edges_replayed``, these never feed
-    TEPS — they describe work *avoided*, not performed.
-
     ``subgraphs_patched`` counts the sub-graphs an edge delta touched
     that were *patched* from their stored predecessor instead of
     recomputed in full (``apgre_bc_delta`` only — docs/CACHING.md);
@@ -150,10 +141,6 @@ class APGREStats:
     partition_derived: bool = False
     alpha_beta_pairs: int = 0
     alpha_beta_method: str = ""
-    vertices_merged: int = 0
-    chains_contracted: int = 0
-    vertices_peeled: int = 0
-    compression_ratio: float = 1.0
     timings: PhaseTimings = field(default_factory=PhaseTimings)
 
 

@@ -99,8 +99,8 @@ class FoldResult:
 def peel_pendant_trees(graph: CSRGraph) -> FoldResult:
     """Iteratively remove degree-1 vertices, folding weights upward.
 
-    The peel itself is the shared :func:`repro.graph.kcore.two_core`
-    primitive (O(|V| + |E|) queue peel); this wrapper accumulates the
+    The peel itself is :func:`repro.graph.kcore.two_core` (an
+    O(|V| + |E|) queue peel); this wrapper accumulates the
     subtree weights and child lists the treefold formulas need. A
     two-vertex component peels one endpoint (arbitrarily, the smaller
     id) and keeps the other as a weight-2 core singleton; a pure tree

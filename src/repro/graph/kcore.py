@@ -7,17 +7,15 @@ vertex's coreness in O(|V| + |E|) with the bucket-queue algorithm —
 a useful structural fingerprint for the workload suite (power-law
 analogues have deep cores, road lattices are all 2–3-core).
 
-:func:`two_core` is the shared degree-1 peel primitive: treefold's
-pendant-tree contraction and the compression ladder's pendant fold
-(:mod:`repro.compress`) both consume its ``(core_mask, peel_order,
-peel_parent)`` triple instead of each running their own queue loop.
+:func:`two_core` is the degree-1 peel primitive behind treefold's
+pendant-tree contraction, which consumes its ``(core_mask,
+peel_order, peel_parent)`` triple.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +34,7 @@ class TwoCoreResult:
     Attributes
     ----------
     core_mask:
-        Boolean mask of surviving vertices (the 2-core plus any
-        ineligible vertices the peel was told to keep).
+        Boolean mask of surviving vertices (the 2-core).
     peel_order:
         Peeled vertices in removal order — every vertex peels strictly
         after all vertices that folded into it, so a single forward
@@ -52,30 +49,20 @@ class TwoCoreResult:
     peel_parent: np.ndarray
 
 
-def two_core(
-    graph: CSRGraph, *, eligible: Optional[np.ndarray] = None
-) -> TwoCoreResult:
+def two_core(graph: CSRGraph) -> TwoCoreResult:
     """Iteratively remove degree-1 vertices (the 2-core peel).
 
-    ``eligible`` optionally restricts which vertices may be peeled
-    (boolean mask); ineligible vertices survive even at degree 1 —
-    the compression ladder passes the partition's ``removed`` set so
-    only single-level pendant sources fold, while treefold passes
-    ``None`` to peel whole pendant trees.  A two-vertex component
-    peels one endpoint (the smaller id) and keeps the other as a
-    degree-0 survivor; directed graphs peel on the undirected shadow.
+    Whole pendant trees peel.  A two-vertex component peels one
+    endpoint (the smaller id) and keeps the other as a degree-0
+    survivor; directed graphs peel on the undirected shadow.
     """
     und = to_undirected(graph)
     n = und.n
     deg = und.out_degrees().astype(np.int64).copy()
     alive = np.ones(n, dtype=bool)
-    if eligible is None:
-        can = np.ones(n, dtype=bool)
-    else:
-        can = np.asarray(eligible, dtype=bool)
     peel_parent = np.full(n, -1, dtype=np.int64)
     order = []
-    queue = deque(np.flatnonzero((deg == 1) & can).tolist())
+    queue = deque(np.flatnonzero(deg == 1).tolist())
     while queue:
         v = int(queue.popleft())
         if not alive[v] or deg[v] != 1:
@@ -92,7 +79,7 @@ def two_core(
         deg[v] = 0
         order.append(v)
         peel_parent[v] = parent
-        if deg[parent] == 1 and can[parent]:
+        if deg[parent] == 1:
             queue.append(parent)
     return TwoCoreResult(
         core_mask=alive,

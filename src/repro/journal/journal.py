@@ -82,9 +82,9 @@ def _config_digest(config) -> str:
     vectors participate: ``threshold`` (changes the decomposition),
     ``alpha_beta_method`` (as configured) and ``eliminate_pendants``
     (changes the source sets).  Execution strategy — workers, batch
-    size, pooling, compression, caching — is deliberately excluded, so
-    a run journaled under one strategy can resume under another (e.g.
-    a pooled run killed by an OOM resumes serially).
+    size, pooling, caching — is deliberately excluded, so a run
+    journaled under one strategy can resume under another (e.g. a
+    pooled run killed by an OOM resumes serially).
     """
     text = (
         f"threshold={int(config.threshold)};"

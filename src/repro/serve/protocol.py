@@ -3,21 +3,21 @@ per-request config construction, and config fingerprints.
 
 The daemon speaks plain HTTP with query-string parameters, so every
 client — ``repro-bc query``, ``curl``, a load generator — composes the
-same execution matrix the CLI exposes: backend and kernel from the
-PR 7/PR 9 registries, batching, compression, caching, and
-supervisor budgets (timeout / retries / fallback) per request.
+same execution matrix the CLI exposes: backend and kernel from their
+registries, batching, caching, and supervisor budgets (timeout /
+retries / fallback) per request.
 
 :func:`config_fingerprint` is the score-LRU half of the key: a
 BLAKE2b-128 digest over exactly the config fields that can change the
 served *bytes* — anything affecting either the mathematical scores
 (threshold, pendant elimination) or the floating-point summation
-order (batching, compression, execution layout).  Two
-requests with the same fingerprint against the same graph version are
-guaranteed byte-identical answers, which is what makes serving a
-cached vector indistinguishable from recomputing it.  Operational
-knobs that cannot change a healthy run's output — ``timeout``,
-``max_retries``, ``fallback`` — stay out of the key so retuning them
-keeps the cache warm.
+order (batching, execution layout).  Two requests with the same
+fingerprint against the same graph version are guaranteed
+byte-identical answers, which is what makes serving a cached vector
+indistinguishable from recomputing it.  Operational knobs that cannot
+change a healthy run's output — ``timeout``, ``max_retries``,
+``fallback`` — stay out of the key so retuning them keeps the cache
+warm.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class RequestParams:
     batch_size: Optional[Union[int, str]] = None
     workers: Optional[int] = None
     steal: Optional[bool] = None
-    compress: Optional[bool] = None
     threshold: Optional[int] = None
     cache: Optional[bool] = None
     timeout: Optional[float] = None
@@ -118,9 +117,8 @@ class RequestParams:
     _KNOWN = frozenset(
         (
             "backend", "kernel", "batch_size", "workers", "steal",
-            "compress", "threshold", "cache",
-            "timeout", "max_retries", "fallback", "isolate", "fresh",
-            "top", "full", "version",
+            "threshold", "cache", "timeout", "max_retries", "fallback",
+            "isolate", "fresh", "top", "full", "version",
         )
     )
 
@@ -163,7 +161,7 @@ class RequestParams:
             raw = _one(query, key)
             if raw is not None:
                 setattr(params, key, _as_int(key, raw))
-        for key in ("steal", "compress", "cache", "fallback"):
+        for key in ("steal", "cache", "fallback"):
             raw = _one(query, key)
             if raw is not None:
                 setattr(params, key, _as_bool(key, raw))
@@ -205,8 +203,6 @@ def build_config(params: RequestParams, base, store):
         overrides["workers"] = params.workers
     if params.steal is not None:
         overrides["steal"] = params.steal
-    if params.compress is not None:
-        overrides["compress"] = params.compress
     if params.threshold is not None:
         overrides["threshold"] = params.threshold
     if params.timeout is not None:
@@ -231,8 +227,8 @@ def config_fingerprint(config) -> str:
 
     Everything that can change the served bytes participates:
     mathematical knobs (threshold, α/β method, pendant elimination)
-    and floating-point-order knobs (batching, compression,
-    backend/kernel/worker layout, stealing).  The cache is keyed as a
+    and floating-point-order knobs (batching, backend/kernel/worker
+    layout, stealing).  The cache is keyed as a
     bool — *which* store replays a contribution cannot change its
     bytes (entries are content-addressed).  Supervisor budgets stay
     out (a healthy run's output does not depend on them).
@@ -245,12 +241,11 @@ def config_fingerprint(config) -> str:
         ("workers", int(config.workers)),
         ("batch_size", config.batch_size),
         ("steal", bool(config.steal)),
-        ("compress", bool(config.compress)),
         ("kernel", config.kernel),
         ("cache", config.cache is not None),
     )
     h = hashlib.blake2b(digest_size=16)
-    h.update(b"apgre-config-v3")
+    h.update(b"apgre-config-v4")
     for name, value in fields:
         h.update(f"|{name}={value!r}".encode())
     return h.hexdigest()

@@ -5,6 +5,8 @@ tests sweep graph families, configuration toggles and execution modes;
 the property-based sweep lives in test_properties.py.
 """
 
+import dataclasses
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -114,16 +116,20 @@ class TestConfigToggles:
             APGREConfig(backend="gpu")
 
     def test_removed_parallel_spellings_rejected(self):
-        # backend= is the only engine spelling, and the shard layer is
-        # gone: each removed field is an unknown keyword
+        # backend= is the only engine spelling, and the shard and
+        # compress layers are gone: each removed field is an unknown
+        # keyword
         for legacy in (
             {"parallel": "processes"},
             {"parallel_batched": True},
             {"shard": True},
             {"shard_max_size": 64},
+            {"compress": True},
         ):
             with pytest.raises(TypeError):
                 APGREConfig(**legacy)
+            with pytest.raises(TypeError):
+                dataclasses.replace(APGREConfig(), **legacy)
             with pytest.raises(TypeError):
                 apgre_bc(from_edges([(0, 1)]), **legacy)
 
@@ -151,8 +157,7 @@ class TestConfigToggles:
 
     def test_invalid_flags(self):
         # a truthy string or a number must not read as True
-        for name in ("eliminate_pendants", "fallback", "steal",
-                     "compress", "resume"):
+        for name in ("eliminate_pendants", "fallback", "steal", "resume"):
             for bad in ("false", "no", 1, 0, None):
                 with pytest.raises(AlgorithmError, match=name):
                     APGREConfig(**{name: bad})
@@ -293,3 +298,12 @@ class TestBCSubgraphUnits:
         partition = graph_partition(g)
         for sg in partition.subgraphs:
             assert bc_subgraph(sg).tolist() == [0.0] * sg.num_vertices
+
+    def test_compress_is_rejected(self):
+        # the structural compression layer is gone; only the default
+        # compress=False is still accepted
+        g = from_edges([(0, 1), (1, 2), (2, 0)])
+        partition = graph_partition(g)
+        compute_alpha_beta(g, partition)
+        with pytest.raises(AlgorithmError, match="compress"):
+            bc_subgraph(partition.top, compress=True)

@@ -45,6 +45,16 @@ class TestParser:
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_compress_flag_exits_two(self, graph_file, capsys):
+        for argv in (
+            ["compute", graph_file, "--compress"],
+            ["serve", graph_file, "--compress"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_removed_pull_kernel_exits_two(self, graph_file, capsys):
         for argv in (
             ["compute", graph_file, "--kernel", "pull"],

@@ -68,8 +68,8 @@ class TestReadmePromises:
 class TestRemovedSpellings:
     """``backend=`` is the only engine spelling, the numba and pull
     kernels are gone, and so are the batched four-dependency sweep and
-    the shard layer; only the CHANGELOG's migration note may name what
-    was removed."""
+    the shard and compress layers; only the CHANGELOG's migration note
+    may name what was removed."""
 
     REMOVED = re.compile(
         r"\bparallel=|\bparallel_batched\b|--parallel-batched"
@@ -82,6 +82,9 @@ class TestRemovedSpellings:
         r"|\bPULL_ALPHA\b|\bbfs_sigma_batched_pull\b"
         r"|repro\.graph\.kernels\.pull\b|\brow_tallies\b"
         r"|--kernel pull\b|\bkernel=\"pull\""
+        r"|repro\.compress\b|--compress\b|compress=True|COMPRESSION\.md"
+        r"|compression_plan|bc_subgraph_compressed|compression_ratio"
+        r"|vertices_merged|chains_contracted|vertices_peeled"
     )
 
     def test_docs_name_only_live_surfaces(self):
@@ -96,6 +99,7 @@ class TestRemovedSpellings:
         assert 'backend="processes"' in text
         assert 'parallel="threads"' in text
         assert 'kernel="pull"' in text
+        assert "drop `compress=True`; the default runs the same scores" in text
 
 
 class TestRobustnessDoc:
@@ -332,24 +336,30 @@ class TestServingDoc:
 
 
 class TestDesignModuleMap:
+    DOCS = ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIMENTS.md")
+
     def test_module_paths_resolve(self):
-        """Every `repro.x.y` module path mentioned in DESIGN.md must
-        import (the design doc is the map; stale entries mislead)."""
-        text = (ROOT / "DESIGN.md").read_text()
-        modules = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
-        assert modules
-        for dotted in sorted(modules):
-            # table cells sometimes reference attributes; import the
-            # longest importable prefix and require depth >= 2
+        """Every backticked `repro.x.y` path in the prose docs must name
+        live code (the docs are the map; stale entries mislead): its
+        longest importable module prefix, down to `repro` itself,
+        imports and the rest of the path resolves as attributes."""
+        docs = [ROOT / name for name in self.DOCS]
+        docs += sorted((ROOT / "docs").glob("*.md"))
+        paths = set()
+        for doc in docs:
+            paths |= set(re.findall(r"`(repro(?:\.\w+)+)`", doc.read_text()))
+        assert paths
+        for dotted in sorted(paths):
             parts = dotted.split(".")
-            imported = None
-            for k in range(len(parts), 1, -1):
+            for k in range(len(parts), 0, -1):
                 try:
-                    imported = importlib.import_module(".".join(parts[:k]))
+                    obj = importlib.import_module(".".join(parts[:k]))
                     break
                 except ImportError:
                     continue
-            assert imported is not None, dotted
+            for attr in parts[k:]:
+                assert hasattr(obj, attr), dotted
+                obj = getattr(obj, attr)
 
 
 class TestWeightedSweepDocs:

@@ -224,10 +224,7 @@ class TestRunJournal:
         base = run_fingerprint(graph, APGREConfig(threshold=2))
         pooled = run_fingerprint(
             graph,
-            APGREConfig(
-                threshold=2, backend="processes", workers=4,
-                compress=True,
-            ),
+            APGREConfig(threshold=2, backend="processes", workers=4),
         )
         assert base == pooled
         # the digest text is pinned: journals written by earlier
@@ -291,7 +288,6 @@ class TestRunJournal:
 PATHS = {
     "serial": {},
     "batched": {"batch_size": 4},
-    "compressed": {"compress": True},
     "threads": {"backend": "threads", "workers": 2},
     "pooled": {"backend": "processes", "workers": 2},
     "pooled-batched": {
@@ -583,7 +579,7 @@ print("FINISHED", result.stats.subgraphs_recomputed)
 class TestKillAndResume:
     @pytest.mark.parametrize(
         "path",
-        ["serial", "batched", "compressed", "pooled", "pooled-batched"],
+        ["serial", "batched", "pooled", "pooled-batched"],
     )
     def test_sigkill_mid_commit_then_resume(
         self, tmp_path, graph, reference, path
@@ -608,12 +604,9 @@ class TestKillAndResume:
         assert kinds == ["header", "contribution", "contribution"]
 
         # from-scratch edge baseline measured serially with the same
-        # kernel options (compression changes the tally): the plain
-        # pooled pass does not report parent-side edge counts
-        kernel_kw = {
-            k: v for k, v in kw.items()
-            if k in ("compress", "batch_size")
-        }
+        # batch size: the plain pooled pass does not report parent-side
+        # edge counts
+        kernel_kw = {k: v for k, v in kw.items() if k == "batch_size"}
         cold = apgre_bc_detailed(
             graph, APGREConfig(threshold=2, **kernel_kw)
         )

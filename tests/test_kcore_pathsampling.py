@@ -1,4 +1,5 @@
-"""Tests for k-core decomposition and path-sampling approximate BC."""
+"""Tests for k-core decomposition, the 2-core peel and path-sampling
+approximate BC."""
 
 import numpy as np
 import networkx as nx
@@ -12,7 +13,7 @@ from repro.baselines.pathsampling import (
 from repro.errors import AlgorithmError, GraphValidationError
 from repro.generators import caterpillar_graph, complete_graph, cycle_graph
 from repro.graph.build import from_edges, from_networkx
-from repro.graph.kcore import core_numbers, k_core
+from repro.graph.kcore import TwoCoreResult, core_numbers, k_core, two_core
 
 
 class TestCoreNumbers:
@@ -58,6 +59,64 @@ class TestCoreNumbers:
 
     def test_empty(self):
         assert core_numbers(from_edges([], n=0)).size == 0
+
+
+class TestTwoCore:
+    def test_path_peels_to_one_survivor(self):
+        # an acyclic component folds down to a single degree-0 survivor
+        g = from_edges([(0, 1), (1, 2), (2, 3), (3, 4)], n=5)
+        res = two_core(g)
+        assert isinstance(res, TwoCoreResult)
+        assert res.core_mask.sum() == 1
+        assert res.peel_order.size == 4
+        survivor = int(np.flatnonzero(res.core_mask)[0])
+        assert res.peel_parent[survivor] == -1
+
+    def test_cycle_with_tail(self):
+        # triangle 0-1-2 with tail 2-3-4
+        g = from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], n=5)
+        res = two_core(g)
+        assert res.core_mask.tolist() == [True, True, True, False, False]
+        # 4 peels first (into 3), then 3 (into 2)
+        assert res.peel_order.tolist() == [4, 3]
+        assert res.peel_parent[4] == 3
+        assert res.peel_parent[3] == 2
+
+    def test_parent_order_children_before_parents(self):
+        g = from_networkx(nx.balanced_tree(2, 3))
+        res = two_core(g)
+        seen = set()
+        for v in res.peel_order.tolist():
+            p = int(res.peel_parent[v])
+            assert p not in seen  # parent peels after its children
+            seen.add(v)
+
+    def test_k2_one_survivor(self):
+        g = from_edges([(0, 1)], n=2)
+        res = two_core(g)
+        assert res.peel_order.size == 1
+        # exactly one endpoint survives as the other's parent
+        v = int(res.peel_order[0])
+        assert res.peel_parent[v] == 1 - v
+        assert res.core_mask.sum() == 1
+
+    def test_matches_networkx_two_core(self):
+        nxg = nx.gnm_random_graph(40, 48, seed=7)
+        g = from_networkx(nxg)
+        res = two_core(g)
+        core = set(nx.k_core(nxg, 2).nodes)
+        survivors = set(np.flatnonzero(res.core_mask).tolist())
+        # every true 2-core vertex survives…
+        assert core <= survivors
+        # …and each extra survivor is the lone degree-0 remnant of an
+        # acyclic component (nx drops those, the peel keeps one anchor)
+        for comp in nx.connected_components(nxg):
+            sub = nxg.subgraph(comp)
+            extra = (comp & survivors) - core
+            if sub.number_of_edges() >= sub.number_of_nodes():
+                assert not extra  # has a cycle: exact agreement
+            else:
+                assert len(extra) == 1
 
 
 class TestVertexDiameterBound:

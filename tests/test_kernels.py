@@ -3,7 +3,7 @@
 Covers the registry's contract surface: every registered kernel
 matches Brandes to 1e-9 across the serial/threads/processes engines
 with exact (and deterministic) examined-edge tallies on every
-composition (plain, compressed, cached-replay, journaled-resume),
+composition (plain, cached-replay, journaled-resume),
 ``auto`` names the host default without probing the graph, the probe
 behind spmm's layout and width is exact, and an unavailable kernel
 degrades to a clean miss instead of an error.
@@ -542,14 +542,6 @@ class TestApgreKernelCompositions:
             res.scores, oracle, rtol=1e-9, atol=1e-9
         )
         assert res.health is not None and not res.health.degraded
-
-    def test_compressed(self, graph, oracle):
-        res = apgre_bc_detailed(
-            graph, APGREConfig(kernel="arcs", compress=True)
-        )
-        np.testing.assert_allclose(
-            res.scores, oracle, rtol=1e-9, atol=1e-9
-        )
 
     def test_cached_then_replayed(self, graph, oracle, tmp_path):
         cfg = APGREConfig(kernel="arcs", cache_dir=str(tmp_path / "c"))

@@ -121,7 +121,7 @@ class TestBreakdown:
         assert frac["top_bc"] > 0
 
     def test_keeps_every_option_but_workers(self, monkeypatch):
-        # forcing serial must not drop compress/batch_size/kernel/...
+        # forcing serial must not drop eliminate_pendants/batch_size/...
         from repro.core.config import APGREConfig
         from repro.metrics import breakdown
 
@@ -134,14 +134,16 @@ class TestBreakdown:
             return result
 
         monkeypatch.setattr(breakdown, "apgre_bc_detailed", spy)
-        config = APGREConfig(compress=True, workers=2, backend="threads")
+        config = APGREConfig(
+            eliminate_pendants=False, workers=2, backend="threads"
+        )
         phase_breakdown(analogue_graph("USA-roadNY", scale=0.3), config)
         ((ran, result),) = runs
         assert ran.workers == 1
-        assert ran.compress and ran.backend == "threads"
+        assert not ran.eliminate_pendants and ran.backend == "threads"
         assert ran.batch_size == config.batch_size == "auto"
         assert result.health is None  # the inline serial loop ran
-        assert result.stats.compression_ratio > 1.0  # it ran compressed
+        assert result.stats.num_removed_pendants == 0  # every vertex a source
 
 
 class TestStats:

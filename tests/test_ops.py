@@ -59,6 +59,26 @@ class TestToUndirected:
         g = from_edges([(0, 1)])
         assert to_undirected(g) is g
 
+    def test_directed_shadow_memoized(self):
+        g = from_edges([(0, 1), (1, 2), (2, 3)], directed=True, n=4)
+        first = to_undirected(g)
+        assert first is not g
+        assert first is to_undirected(g)
+        assert not first.directed
+
+    def test_cache_evicts_on_collection(self):
+        import gc
+
+        from repro.graph.ops import _UNDIRECTED_CACHE
+
+        g = from_edges([(0, 1), (1, 2)], directed=True, n=3)
+        to_undirected(g)
+        key = id(g)
+        assert key in _UNDIRECTED_CACHE
+        del g
+        gc.collect()
+        assert key not in _UNDIRECTED_CACHE
+
 
 class TestComponents:
     def test_matches_networkx(self, zoo_entry):

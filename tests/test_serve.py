@@ -3,8 +3,8 @@
 The serving PR's acceptance guards live here:
 
 * served results are **bit-identical** to :func:`apgre_bc_detailed`
-  for the same config across serial / threads / cached / compressed
-  request parameters;
+  for the same config across serial / threads / cached / batched /
+  kernel request parameters;
 * concurrent readers racing ``POST /delta`` always observe a single
   consistent committed version (every response's scores match the
   Brandes oracle of *its reported version's* graph to 1e-9);
@@ -227,7 +227,6 @@ class TestProtocol:
                 "batch_size": "auto",
                 "workers": "2",
                 "steal": "0",
-                "compress": "true",
                 "top": "5",
                 "full": "1",
                 "fresh": "yes",
@@ -240,7 +239,6 @@ class TestProtocol:
         assert params.batch_size == "auto"
         assert params.workers == 2
         assert params.steal is False
-        assert params.compress is True
         assert (params.top, params.full, params.fresh) == (5, True, True)
         assert params.version == 3
         assert params.timeout == 1.5
@@ -274,7 +272,6 @@ class TestProtocol:
         assert config_fingerprint(base) == config_fingerprint(APGREConfig())
         for variant in (
             APGREConfig(threshold=0),
-            APGREConfig(compress=True),
             APGREConfig(kernel="arcs"),
             APGREConfig(backend="threads", workers=2),
             APGREConfig(eliminate_pendants=False),
@@ -392,6 +389,13 @@ class TestEndpoints:
     def test_unknown_parameter_is_400(self, served):
         with pytest.raises(ServeError) as err:
             served.client.bc(bogus=1)
+        assert err.value.http_status == 400
+
+    def test_removed_compress_is_400(self, served):
+        with pytest.raises(
+            ServeError, match=r"unknown parameter\(s\) compress"
+        ) as err:
+            served.client.bc(compress=1)
         assert err.value.http_status == 400
 
     def test_removed_kernel_is_400(self, served):
@@ -620,7 +624,6 @@ class TestBitIdentityMatrix:
     CASES = [
         ("serial", {}, {}),
         ("cached-replay", {"fresh": True}, {}),
-        ("compressed", {"compress": True}, {"compress": True}),
         (
             "threads",
             {"backend": "threads", "workers": 2, "steal": False},

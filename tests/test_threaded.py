@@ -2,7 +2,7 @@
 
 Covers the PR's contract surface: the threaded engine matches Brandes
 to 1e-9 with *exactly* the serial examined-edge tally under every
-composition (plain, batched, cached, compressed, journaled), injected
+composition (plain, batched, cached, journaled), injected
 thread kills/timeouts walk the same degradation ladder as the process
 pool, the backend registry probes capabilities / honours
 ``REPRO_PARALLEL_BACKEND`` / degrades gracefully on unavailable
@@ -227,14 +227,6 @@ class TestApgreBackendCompositions:
             res.scores, oracle, rtol=1e-9, atol=1e-9
         )
         assert res.health is not None and not res.health.degraded
-
-    def test_compressed(self, graph, oracle):
-        res = apgre_bc_detailed(
-            graph, APGREConfig(backend="threads", workers=2, compress=True)
-        )
-        np.testing.assert_allclose(
-            res.scores, oracle, rtol=1e-9, atol=1e-9
-        )
 
     def test_cached_then_replayed(self, graph, oracle, tmp_path):
         cfg = APGREConfig(
