@@ -59,6 +59,13 @@ class TestToUndirected:
         g = from_edges([(0, 1)])
         assert to_undirected(g) is g
 
+    def test_undirected_identity_not_memoized(self):
+        from repro.graph.ops import _UNDIRECTED_CACHE
+
+        g = from_edges([(0, 1), (1, 2)], n=3)
+        assert to_undirected(g) is g
+        assert id(g) not in _UNDIRECTED_CACHE
+
     def test_directed_shadow_memoized(self):
         g = from_edges([(0, 1), (1, 2), (2, 3)], directed=True, n=4)
         first = to_undirected(g)
