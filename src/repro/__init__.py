@@ -15,82 +15,107 @@ Quickstart::
 
 See README.md for the architecture overview, DESIGN.md for the paper
 mapping and EXPERIMENTS.md for reproduction results.
+
+Every package that only re-exports names (this one included) is a
+lazy namespace (:func:`_lazy_exports`): a name's module is imported
+on its first use, so a cold start loads only what its command runs.
 """
 
-from repro._version import __version__
-from repro.errors import (
-    AlgorithmError,
-    BenchmarkError,
-    ExecutionError,
-    GraphFormatError,
-    GraphValidationError,
-    PartitionError,
-    ReproError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
-from repro.graph import (
-    CSRGraph,
-    from_adjacency,
-    from_edges,
-    from_networkx,
-    empty_graph,
-)
-from repro.core import APGREConfig, BCResult, apgre_bc, apgre_bc_detailed
-from repro.baselines import (
-    async_bc,
-    brandes_bc,
-    brandes_python_bc,
-    hybrid_bc,
-    lockfree_bc,
-    preds_bc,
-    sampling_bc,
-    succs_bc,
-)
-from repro.decompose import (
-    articulation_points,
-    biconnected_components,
-    graph_partition,
-)
-from repro.io import load_graph, save_graph
+import importlib
+import importlib.util
+import sys
+from types import ModuleType
+from typing import Dict, List
 
-__all__ = [
-    "__version__",
+from repro._version import __version__
+
+
+class _LazyNamespace(ModuleType):
+    """A package whose re-exported names resolve on first access.
+
+    PEP 562's ``__getattr__`` and ``__dir__``, held on a module type
+    (the documented ``__class__`` hook) for one more method:
+    importing a submodule binds it onto its package, and where a
+    re-export shares the submodule's name (``repro.baselines.async_bc``)
+    ``__setattr__`` keeps the re-exported object.
+    """
+
+    _lazy: Dict[str, str]
+
+    def __getattr__(self, name: str):
+        target = self._lazy.get(name)
+        if target is None:
+            raise AttributeError(
+                f"module {self.__name__!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(target), name)
+        setattr(self, name, value)
+        return value
+
+    def __dir__(self) -> List[str]:
+        return sorted({*self.__dict__, *self._lazy})
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, ModuleType) and (
+            self._lazy.get(name) == value.__name__
+        ):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+def _lazy_exports(package: str, exports: Dict[str, str]) -> List[str]:
+    """Make ``package`` a lazy namespace over ``exports``; return the names.
+
+    ``exports`` maps each public name to the module defining it,
+    relative to ``package`` (``{"CSRGraph": ".csr"}``).  Call it from
+    the package's ``__init__`` as ``__all__ = _lazy_exports(__name__,
+    {...})``.
+    """
+    module = sys.modules[package]
+    module._lazy = {
+        name: importlib.util.resolve_name(target, package)
+        for name, target in exports.items()
+    }
+    module.__class__ = _LazyNamespace
+    return list(exports)
+
+
+__all__ = ["__version__", *_lazy_exports(__name__, {
     # errors
-    "ReproError",
-    "GraphFormatError",
-    "GraphValidationError",
-    "PartitionError",
-    "AlgorithmError",
-    "BenchmarkError",
-    "ExecutionError",
-    "WorkerCrashError",
-    "TaskTimeoutError",
+    "ReproError": ".errors",
+    "GraphFormatError": ".errors",
+    "GraphValidationError": ".errors",
+    "PartitionError": ".errors",
+    "AlgorithmError": ".errors",
+    "BenchmarkError": ".errors",
+    "ExecutionError": ".errors",
+    "WorkerCrashError": ".errors",
+    "TaskTimeoutError": ".errors",
     # graph
-    "CSRGraph",
-    "from_edges",
-    "from_adjacency",
-    "from_networkx",
-    "empty_graph",
+    "CSRGraph": ".graph",
+    "from_edges": ".graph",
+    "from_adjacency": ".graph",
+    "from_networkx": ".graph",
+    "empty_graph": ".graph",
     # core
-    "APGREConfig",
-    "BCResult",
-    "apgre_bc",
-    "apgre_bc_detailed",
+    "APGREConfig": ".core",
+    "BCResult": ".core",
+    "apgre_bc": ".core",
+    "apgre_bc_detailed": ".core",
     # baselines
-    "brandes_bc",
-    "brandes_python_bc",
-    "preds_bc",
-    "succs_bc",
-    "lockfree_bc",
-    "async_bc",
-    "hybrid_bc",
-    "sampling_bc",
+    "brandes_bc": ".baselines",
+    "brandes_python_bc": ".baselines",
+    "preds_bc": ".baselines",
+    "succs_bc": ".baselines",
+    "lockfree_bc": ".baselines",
+    "async_bc": ".baselines",
+    "hybrid_bc": ".baselines",
+    "sampling_bc": ".baselines",
     # decomposition
-    "articulation_points",
-    "biconnected_components",
-    "graph_partition",
+    "articulation_points": ".decompose",
+    "biconnected_components": ".decompose",
+    "graph_partition": ".decompose",
     # io
-    "load_graph",
-    "save_graph",
-]
+    "load_graph": ".io",
+    "save_graph": ".io",
+})]

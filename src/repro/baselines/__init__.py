@@ -26,44 +26,28 @@ strategies the paper benchmarks against:
 ===============  ====================================================
 """
 
-from repro.baselines.brandes import brandes_bc, brandes_python_bc
-from repro.baselines.preds import preds_bc
-from repro.baselines.succs import succs_bc
-from repro.baselines.lockfree import lockfree_bc
-from repro.baselines.async_bc import async_bc
-from repro.baselines.hybrid import hybrid_bc
-from repro.baselines.sampling import sampling_bc
-from repro.baselines.adaptive import AdaptiveEstimate, adaptive_bc
-from repro.baselines.pathsampling import (
-    PathSamplingResult,
-    path_sampling_bc,
-    vertex_diameter_bound,
-)
-from repro.baselines.algebraic import algebraic_bc
-from repro.baselines.edge_bc import edge_betweenness_bc, undirected_edge_scores
-from repro.baselines.weighted import dijkstra_sigma, weighted_brandes_bc
-from repro.baselines.registry import ALGORITHMS, get_algorithm, algorithm_names
+from repro import _lazy_exports
 
-__all__ = [
-    "brandes_bc",
-    "brandes_python_bc",
-    "preds_bc",
-    "succs_bc",
-    "lockfree_bc",
-    "async_bc",
-    "hybrid_bc",
-    "sampling_bc",
-    "PathSamplingResult",
-    "path_sampling_bc",
-    "vertex_diameter_bound",
-    "AdaptiveEstimate",
-    "algebraic_bc",
-    "adaptive_bc",
-    "edge_betweenness_bc",
-    "undirected_edge_scores",
-    "dijkstra_sigma",
-    "weighted_brandes_bc",
-    "ALGORITHMS",
-    "get_algorithm",
-    "algorithm_names",
-]
+__all__ = _lazy_exports(__name__, {
+    "brandes_bc": ".brandes",
+    "brandes_python_bc": ".brandes",
+    "preds_bc": ".preds",
+    "succs_bc": ".succs",
+    "lockfree_bc": ".lockfree",
+    "async_bc": ".async_bc",
+    "hybrid_bc": ".hybrid",
+    "sampling_bc": ".sampling",
+    "PathSamplingResult": ".pathsampling",
+    "path_sampling_bc": ".pathsampling",
+    "vertex_diameter_bound": ".pathsampling",
+    "AdaptiveEstimate": ".adaptive",
+    "algebraic_bc": ".algebraic",
+    "adaptive_bc": ".adaptive",
+    "edge_betweenness_bc": ".edge_bc",
+    "undirected_edge_scores": ".edge_bc",
+    "dijkstra_sigma": ".weighted",
+    "weighted_brandes_bc": ".weighted",
+    "ALGORITHMS": ".registry",
+    "get_algorithm": ".registry",
+    "algorithm_names": ".registry",
+})

@@ -213,6 +213,7 @@ def run_per_source(
             )
         # price the RAM model against the kernel that will actually run
         from repro.graph import kernels as _kernels
+        from repro.graph.batched import one_memory_reading
 
         kernel = _kernels.resolve_kernel_name(kernel)
         source_list = list(source_list)
@@ -220,25 +221,26 @@ def run_per_source(
         from repro.parallel.backends import resolve_backend
 
         engine = resolve_backend(backend)
-        batch = _kernels.resolve_kernel_batch(
-            batch_size,
-            graph,
-            len(source_list),
-            kernel=kernel,
-            workers=workers,
-            shared_csr=engine.shared_csr,
-        )
-        return engine.scores(
-            graph,
-            source_list,
-            batch=batch,
-            workers=workers,
-            steal=steal,
-            counter=counter,
-            config=supervisor,
-            health=health,
-            kernel=kernel,
-        )
+        with one_memory_reading():
+            batch = _kernels.resolve_kernel_batch(
+                batch_size,
+                graph,
+                len(source_list),
+                kernel=kernel,
+                workers=workers,
+                shared_csr=engine.shared_csr,
+            )
+            return engine.scores(
+                graph,
+                source_list,
+                batch=batch,
+                workers=workers,
+                steal=steal,
+                counter=counter,
+                config=supervisor,
+                health=health,
+                kernel=kernel,
+            )
     if workers > 1:
         from repro.parallel.pool import map_sources_bc
 
@@ -254,13 +256,14 @@ def run_per_source(
     if batch_size is not None:
         from repro.graph.batched import batched_bc_scores
 
-        batch = _kernels.resolve_kernel_batch(
-            batch_size, graph, len(source_list), kernel=kernel
-        )
-        return batched_bc_scores(
-            graph, source_list, batch=batch, counter=counter,
-            kernel=kernel,
-        )
+        with one_memory_reading():
+            batch = _kernels.resolve_kernel_batch(
+                batch_size, graph, len(source_list), kernel=kernel
+            )
+            return batched_bc_scores(
+                graph, source_list, batch=batch, counter=counter,
+                kernel=kernel,
+            )
     bc = np.zeros(n, dtype=SCORE_DTYPE)
     for s in source_list:
         delta = per_source_delta(

@@ -18,34 +18,24 @@ Workload size scales with the ``REPRO_SCALE`` environment variable
 separated Table-1 names).
 """
 
-from repro.bench.registry import EXPERIMENTS, get_experiment, experiment_ids
-from repro.bench.runner import ExperimentResult, MeasuredRun, time_algorithm
-from repro.bench.persistence import diff_results, load_results, save_results
-from repro.bench.report import render_table, render_bars, render_lines
-from repro.bench.workloads import (
-    bench_scale,
-    bench_graph_names,
-    get_graph,
-    get_suite,
-    scaling_graph,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "get_experiment",
-    "experiment_ids",
-    "ExperimentResult",
-    "MeasuredRun",
-    "time_algorithm",
-    "render_table",
-    "render_bars",
-    "render_lines",
-    "save_results",
-    "load_results",
-    "diff_results",
-    "bench_scale",
-    "bench_graph_names",
-    "get_graph",
-    "get_suite",
-    "scaling_graph",
-]
+__all__ = _lazy_exports(__name__, {
+    "EXPERIMENTS": ".registry",
+    "get_experiment": ".registry",
+    "experiment_ids": ".registry",
+    "ExperimentResult": ".runner",
+    "MeasuredRun": ".runner",
+    "time_algorithm": ".runner",
+    "render_table": ".report",
+    "render_bars": ".report",
+    "render_lines": ".report",
+    "save_results": ".persistence",
+    "load_results": ".persistence",
+    "diff_results": ".persistence",
+    "bench_scale": ".workloads",
+    "bench_graph_names": ".workloads",
+    "get_graph": ".workloads",
+    "get_suite": ".workloads",
+    "scaling_graph": ".workloads",
+})

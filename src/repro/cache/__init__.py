@@ -15,47 +15,23 @@ theorem into a cache:
   edge delta, re-decompose, and recompute only the sub-graphs whose
   fingerprints changed, replaying everything else.
 
-``apgre_bc_delta`` is re-exported lazily (PEP 562) because it imports
-the APGRE driver, which itself consults this package's store layer.
+Every name resolves on first use (a lazy namespace, as every package
+here), so the delta path (``apgre_bc_delta`` and the APGRE run it
+imports) loads only when first used.
 """
 
-from repro.cache.fingerprint import (
-    graph_fingerprint,
-    subgraph_key,
-)
-from repro.cache.store import (
-    CacheEntry,
-    CacheStats,
-    ContributionStore,
-    resolve_store,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "graph_fingerprint",
-    "subgraph_key",
-    "CacheEntry",
-    "CacheStats",
-    "ContributionStore",
-    "resolve_store",
-    "apgre_bc_delta",
-    "apply_edge_delta",
-    "DeltaResult",
-    "parse_delta_file",
-    "parse_delta_lines",
-]
-
-_INCREMENTAL_NAMES = (
-    "apgre_bc_delta",
-    "apply_edge_delta",
-    "DeltaResult",
-    "parse_delta_file",
-    "parse_delta_lines",
-)
-
-
-def __getattr__(name: str):
-    if name in _INCREMENTAL_NAMES:
-        from repro.cache import incremental
-
-        return getattr(incremental, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = _lazy_exports(__name__, {
+    "graph_fingerprint": ".fingerprint",
+    "subgraph_key": ".fingerprint",
+    "CacheEntry": ".store",
+    "CacheStats": ".store",
+    "ContributionStore": ".store",
+    "resolve_store": ".store",
+    "apgre_bc_delta": ".incremental",
+    "apply_edge_delta": ".incremental",
+    "DeltaResult": ".incremental",
+    "parse_delta_file": ".incremental",
+    "parse_delta_lines": ".incremental",
+})

@@ -12,24 +12,18 @@
   the instrumented result type.
 """
 
-from repro.core.config import APGREConfig
-from repro.core.result import APGREStats, BCResult, PhaseTimings
-from repro.core.bc_subgraph import bc_subgraph
-from repro.core.batched_subgraph import bc_subgraph_batched
-from repro.core.apgre import apgre_bc, apgre_bc_detailed
-from repro.core.treefold import treefold_bc, peel_pendant_trees
-from repro.core.weighted_apgre import weighted_apgre_bc
+from repro import _lazy_exports
 
-__all__ = [
-    "APGREConfig",
-    "APGREStats",
-    "BCResult",
-    "PhaseTimings",
-    "bc_subgraph",
-    "bc_subgraph_batched",
-    "apgre_bc",
-    "apgre_bc_detailed",
-    "treefold_bc",
-    "peel_pendant_trees",
-    "weighted_apgre_bc",
-]
+__all__ = _lazy_exports(__name__, {
+    "APGREConfig": ".config",
+    "APGREStats": ".result",
+    "BCResult": ".result",
+    "PhaseTimings": ".result",
+    "bc_subgraph": ".bc_subgraph",
+    "bc_subgraph_batched": ".batched_subgraph",
+    "apgre_bc": ".apgre",
+    "apgre_bc_detailed": ".apgre",
+    "treefold_bc": ".treefold",
+    "peel_pendant_trees": ".treefold",
+    "weighted_apgre_bc": ".weighted_apgre",
+})

@@ -41,7 +41,11 @@ import numpy as np
 from repro.baselines.common import WorkCounter
 from repro.decompose.partition import Subgraph
 from repro.errors import AlgorithmError
-from repro.graph.batched import SweepWeights, batched_bc_scores
+from repro.graph.batched import (
+    SweepWeights,
+    batched_bc_scores,
+    one_memory_reading,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import block_diagonal
 from repro.types import SCORE_DTYPE, VERTEX_DTYPE
@@ -76,6 +80,7 @@ def sweep_weights(sg: Subgraph, gamma: np.ndarray) -> SweepWeights:
     )
 
 
+@one_memory_reading()
 def bc_subgraph_batched(
     sg: Subgraph,
     *,

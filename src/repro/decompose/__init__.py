@@ -15,29 +15,17 @@ Implements steps 1 and 2 of APGRE (paper §3/§4):
   undirected graphs.
 """
 
-from repro.decompose.articulation import (
-    BCCResult,
-    articulation_points,
-    biconnected_components,
-    bridges,
-)
-from repro.decompose.bcc_tree import BlockCutTree, build_block_cut_tree
-from repro.decompose.partition import (
-    Partition,
-    Subgraph,
-    graph_partition,
-)
-from repro.decompose.alphabeta import compute_alpha_beta
+from repro import _lazy_exports
 
-__all__ = [
-    "BCCResult",
-    "articulation_points",
-    "bridges",
-    "biconnected_components",
-    "BlockCutTree",
-    "build_block_cut_tree",
-    "Partition",
-    "Subgraph",
-    "graph_partition",
-    "compute_alpha_beta",
-]
+__all__ = _lazy_exports(__name__, {
+    "BCCResult": ".articulation",
+    "articulation_points": ".articulation",
+    "bridges": ".articulation",
+    "biconnected_components": ".articulation",
+    "BlockCutTree": ".bcc_tree",
+    "build_block_cut_tree": ".bcc_tree",
+    "Partition": ".partition",
+    "Subgraph": ".partition",
+    "graph_partition": ".partition",
+    "compute_alpha_beta": ".alphabeta",
+})

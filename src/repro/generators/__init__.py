@@ -9,53 +9,30 @@ for the 12 SNAP/DIMACS graphs of Table 1 (see DESIGN.md §1 for the
 substitution rationale).
 """
 
-from repro.generators.random import gnm_random_graph, gnp_random_graph
-from repro.generators.powerlaw import barabasi_albert_graph, powerlaw_cluster_graph
-from repro.generators.rmat import rmat_graph
-from repro.generators.smallworld import watts_strogatz_graph
-from repro.generators.road import grid_road_graph, districted_road_graph
-from repro.generators.structured import (
-    barbell_graph,
-    disease_network_analogue,
-    block_tree_graph,
-    caterpillar_graph,
-    complete_graph,
-    cycle_graph,
-    paper_example_graph,
-    path_graph,
-    pendant_augment,
-    star_graph,
-)
-from repro.generators.suite import (
-    GraphSpec,
-    SUITE_SPECS,
-    analogue_graph,
-    paper_suite,
-    suite_names,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "gnm_random_graph",
-    "gnp_random_graph",
-    "barabasi_albert_graph",
-    "powerlaw_cluster_graph",
-    "rmat_graph",
-    "watts_strogatz_graph",
-    "grid_road_graph",
-    "districted_road_graph",
-    "barbell_graph",
-    "block_tree_graph",
-    "caterpillar_graph",
-    "complete_graph",
-    "cycle_graph",
-    "disease_network_analogue",
-    "paper_example_graph",
-    "path_graph",
-    "pendant_augment",
-    "star_graph",
-    "GraphSpec",
-    "SUITE_SPECS",
-    "analogue_graph",
-    "paper_suite",
-    "suite_names",
-]
+__all__ = _lazy_exports(__name__, {
+    "gnm_random_graph": ".random",
+    "gnp_random_graph": ".random",
+    "barabasi_albert_graph": ".powerlaw",
+    "powerlaw_cluster_graph": ".powerlaw",
+    "rmat_graph": ".rmat",
+    "watts_strogatz_graph": ".smallworld",
+    "grid_road_graph": ".road",
+    "districted_road_graph": ".road",
+    "barbell_graph": ".structured",
+    "block_tree_graph": ".structured",
+    "caterpillar_graph": ".structured",
+    "complete_graph": ".structured",
+    "cycle_graph": ".structured",
+    "disease_network_analogue": ".structured",
+    "paper_example_graph": ".structured",
+    "path_graph": ".structured",
+    "pendant_augment": ".structured",
+    "star_graph": ".structured",
+    "GraphSpec": ".suite",
+    "SUITE_SPECS": ".suite",
+    "analogue_graph": ".suite",
+    "paper_suite": ".suite",
+    "suite_names": ".suite",
+})

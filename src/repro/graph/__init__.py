@@ -6,85 +6,41 @@ storage used by the paper's C++ implementation (§5.1: "the graphs are
 stored in Compressed Sparse Row (CSR) format").
 """
 
-from repro.graph.csr import CSRGraph
-from repro.graph.build import (
-    from_edges,
-    from_adjacency,
-    from_networkx,
-    empty_graph,
-)
-from repro.graph.ops import (
-    connected_components,
-    degrees,
-    induced_subgraph,
-    reachable_from,
-    reverse_graph,
-    to_undirected,
-)
-from repro.graph.kcore import core_numbers, k_core
-from repro.graph.ordering import (
-    apply_ordering,
-    bfs_order,
-    degree_order,
-    random_order,
-)
-from repro.graph.scc import (
-    SCCResult,
-    condensation,
-    strongly_connected_components,
-)
-from repro.graph.traversal import (
-    BFSResult,
-    bfs,
-    bfs_blocked,
-    bfs_levels,
-    bfs_sigma,
-    reverse_bfs_blocked,
-)
-from repro.graph.batched import (
-    BatchedBFSResult,
-    auto_batch_size,
-    batched_bc_scores,
-    batched_contributions,
-    bfs_sigma_batched,
-    resolve_batch_size,
-    spmm_available,
-    spmm_contributions,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CSRGraph",
-    "from_edges",
-    "from_adjacency",
-    "from_networkx",
-    "empty_graph",
-    "connected_components",
-    "degrees",
-    "induced_subgraph",
-    "reachable_from",
-    "reverse_graph",
-    "to_undirected",
-    "core_numbers",
-    "k_core",
-    "apply_ordering",
-    "bfs_order",
-    "degree_order",
-    "random_order",
-    "SCCResult",
-    "condensation",
-    "strongly_connected_components",
-    "BFSResult",
-    "bfs",
-    "bfs_blocked",
-    "bfs_levels",
-    "bfs_sigma",
-    "reverse_bfs_blocked",
-    "BatchedBFSResult",
-    "auto_batch_size",
-    "batched_bc_scores",
-    "batched_contributions",
-    "bfs_sigma_batched",
-    "resolve_batch_size",
-    "spmm_available",
-    "spmm_contributions",
-]
+__all__ = _lazy_exports(__name__, {
+    "CSRGraph": ".csr",
+    "from_edges": ".build",
+    "from_adjacency": ".build",
+    "from_networkx": ".build",
+    "empty_graph": ".build",
+    "connected_components": ".ops",
+    "degrees": ".ops",
+    "induced_subgraph": ".ops",
+    "reachable_from": ".ops",
+    "reverse_graph": ".ops",
+    "to_undirected": ".ops",
+    "core_numbers": ".kcore",
+    "k_core": ".kcore",
+    "apply_ordering": ".ordering",
+    "bfs_order": ".ordering",
+    "degree_order": ".ordering",
+    "random_order": ".ordering",
+    "SCCResult": ".scc",
+    "condensation": ".scc",
+    "strongly_connected_components": ".scc",
+    "BFSResult": ".traversal",
+    "bfs": ".traversal",
+    "bfs_blocked": ".traversal",
+    "bfs_levels": ".traversal",
+    "bfs_sigma": ".traversal",
+    "reverse_bfs_blocked": ".traversal",
+    "BatchedBFSResult": ".batched",
+    "auto_batch_size": ".batched",
+    "batched_bc_scores": ".batched",
+    "batched_contributions": ".batched",
+    "bfs_sigma_batched": ".batched",
+    "resolve_batch_size": ".batched",
+    "spmm_available": ".batched",
+    "spmm_contributions": ".batched",
+})

@@ -51,9 +51,11 @@ import importlib.util
 import numbers
 import os
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +72,7 @@ __all__ = [
     "BatchWorkspace",
     "SweepWeights",
     "available_memory_bytes",
+    "one_memory_reading",
     "row_bytes",
     "dense_row_bytes",
     "auto_batch_size",
@@ -132,8 +135,50 @@ _CSR_BYTES_PER_VERTEX = 16
 _CSR_BYTES_PER_ARC = 16
 
 
+# the reading held by the enclosing :func:`one_memory_reading` block
+# of this thread (an empty list until the block's first read)
+_READING: ContextVar[Optional[List[int]]] = ContextVar(
+    "repro_memory_reading", default=None
+)
+
+
 def available_memory_bytes() -> int:
-    """Best-effort available physical memory (fallback: 1 GiB)."""
+    """Best-effort available physical memory (fallback: 1 GiB).
+
+    Inside a :func:`one_memory_reading` block only the first call reads
+    it; the rest of the block reuses that figure.
+    """
+    held = _READING.get()
+    if held is None:
+        return _read_available_memory()
+    if not held:
+        held.append(_read_available_memory())
+    return held[0]
+
+
+@contextmanager
+def one_memory_reading() -> Iterator[None]:
+    """Read available memory at most once inside the block.
+
+    One batch-width resolution asks for it up to four times: the base
+    width, the layout's base-width check, the priced width and the
+    kernel's ``prepare``.  The sweeps that resolve a width and prepare
+    for it run as one block (also as a decorator), so all four see one
+    read of ``/proc/meminfo``.  The figure lives only as long as the
+    block, so a long-lived daemon never keeps a stale RAM ceiling.
+    Nested blocks share the outer one's reading.
+    """
+    if _READING.get() is not None:
+        yield
+        return
+    token = _READING.set([])
+    try:
+        yield
+    finally:
+        _READING.reset(token)
+
+
+def _read_available_memory() -> int:
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
@@ -1253,6 +1298,7 @@ def batched_bc_scores(
     return bc
 
 
+@one_memory_reading()
 def batched_tallies(
     graph: CSRGraph, sources, *, kernel: Optional[str] = None
 ) -> np.ndarray:

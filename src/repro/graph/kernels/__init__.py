@@ -46,6 +46,7 @@ from repro.graph.batched import (
     _spmm_operands_for,
     arcs_contributions,
     auto_batch_size,
+    one_memory_reading,
     resolve_batch_size,
     spmm_available,
     spmm_contributions,
@@ -263,6 +264,7 @@ def resolve_kernel_name(name: Optional[str]) -> str:
     return name
 
 
+@one_memory_reading()
 def resolve_kernel_batch(
     batch_size: Union[int, str, None],
     graph: CSRGraph,

@@ -6,22 +6,18 @@ MatrixMarket coordinate files — plus writers and a format-sniffing
 loader.
 """
 
-from repro.io.edgelist import read_edgelist, write_edgelist
-from repro.io.dimacs import read_dimacs, write_dimacs
-from repro.io.matrixmarket import read_matrix_market, write_matrix_market
-from repro.io.binary import load_npz, save_npz
-from repro.io.registry import load_graph, save_graph, sniff_format
+from repro import _lazy_exports
 
-__all__ = [
-    "read_edgelist",
-    "write_edgelist",
-    "read_dimacs",
-    "write_dimacs",
-    "read_matrix_market",
-    "write_matrix_market",
-    "load_npz",
-    "save_npz",
-    "load_graph",
-    "save_graph",
-    "sniff_format",
-]
+__all__ = _lazy_exports(__name__, {
+    "read_edgelist": ".edgelist",
+    "write_edgelist": ".edgelist",
+    "read_dimacs": ".dimacs",
+    "write_dimacs": ".dimacs",
+    "read_matrix_market": ".matrixmarket",
+    "write_matrix_market": ".matrixmarket",
+    "load_npz": ".binary",
+    "save_npz": ".binary",
+    "load_graph": ".registry",
+    "save_graph": ".registry",
+    "sniff_format": ".registry",
+})

@@ -4,28 +4,16 @@ See :mod:`repro.journal.journal` for the engine and
 docs/ROBUSTNESS.md for the crash-recovery matrix.
 """
 
-from repro.journal.format import (
-    RECORD_MAGIC,
-    decode_line,
-    encode_record,
-    payload_digest,
-    scan_log,
-)
-from repro.journal.journal import (
-    JOURNAL_VERSION,
-    ResumedContribution,
-    RunJournal,
-    run_fingerprint,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "JOURNAL_VERSION",
-    "RECORD_MAGIC",
-    "ResumedContribution",
-    "RunJournal",
-    "decode_line",
-    "encode_record",
-    "payload_digest",
-    "run_fingerprint",
-    "scan_log",
-]
+__all__ = _lazy_exports(__name__, {
+    "JOURNAL_VERSION": ".journal",
+    "RECORD_MAGIC": ".format",
+    "ResumedContribution": ".journal",
+    "RunJournal": ".journal",
+    "decode_line": ".format",
+    "encode_record": ".format",
+    "payload_digest": ".format",
+    "run_fingerprint": ".journal",
+    "scan_log": ".format",
+})

@@ -13,39 +13,23 @@ Everything the evaluation section needs to quantify:
 * :mod:`repro.metrics.timers` — tiny wall-clock helpers.
 """
 
-from repro.metrics.teps import mteps, teps
-from repro.metrics.redundancy import RedundancyBreakdown, measure_redundancy
-from repro.metrics.breakdown import phase_breakdown
-from repro.metrics.stats import (
-    GraphStats,
-    PartitionStats,
-    SubgraphRow,
-    graph_stats,
-    partition_stats,
-)
-from repro.metrics.comparison import (
-    ScoreComparison,
-    compare_scores,
-    kendall_tau,
-    top_k_overlap,
-)
-from repro.metrics.timers import Timer, stopwatch
+from repro import _lazy_exports
 
-__all__ = [
-    "teps",
-    "mteps",
-    "RedundancyBreakdown",
-    "measure_redundancy",
-    "phase_breakdown",
-    "GraphStats",
-    "PartitionStats",
-    "SubgraphRow",
-    "graph_stats",
-    "partition_stats",
-    "ScoreComparison",
-    "compare_scores",
-    "kendall_tau",
-    "top_k_overlap",
-    "Timer",
-    "stopwatch",
-]
+__all__ = _lazy_exports(__name__, {
+    "teps": ".teps",
+    "mteps": ".teps",
+    "RedundancyBreakdown": ".redundancy",
+    "measure_redundancy": ".redundancy",
+    "phase_breakdown": ".breakdown",
+    "GraphStats": ".stats",
+    "PartitionStats": ".stats",
+    "SubgraphRow": ".stats",
+    "graph_stats": ".stats",
+    "partition_stats": ".stats",
+    "ScoreComparison": ".comparison",
+    "compare_scores": ".comparison",
+    "kendall_tau": ".comparison",
+    "top_k_overlap": ".comparison",
+    "Timer": ".timers",
+    "stopwatch": ".timers",
+})

@@ -18,59 +18,32 @@ deterministically by the fault-injection harness
 (:mod:`repro.parallel.faults`); see docs/ROBUSTNESS.md.
 """
 
-from repro.parallel.backends import (
-    BACKEND_ENV_VAR,
-    ExecutionBackend,
-    backend_names,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.parallel.batched_pool import batched_pool_bc_scores, tree_reduce
-from repro.parallel.pool import map_sources_bc
-from repro.parallel.threaded import threaded_bc_scores, threaded_contributions
-from repro.parallel.scheduler import assign_lpt, lpt_order
-from repro.parallel.sharedmem import SharedArray
-from repro.parallel.supervisor import (
-    RunHealth,
-    SupervisorConfig,
-    TaskOutcome,
-    call_with_timeout,
-    supervised_map,
-)
-from repro.parallel.faults import (
-    FaultPlan,
-    FaultSpec,
-    clear_faults,
-    injected_faults,
-    install_faults,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "ExecutionBackend",
-    "backend_names",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "threaded_bc_scores",
-    "threaded_contributions",
-    "batched_pool_bc_scores",
-    "tree_reduce",
-    "map_sources_bc",
-    "assign_lpt",
-    "lpt_order",
-    "SharedArray",
-    "SupervisorConfig",
-    "RunHealth",
-    "TaskOutcome",
-    "supervised_map",
-    "call_with_timeout",
-    "FaultSpec",
-    "FaultPlan",
-    "install_faults",
-    "clear_faults",
-    "injected_faults",
-]
+__all__ = _lazy_exports(__name__, {
+    "BACKEND_ENV_VAR": ".backends",
+    "ExecutionBackend": ".backends",
+    "backend_names": ".backends",
+    "default_backend_name": ".backends",
+    "get_backend": ".backends",
+    "register_backend": ".backends",
+    "resolve_backend": ".backends",
+    "threaded_bc_scores": ".threaded",
+    "threaded_contributions": ".threaded",
+    "batched_pool_bc_scores": ".batched_pool",
+    "tree_reduce": ".batched_pool",
+    "map_sources_bc": ".pool",
+    "assign_lpt": ".scheduler",
+    "lpt_order": ".scheduler",
+    "SharedArray": ".sharedmem",
+    "SupervisorConfig": ".supervisor",
+    "RunHealth": ".supervisor",
+    "TaskOutcome": ".supervisor",
+    "supervised_map": ".supervisor",
+    "call_with_timeout": ".supervisor",
+    "FaultSpec": ".faults",
+    "FaultPlan": ".faults",
+    "install_faults": ".faults",
+    "clear_faults": ".faults",
+    "injected_faults": ".faults",
+})

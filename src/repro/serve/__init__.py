@@ -16,48 +16,24 @@ decomposition on every query; this package keeps all of it resident
 * :mod:`repro.serve.client` — the stdlib client behind
   ``repro-bc query``, the tests and ``benchmarks/bench_serving.py``.
 
-Heavy imports stay lazy (PEP 562): importing :mod:`repro.serve` must
-not drag numpy-adjacent machinery into processes that only want the
-client.
+Every name resolves on first use (a lazy namespace, as every package
+here): importing :mod:`repro.serve` must not drag numpy-adjacent
+machinery into processes that only want the client, and
+``import repro.serve.client`` loads no numpy.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-__all__ = [
-    "BCRequestHandler",
-    "RequestParams",
-    "ScoreLRU",
-    "ServeClient",
-    "ServerState",
-    "Snapshot",
-    "SnapshotManager",
-    "build_config",
-    "config_fingerprint",
-    "make_server",
-    "parse_delta_body",
-]
-
-_LAZY = {
-    "BCRequestHandler": "repro.serve.server",
-    "RequestParams": "repro.serve.protocol",
-    "ScoreLRU": "repro.serve.score_lru",
-    "ServeClient": "repro.serve.client",
-    "ServerState": "repro.serve.server",
-    "Snapshot": "repro.serve.snapshots",
-    "SnapshotManager": "repro.serve.snapshots",
-    "build_config": "repro.serve.protocol",
-    "config_fingerprint": "repro.serve.protocol",
-    "make_server": "repro.serve.server",
-    "parse_delta_body": "repro.serve.protocol",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
+__all__ = _lazy_exports(__name__, {
+    "BCRequestHandler": ".server",
+    "RequestParams": ".protocol",
+    "ScoreLRU": ".score_lru",
+    "ServeClient": ".client",
+    "ServerState": ".server",
+    "Snapshot": ".snapshots",
+    "SnapshotManager": ".snapshots",
+    "build_config": ".protocol",
+    "config_fingerprint": ".protocol",
+    "make_server": ".server",
+    "parse_delta_body": ".protocol",
+})

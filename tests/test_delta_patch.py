@@ -17,6 +17,9 @@ long chain drifts.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -480,3 +483,39 @@ def test_tally_pass_matches_every_kernel_row_by_row(graph):
         assert np.array_equal(ref, refs[0])
     for got in forms:
         assert np.array_equal(got, refs[0])
+
+
+def test_served_delta_reads_memory_once_per_resolution(monkeypatch):
+    # a patched delta resolves four batch widths (the sweeps of S on the
+    # new and predecessor sub-graphs, the tallies of L on both); each
+    # resolution and its kernel's prepare share one read of the RAM
+    # ceiling, and a cold run resolves only its top's width
+    e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    monkeypatch.syspath_prepend(str(e2e))
+    import workloads
+
+    spec = json.loads((e2e / "spec.json").read_text())
+    inputs = workloads.make_inputs(spec["workloads"]["serve-delta"], 1)
+    edges = [op.arg for op in inputs.stream if op.kind == "delta"][:5]
+    reads = []
+    read = batched._read_available_memory
+
+    def counted():
+        reads.append(1)
+        return read()
+
+    monkeypatch.setattr(batched, "_read_available_memory", counted)
+    graph = inputs.graph
+    store = ContributionStore()
+    config = APGREConfig(cache=store)
+    part = graph_partition(graph, threshold=config.threshold)
+    compute_alpha_beta(graph, part)
+    apgre_bc_detailed(graph, config, partition=part)
+    assert len(reads) <= 1
+    for edge in edges:
+        reads.clear()
+        dr = apgre_bc_delta(graph, edges_added=[edge], cache=store,
+                            config=config, partition=part)
+        assert dr.result.stats.subgraphs_patched == 1, edge
+        assert 1 <= len(reads) <= 4, (edge, len(reads))
+        graph, part = dr.graph, dr.partition
